@@ -145,7 +145,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_lines(out / "tape.jsonl", tape.serialize_tape(tp))
     _write_lines(out / "path.jsonl", slippage.path_to_lines(path))
     (out / "scenario.txt").write_text(simulator.format_scenario(scenario))
-    n_lit = sum(1 for e in tp.events if e.is_lit())
+    n_lit = int(tp.is_lit.sum())
     log.info("simulated %s: %d lit prints, %d dark fills", scenario.name, n_lit, len(tp) - n_lit)
     print(f"wrote {out / 'tape.jsonl'} ({len(tp)} events) and {out / 'path.jsonl'}")
     return 0

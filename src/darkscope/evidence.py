@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "FisherResult",
     "EvidenceLedger",
     "LedgerEntry",
+    "LedgerHistory",
     "fisher_statistic",
     "chisq_survival_even",
     "combine",
@@ -101,13 +103,33 @@ class LedgerEntry:
     result: FisherResult
 
 
+class LedgerHistory(SequenceABC):
+    """Read-only view of a ledger's update entries; indexing is O(1).
+
+    The view follows the ledger: it grows as updates are folded in.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: list[LedgerEntry]):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._entries[index])
+        return self._entries[index]
+
+
 class EvidenceLedger:
     """Rolling per-venue p-value buffer with its Fisher combination.
 
-    Single-writer: updates go through ledger_update; ``current`` and
-    ``history`` return immutable snapshots. The buffer holds the most recent
-    ``k_max`` p-values (oldest evicted), so every fill yields a fresh
-    decision input.
+    Single-writer: updates go through ledger_update; ``current`` is an
+    immutable result and ``history`` a read-only view of every update. The
+    buffer holds the most recent ``k_max`` p-values (oldest evicted), so
+    every fill yields a fresh decision input.
     """
 
     def __init__(self, venue: str, k_max: int = DEFAULT_KMAX):
@@ -129,8 +151,8 @@ class EvidenceLedger:
         return tuple(self._buffer)
 
     @property
-    def history(self) -> tuple[LedgerEntry, ...]:
-        return tuple(self._history)
+    def history(self) -> LedgerHistory:
+        return LedgerHistory(self._history)
 
     @property
     def updates(self) -> int:

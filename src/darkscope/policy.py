@@ -26,7 +26,8 @@ from .surprise import (
     DEFAULT_WINDOW_SIZE,
     DurationWindow,
     SurpriseRecord,
-    score_fill,
+    fill_neighbours,
+    score_around,
     update_window,
 )
 from .tape import Side, Tape, TapeEvent
@@ -229,10 +230,10 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     fill. Orders come from fill ground truth when present, else each fill
     stands alone. Arrival slippage per order uses the accepted fills only.
     """
-    n_dark = sum(1 for e in tape.events if e.is_dark())
-    if n_dark < cfg.k_min:
+    dark = np.flatnonzero(~tape.is_lit)
+    if dark.size < cfg.k_min:
         raise ValueError(
-            f"insufficient fills: tape has {n_dark} dark fills, need >= {cfg.k_min}"
+            f"insufficient fills: tape has {dark.size} dark fills, need >= {cfg.k_min}"
         )
 
     fills_off: dict[tuple[str, str], list[TapeEvent]] = {}
@@ -241,11 +242,13 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     states: dict[str, VenueState] = {}
     actions: list[PolicyAction] = []
 
+    fills = zip(tape.rows(dark), fill_neighbours(tape, dark))
     window = DurationWindow(capacity=cfg.window_size)
-    for i, event in enumerate(tape.events):
-        if event.is_lit():
-            window = update_window(window, event.ts)
+    for ts, is_lit in zip(tape.ts.tolist(), tape.is_lit.tolist()):
+        if is_lit:
+            window = update_window(window, ts)
             continue
+        event, around = next(fills)
         venue = event.venue or ""
         key = (venue, _order_key(event, venue))
         if key not in fills_off:
@@ -263,7 +266,7 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
         fills_on.setdefault(key, []).append(event)
         if not window.primed():
             continue
-        record = score_fill(tape, i, window, cfg.horizon_mult * window.mean)
+        record = score_around(event, around, window, cfg.horizon_mult * window.mean)
         if record.p_fwd is None or not direction_admits(record, cfg.direction_filter):
             continue
         ledger_update(state.ledger, event.ts, record.p_fwd)

@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .slippage import PricePath
-from .tape import EventKind, Side, Tape, TapeEvent, merge_streams
+from .tape import Tape, concat_tapes, merge_streams
 
 __all__ = [
     "VenueProfile",
@@ -149,12 +149,17 @@ class Scenario:
             raise ValueError("fills_per_order must be >= 1")
 
     def mean_duration_at(self, t_s: float) -> float:
-        mean = self.lit_schedule[0][1]
-        for start, m in self.lit_schedule:
-            if t_s < start:
-                break
-            mean = m
-        return mean
+        return _mean_duration_at(self.lit_schedule, t_s)
+
+
+def _mean_duration_at(schedule: tuple[tuple[float, float], ...], t_s: float) -> float:
+    """Seconds per lit trade of the schedule segment holding t_s."""
+    mean = schedule[0][1]
+    for start, m in schedule:
+        if t_s < start:
+            break
+        mean = m
+    return mean
 
 
 def _streams(scenario: Scenario) -> dict[str, np.random.SeedSequence]:
@@ -203,18 +208,14 @@ def gen_lit_tape(scenario: Scenario) -> Tape:
     ts = np.round(times * _NS).astype(np.int64)
     sizes = rng.lognormal(scenario.lit_size_log_mu, scenario.lit_size_log_sigma, size=ts.size)
     sides = rng.integers(0, 2, size=ts.size)
-    events = tuple(
-        TapeEvent(
-            kind=EventKind.LIT,
-            ts=int(t),
-            symbol=scenario.symbol,
-            price=scenario.price.start_mid,
-            size=float(s),
-            side=Side.BUY if b else Side.SELL,
-        )
-        for t, s, b in zip(ts, sizes, sides)
+    return Tape(
+        symbol=scenario.symbol,
+        ts=ts,
+        is_lit=np.ones(ts.size, dtype=bool),
+        price=np.full(ts.size, scenario.price.start_mid),
+        size=sizes,
+        side=np.where(sides == 1, 1, -1),
     )
-    return Tape(symbol=scenario.symbol, events=events)
 
 
 def gen_dark_fills(scenario: Scenario) -> Tape:
@@ -225,7 +226,7 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
     """
     stream = _streams(scenario)["dark"]
     children = stream.spawn(max(len(scenario.venues), 1))
-    events: list[TapeEvent] = []
+    parts: list[Tape] = []
     for profile, child in zip(scenario.venues, children):
         rng = _rng(child)
         window = profile.active or (0.0, scenario.duration)
@@ -240,34 +241,35 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
         if group:
             n_orders = -(-ts.size // group)
             order_sides = rng.integers(0, 2, size=n_orders)
-            side_of = lambda j: Side.BUY if order_sides[j // group] else Side.SELL
+            sides = order_sides[np.arange(ts.size) // group]
             order_of = lambda j: f"{profile.venue}:o{j // group}"
         else:
-            fill_sides = rng.integers(0, 2, size=ts.size)
-            side_of = lambda j: Side.BUY if fill_sides[j] else Side.SELL
+            sides = rng.integers(0, 2, size=ts.size)
             order_of = lambda j: f"{profile.venue}:f{j}"
-        for j in range(ts.size):
-            truth: dict[str, Any] = {
+        truth = {
+            j: {
                 "fill": f"{profile.venue}:f{j}",
                 "order": order_of(j),
                 "leaked": False,
                 "sweep": False,
                 "latent": False,
             }
-            events.append(
-                TapeEvent(
-                    kind=EventKind.DARK,
-                    ts=int(ts[j]),
-                    symbol=scenario.symbol,
-                    price=scenario.price.start_mid,
-                    size=float(sizes[j]),
-                    side=side_of(j),
-                    venue=profile.venue,
-                    truth=truth,
-                )
+            for j in range(ts.size)
+        }
+        parts.append(
+            Tape(
+                symbol=scenario.symbol,
+                ts=ts,
+                is_lit=np.zeros(ts.size, dtype=bool),
+                price=np.full(ts.size, scenario.price.start_mid),
+                size=sizes,
+                side=np.where(sides == 1, 1, -1),
+                venue=np.zeros(ts.size, dtype=np.int32),
+                venues=(profile.venue,),
+                truth=truth,
             )
-    events.sort(key=lambda e: e.sort_key)
-    return Tape(symbol=scenario.symbol, events=tuple(events))
+        )
+    return concat_tapes(scenario.symbol, parts).sorted()
 
 
 def inject_leakage(
@@ -287,33 +289,39 @@ def inject_leakage(
     latency; with ``sweep_prob``, inject one at a fixed ~1 ms; with
     ``latent_prob``, re-time the fill itself to ~1 ms after the nearest
     preceding lit print. Injected prints carry the causing fill's key in
-    ``truth``; with all probabilities zero this is a plain merge.
+    ``truth``; with all probabilities zero this is a plain merge. Draws are
+    made fill by fill in tape order, so every tape is reproducible.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     by_venue = {p.venue: p for p in profiles}
     children = dict(zip(by_venue, seq.spawn(max(len(by_venue), 1))))
-    lit_ts = np.array([e.ts for e in lit.events], dtype=np.int64)
-
-    def mean_at(ts: int) -> float:
-        mean = schedule[0][1]
-        t_s = ts / _NS
-        for start, m in schedule:
-            if t_s < start:
-                break
-            mean = m
-        return mean
-
-    injected: list[TapeEvent] = []
-    fills: list[TapeEvent] = []
     rngs = {venue: _rng(child) for venue, child in children.items()}
-    for fill in dark.events:
-        profile = by_venue.get(fill.venue or "")
+    lit_ts = lit.ts
+
+    fill_ts = dark.ts.copy()
+    fill_truth = dict(dark.truth)
+    injected_ts: list[int] = []
+    injected_price: list[float] = []
+    injected_size: list[float] = []
+    injected_side: list[int] = []
+    injected_truth: dict[int, dict[str, Any]] = {}
+    names = dark.venues + ("",)  # code -1 (no venue) looks up ""
+    for row, (ts, venue, size, price, side) in enumerate(
+        zip(
+            dark.ts.tolist(),
+            dark.venue.tolist(),
+            dark.size.tolist(),
+            dark.price.tolist(),
+            dark.side.tolist(),
+        )
+    ):
+        profile = by_venue.get(names[venue])
         if profile is None:
-            fills.append(fill)
             continue
         rng = rngs[profile.venue]
-        truth = dict(fill.truth or {})
-        ts = fill.ts
+        old_truth = dark.truth.get(row)
+        truth = dict(old_truth or {})
+        original_ts = ts
 
         if profile.latent_prob and rng.random() < profile.latent_prob:
             i = int(np.searchsorted(lit_ts, ts, side="left")) - 1
@@ -321,59 +329,46 @@ def inject_leakage(
                 ts = int(lit_ts[i]) + LATENT_OFFSET_NS
                 truth["latent"] = True
 
-        if rng.random() < profile.leak_prob_for(fill.size):
+        if rng.random() < profile.leak_prob_for(size):
             mean = profile.leak_latency_mean
             if profile.leak_latency_kind == "fixed":
                 latency = mean
             else:
                 # truncated exponential on (0, local mean duration / 10]
-                cap = mean_at(ts) / 10.0
+                cap = _mean_duration_at(schedule, ts / _NS) / 10.0
                 u = rng.random()
                 latency = -mean * math.log1p(-u * -math.expm1(-cap / mean))
             latency_ns = max(int(round(latency * _NS)), 1)
             truth["leaked"] = True
-            injected.append(
-                TapeEvent(
-                    kind=EventKind.LIT,
-                    ts=ts + latency_ns,
-                    symbol=fill.symbol,
-                    price=fill.price,
-                    size=float(rng.lognormal(lit_size_log_mu, lit_size_log_sigma)),
-                    side=fill.side,
-                    truth={"injected_by": truth.get("fill", ""), "cause": "leak"},
-                )
-            )
+            injected_truth[len(injected_ts)] = {"injected_by": truth.get("fill", ""), "cause": "leak"}
+            injected_ts.append(ts + latency_ns)
+            injected_price.append(price)
+            injected_size.append(float(rng.lognormal(lit_size_log_mu, lit_size_log_sigma)))
+            injected_side.append(side)
 
         if profile.sweep_prob and rng.random() < profile.sweep_prob:
             truth["sweep"] = True
-            injected.append(
-                TapeEvent(
-                    kind=EventKind.LIT,
-                    ts=ts + SWEEP_LATENCY_NS,
-                    symbol=fill.symbol,
-                    price=fill.price,
-                    size=float(rng.lognormal(lit_size_log_mu, lit_size_log_sigma)),
-                    side=fill.side.opposite(),
-                    truth={"injected_by": truth.get("fill", ""), "cause": "sweep"},
-                )
-            )
+            injected_truth[len(injected_ts)] = {"injected_by": truth.get("fill", ""), "cause": "sweep"}
+            injected_ts.append(ts + SWEEP_LATENCY_NS)
+            injected_price.append(price)
+            injected_size.append(float(rng.lognormal(lit_size_log_mu, lit_size_log_sigma)))
+            injected_side.append(-side)
 
-        if ts != fill.ts or truth != (fill.truth or {}):
-            fills.append(replace(fill, ts=ts, truth=truth))
-        else:
-            fills.append(fill)
+        if ts != original_ts or truth != (old_truth or {}):
+            fill_ts[row] = ts
+            fill_truth[row] = truth
 
-    lit_all = Tape(
-        symbol=lit.symbol,
-        events=tuple(sorted(lit.events + tuple(injected), key=lambda e: e.sort_key)),
-        meta=lit.meta,
-    )
-    dark_all = Tape(
+    injected = Tape(
         symbol=dark.symbol,
-        events=tuple(sorted(fills, key=lambda e: e.sort_key)),
-        meta=dark.meta,
+        ts=np.array(injected_ts, dtype=np.int64),
+        is_lit=np.ones(len(injected_ts), dtype=bool),
+        price=np.array(injected_price, dtype=np.float64),
+        size=np.array(injected_size, dtype=np.float64),
+        side=np.array(injected_side, dtype=np.int8),
+        truth=injected_truth,
     )
-    return merge_streams(lit_all, dark_all)
+    lit_all = concat_tapes(lit.symbol, (lit, injected), lit.meta)
+    return merge_streams(lit_all, replace(dark, ts=fill_ts, truth=fill_truth))
 
 
 def gen_price_path(
@@ -393,52 +388,38 @@ def gen_price_path(
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = _rng(seq)
-    lits = [e for e in merged.events if e.is_lit()]
-    n = len(lits)
-    ts = np.array([e.ts for e in lits], dtype=np.int64)
+    lit_rows = np.flatnonzero(merged.is_lit)
+    n = lit_rows.size
+    ts = merged.ts[lit_rows]
     z = rng.normal(size=n)
     prev = np.concatenate(([start_ts], ts[:-1])) if n else np.empty(0, dtype=np.int64)
     dt_s = (ts - prev) / _NS
     steps = model.sigma_per_trade * 1e-4 * z + model.competing_drift * 1e-4 * dt_s
     if model.leak_impact:
-        impact = np.array(
-            [
-                model.leak_impact * 1e-4 * e.side.sign
-                if e.truth is not None and "injected_by" in e.truth
-                else 0.0
-                for e in lits
-            ]
-        )
+        injected = np.zeros(merged.ts.size, dtype=bool)
+        injected[[row for row, t in merged.truth.items() if "injected_by" in t]] = True
+        sign = merged.side[lit_rows].astype(np.float64)
+        impact = np.where(injected[lit_rows], model.leak_impact * 1e-4 * sign, 0.0)
         steps = steps + impact
     log_mid = math.log(model.start_mid) + np.cumsum(steps)
 
-    out_ts = [start_ts]
-    out_val = [math.log(model.start_mid)]
-    for i in range(n):
-        t = int(ts[i])
-        if t == out_ts[-1]:
-            out_val[-1] = float(log_mid[i])
-        else:
-            out_ts.append(t)
-            out_val.append(float(log_mid[i]))
+    # One sample per distinct timestamp: the last print at a timestamp wins.
+    out_ts = np.concatenate(([start_ts], ts)).astype(np.int64)
+    out_val = np.concatenate(([math.log(model.start_mid)], log_mid))
+    keep = np.append(out_ts[1:] != out_ts[:-1], True)
+    out_ts, out_val = out_ts[keep], out_val[keep]
     last = end_ts if end_ts is not None else (int(ts[-1]) if n else start_ts)
     if last > out_ts[-1]:
-        drift_tail = model.competing_drift * 1e-4 * (last - out_ts[-1]) / _NS
-        out_ts.append(int(last))
-        out_val.append(out_val[-1] + drift_tail)
-    return PricePath(np.array(out_ts, dtype=np.int64), np.array(out_val))
+        drift_tail = model.competing_drift * 1e-4 * (last - int(out_ts[-1])) / _NS
+        out_ts = np.append(out_ts, last)
+        out_val = np.append(out_val, float(out_val[-1]) + drift_tail)
+    return PricePath(out_ts, out_val)
 
 
 def reprice(tape: Tape, path: PricePath) -> Tape:
     """Set every event's price and mid from the path (LOCF at event time)."""
-    if not tape.events:
-        return tape
-    ts = np.array([e.ts for e in tape.events], dtype=np.int64)
-    mids = np.exp(path.log_mid_at(ts))
-    events = tuple(
-        replace(e, price=float(m), mid=float(m)) for e, m in zip(tape.events, mids)
-    )
-    return Tape(symbol=tape.symbol, events=events, meta=tape.meta)
+    mids = np.exp(path.log_mid_at(tape.ts))
+    return replace(tape, price=mids, mid=mids)
 
 
 def simulate_scenario(scenario: Scenario) -> tuple[Tape, PricePath]:
@@ -457,14 +438,13 @@ def simulate_scenario(scenario: Scenario) -> tuple[Tape, PricePath]:
     )
     end_ts = int(round(scenario.duration * _NS))
     path = gen_price_path(merged, scenario.price, streams["price"], end_ts=end_ts)
-    tape = reprice(merged, path)
     meta = {
         "scenario": scenario.name,
         "seed": scenario.seed,
         "symbol": scenario.symbol,
         "config": format_scenario(scenario).splitlines(),
     }
-    return Tape(symbol=tape.symbol, events=tape.events, meta=meta), path
+    return replace(reprice(merged, path), meta=meta), path
 
 
 PRESET_NAMES = ("null", "leaky", "sweep", "latent", "competing", "size_knee")

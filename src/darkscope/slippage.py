@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +30,6 @@ __all__ = [
     "PricePath",
     "SlippageConfig",
     "SlippageStats",
-    "PowerAnalysis",
     "BucketRow",
     "ThresholdRow",
     "CensoredFillError",
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 BP = 1e4  # basis points per unit log return
+# Fills per block in empirical_crossing's early-stopping walk.
+_CROSSING_BLOCK = 512
 
 
 class CensoredFillError(ValueError):
@@ -194,15 +196,6 @@ def mean_slippage(
     return SlippageStats(mean, std, t, int(sample.size), censored)
 
 
-@dataclass(frozen=True)
-class PowerAnalysis:
-    """Detectability bound: T = (sigma/mu)^2 fills for a t = 1 signal."""
-
-    mu: float
-    sigma: float
-    min_fills: float
-
-
 def min_fills_bound(mu: float, sigma: float) -> float:
     """Minimum fills to detect mean slippage mu against noise sigma.
 
@@ -214,10 +207,6 @@ def min_fills_bound(mu: float, sigma: float) -> float:
     if mu == 0:
         return math.inf
     return (sigma / mu) ** 2
-
-
-def power_analysis(mu: float, sigma: float) -> PowerAnalysis:
-    return PowerAnalysis(mu=mu, sigma=sigma, min_fills=min_fills_bound(mu, sigma))
 
 
 def empirical_crossing(
@@ -237,29 +226,40 @@ def empirical_crossing(
     values at tiny k; the median trajectory tracks mu * sqrt(k) / sigma and
     crosses near (t_target * sigma / mu)^2. Returns max_fills when it never
     crosses.
+
+    The trajectories are built a block of fills at a time and the walk stops
+    at the first crossing. Each seed's generator stays alive across blocks,
+    so a block continues the same stream, and the running sums carry over as
+    the first term of the next block's cumsum; both are sequential, so the
+    result equals that of one draw of max_fills per seed.
     """
     if sigma <= 0 or mu == 0:
         raise ValueError("need sigma > 0 and mu != 0 for a finite crossing")
     bound = min_fills_bound(mu, sigma)
     if max_fills is None:
         max_fills = int(16 * t_target**2 * bound)
-    k = np.arange(1, max_fills + 1, dtype=np.float64)
-    trajectories = np.empty((seeds, max_fills))
-    root = np.random.SeedSequence(seed)
-    for row, child in enumerate(root.spawn(seeds)):
-        rng = np.random.Generator(np.random.Philox(child))
-        x = rng.normal(mu, sigma, size=max_fills)
-        csum = np.cumsum(x)
-        csum2 = np.cumsum(x * x)
+    rngs = [np.random.Generator(np.random.Philox(child))
+            for child in np.random.SeedSequence(seed).spawn(seeds)]
+    carry = np.zeros((seeds, 1))
+    carry2 = np.zeros((seeds, 1))
+    for start in range(0, max_fills, _CROSSING_BLOCK):
+        stop = min(start + _CROSSING_BLOCK, max_fills)
+        x = np.stack([rng.normal(mu, sigma, size=stop - start) for rng in rngs])
+        csum = np.cumsum(np.hstack([carry, x]), axis=1)[:, 1:]
+        csum2 = np.cumsum(np.hstack([carry2, x * x]), axis=1)[:, 1:]
+        carry, carry2 = csum[:, -1:], csum2[:, -1:]
+        k = np.arange(start + 1, stop + 1, dtype=np.float64)
         mean = csum / k
         var = (csum2 - k * mean**2) / np.maximum(k - 1, 1)
         with np.errstate(invalid="ignore", divide="ignore"):
             t = mean * np.sqrt(k) / np.sqrt(var)
-        t[0] = 0.0
-        trajectories[row] = t
-    med = np.median(trajectories, axis=0)
-    hits = np.flatnonzero(np.abs(med) >= t_target)
-    return int(hits[0] + 1) if hits.size else max_fills
+        if start == 0:
+            t[:, 0] = 0.0
+        med = np.median(np.ascontiguousarray(t.T), axis=1)
+        hits = np.flatnonzero(np.abs(med) >= t_target)
+        if hits.size:
+            return int(start + hits[0] + 1)
+    return max_fills
 
 
 @dataclass(frozen=True)
@@ -350,18 +350,39 @@ def size_threshold_report(
 
 
 def path_to_lines(path: PricePath):
-    """Serialize a price path as wire lines (kind = "mid")."""
-    for t, v in zip(path.ts, path.log_mid):
-        yield json.dumps({"kind": "mid", "ts": int(t), "log_mid": float(v)})
+    """Serialize a price path as wire lines (kind = "mid").
+
+    Each line equals ``json.dumps({"kind": "mid", "ts": ts, "log_mid": v})``;
+    log_mid is finite, so repr is json's float spelling.
+    """
+    for t, v in zip(path.ts.tolist(), path.log_mid.tolist()):
+        yield f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
+
+
+_JSON_INT = r"-?(?:0|[1-9][0-9]*)"
+_JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_MID_LINE = re.compile(
+    rf'\{{"kind": "mid", "ts": ({_JSON_INT}), "log_mid": ({_JSON_NUMBER})\}}'
+)
 
 
 def path_from_lines(lines) -> PricePath:
-    """Inverse of path_to_lines."""
+    """Inverse of path_to_lines.
+
+    Lines in path_to_lines' own layout are read by one regular expression
+    that admits JSON numbers only; any other line is decoded as JSON.
+    """
     ts: list[int] = []
     vals: list[float] = []
+    match = _MID_LINE.fullmatch
     for line in lines:
         line = line.strip()
         if not line:
+            continue
+        m = match(line)
+        if m is not None:
+            ts.append(int(m[1]))
+            vals.append(float(m[2]))
             continue
         obj = json.loads(line)
         if obj.get("kind") != "mid":

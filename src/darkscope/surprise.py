@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tape import DURATION_FLOOR_NS, Side, Tape, TapeEvent
+import numpy as np
+
+from .tape import DURATION_FLOOR_NS, SIDE_OF_SIGN, Side, Tape, TapeEvent
 
 __all__ = [
     "DurationWindow",
@@ -37,6 +39,8 @@ __all__ = [
     "predictive_density",
     "predictive_cdf",
     "fill_pvalue",
+    "fill_neighbours",
+    "score_around",
     "score_fill",
     "score_tape",
     "DEFAULT_WINDOW_SIZE",
@@ -189,44 +193,49 @@ class SurpriseRecord:
     next_lit_side: Side = Side.UNKNOWN
 
 
-def score_fill(
-    tape: Tape,
-    index: int,
+def fill_neighbours(
+    tape: Tape, rows: np.ndarray
+) -> list[tuple[int | None, int | None, Side]]:
+    """Lit prints around each row, in sequence order.
+
+    For each row: the timestamp of the last lit print before it, of the
+    first lit print after it (None at either end), and that next print's
+    side. Both are found by searchsorted over the lit rows' positions, so
+    an equal-timestamp lit print sorted ahead of a fill counts as backward.
+    """
+    lit_pos = np.flatnonzero(tape.is_lit)
+    lit_ts = tape.ts[lit_pos].tolist()
+    lit_side = tape.side[lit_pos].tolist()
+    after = np.searchsorted(lit_pos, rows, side="right").tolist()
+    before = (np.searchsorted(lit_pos, rows, side="left") - 1).tolist()
+    n_lit = len(lit_ts)
+    return [
+        (
+            lit_ts[b] if b >= 0 else None,
+            lit_ts[a] if a < n_lit else None,
+            SIDE_OF_SIGN[lit_side[a]] if a < n_lit else Side.UNKNOWN,
+        )
+        for b, a in zip(before, after)
+    ]
+
+
+def score_around(
+    fill: TapeEvent,
+    around: tuple[int | None, int | None, Side],
     window: DurationWindow,
     horizon_s: float,
 ) -> SurpriseRecord:
-    """Score the dark fill at ``tape.events[index]`` against ``window``.
-
-    Forward duration runs to the first lit print after the fill (sequence
-    order, so an equal-timestamp lit print counts as backward) and is
-    censored beyond ``horizon_s``. The window is read, never mutated.
-    """
-    fill = tape.events[index]
-    if not fill.is_dark():
-        raise ValueError(f"event at index {index} is not a dark fill")
-    if not window.primed():
-        raise ValueError("window must hold at least one duration before scoring")
-
+    """Score ``fill`` given its ``fill_neighbours`` entry (see score_fill)."""
+    prev_ts, next_ts, next_side = around
     horizon_ns = int(horizon_s * 1e9)
-    events = tape.events
     delta_fwd = None
-    next_side = Side.UNKNOWN
-    for j in range(index + 1, len(events)):
-        e = events[j]
-        if e.ts - fill.ts > horizon_ns:
-            break
-        if e.is_lit():
-            delta_fwd = max(e.ts - fill.ts, DURATION_FLOOR_NS) * _NS
-            next_side = e.side
-            break
-
+    if next_ts is None or next_ts - fill.ts > horizon_ns:
+        next_side = Side.UNKNOWN
+    else:
+        delta_fwd = max(next_ts - fill.ts, DURATION_FLOOR_NS) * _NS
     delta_bwd = None
-    for j in range(index - 1, -1, -1):
-        e = events[j]
-        if e.is_lit():
-            delta_bwd = max(fill.ts - e.ts, DURATION_FLOOR_NS) * _NS
-            break
-
+    if prev_ts is not None:
+        delta_bwd = max(fill.ts - prev_ts, DURATION_FLOOR_NS) * _NS
     return SurpriseRecord(
         fill=fill,
         delta_fwd=delta_fwd,
@@ -237,6 +246,28 @@ def score_fill(
         mean_used=window.mean,
         next_lit_side=next_side,
     )
+
+
+def score_fill(
+    tape: Tape,
+    index: int,
+    window: DurationWindow,
+    horizon_s: float,
+) -> SurpriseRecord:
+    """Score the dark fill at row ``index`` of a sorted tape against ``window``.
+
+    Forward duration runs to the first lit print after the fill (sequence
+    order, so an equal-timestamp lit print counts as backward) and is
+    censored beyond ``horizon_s``. The window is read, never mutated.
+    """
+    row = range(len(tape))[index]
+    (fill,) = tape.rows([row])
+    if not fill.is_dark():
+        raise ValueError(f"event at index {index} is not a dark fill")
+    if not window.primed():
+        raise ValueError("window must hold at least one duration before scoring")
+    (around,) = fill_neighbours(tape, np.array([row]))
+    return score_around(fill, around, window, horizon_s)
 
 
 def score_tape(
@@ -251,13 +282,17 @@ def score_tape(
     against). The lookahead horizon is ``horizon_mult`` times the window mean
     at scoring time.
     """
+    dark = np.flatnonzero(~tape.is_lit)
+    fills = zip(tape.rows(dark), fill_neighbours(tape, dark))
     window = DurationWindow(capacity=window_size)
     records: list[SurpriseRecord] = []
-    for i, event in enumerate(tape.events):
-        if event.is_lit():
-            window = update_window(window, event.ts)
-        elif window.primed():
-            records.append(score_fill(tape, i, window, horizon_mult * window.mean))
+    for ts, is_lit in zip(tape.ts.tolist(), tape.is_lit.tolist()):
+        if is_lit:
+            window = update_window(window, ts)
+            continue
+        fill, around = next(fills)
+        if window.primed():
+            records.append(score_around(fill, around, window, horizon_mult * window.mean))
     return records
 
 

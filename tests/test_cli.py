@@ -164,6 +164,21 @@ class TestExitCodes:
     def test_no_command_usage_error(self):
         assert run([]) == 2
 
+    @pytest.mark.parametrize("command", ["score", "backtest", "report"])
+    @pytest.mark.parametrize("field, value", [("price", "Infinity"), ("ts", str(2**63))])
+    def test_bad_number_exits_1_with_line(self, tmp_path, simulated, capsys, command, field, value):
+        lines = (simulated / "tape.jsonl").read_text().splitlines()
+        obj = json.loads(lines[3])
+        obj[field] = 0
+        lines[3] = json.dumps(obj).replace(f'"{field}": 0', f'"{field}": {value}')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = [command, "--input", bad, "--output", tmp_path / "out"]
+        if command != "score":
+            argv += ["--path", simulated / "path.jsonl"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: line 4: ")
+
     def test_malformed_tape_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"kind": "lit", "ts": -5}\n')

@@ -187,6 +187,22 @@ class TestLedger:
         assert [e.p for e in ledger.history] == [0.9, 0.8, 0.7]
         assert [e.result.k for e in ledger.history] == [1, 2, 2]
 
+    def test_history_is_read_only_view_of_updates(self):
+        ledger = EvidenceLedger("V1", k_max=2)
+        emitted = []
+        for i, p in enumerate([0.9, 0.2, 0.5, 0.01]):
+            ledger_update(ledger, i, p)
+            emitted.append(ledger.history[-1])
+        history = ledger.history
+        assert list(history) == emitted
+        assert len(history) == 4 and history[0] is emitted[0]
+        assert history[1:3] == tuple(emitted[1:3])
+        with pytest.raises(TypeError):
+            history[0] = emitted[-1]
+        with pytest.raises(TypeError):
+            del history[0]
+        assert not hasattr(history, "append")
+
     def test_build_ledgers_with_aggregate(self):
         triples = [("A", 1, 0.5), ("B", 2, 0.1), ("A", 3, 0.9)]
         books = build_ledgers(triples, k_max=5)

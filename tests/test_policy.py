@@ -104,7 +104,7 @@ def crafted_toxic_tape(n_fills=8, fill_size=50_000.0):
             TapeEvent(EventKind.DARK, ts, "SYM", 100.0, fill_size, Side.BUY, venue="VX")
         )
     events.sort(key=lambda e: e.sort_key)
-    return Tape("SYM", tuple(events))
+    return Tape.from_events("SYM", tuple(events))
 
 
 def flat_path(end_s=200):
@@ -146,7 +146,7 @@ class TestReplay:
             TapeEvent(EventKind.DARK, S, "SYM", 100.0, 1.0, Side.BUY, venue="V"),
         )
         with pytest.raises(ValueError, match="insufficient fills"):
-            replay(Tape("SYM", events), flat_path(), PolicyConfig())
+            replay(Tape.from_events("SYM", events), flat_path(), PolicyConfig())
 
     def test_deterministic(self):
         sc = fleet(preset("leaky", seed=5), n_venues=10, venue_span_s=300.0, stagger_s=150.0)

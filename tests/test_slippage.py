@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -75,6 +76,21 @@ class TestPricePath:
         back = path_from_lines(path_to_lines(path))
         assert np.array_equal(back.ts, path.ts)
         assert np.array_equal(back.log_mid, path.log_mid)
+
+    def test_lines_match_json_dumps_and_other_layouts_parse(self):
+        path = step_path([(0, 100.0), (7, 100.5), (12345678, 99.25)])
+        lines = list(path_to_lines(path))
+        assert lines == [
+            json.dumps({"kind": "mid", "ts": int(t), "log_mid": float(v)})
+            for t, v in zip(path.ts, path.log_mid)
+        ]
+        other = ['{"log_mid":%r,"ts":%d,"kind":"mid"}' % (float(v), t)
+                 for t, v in zip(path.ts, path.log_mid)]
+        back = path_from_lines(["", lines[0], *other[1:], "  "])
+        assert np.array_equal(back.ts, path.ts)
+        assert np.array_equal(back.log_mid, path.log_mid)
+        with pytest.raises(ValueError, match="expected kind 'mid'"):
+            path_from_lines([lines[0], lines[1].replace('"mid"', '"lit"')])
 
 
 class TestPostFillSlippage:
@@ -206,11 +222,51 @@ class TestMinFillsBound:
         assert min_fills_bound(mu, sigma) * (mu / sigma) ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
+def crossing_oracle(mu, sigma, seeds=200, seed=0, t_target=2.0, max_fills=None):
+    """Whole-matrix reference: every seed's full trajectory, then the median."""
+    bound = min_fills_bound(mu, sigma)
+    if max_fills is None:
+        max_fills = int(16 * t_target**2 * bound)
+    k = np.arange(1, max_fills + 1, dtype=np.float64)
+    trajectories = np.empty((seeds, max_fills))
+    root = np.random.SeedSequence(seed)
+    for row, child in enumerate(root.spawn(seeds)):
+        rng = np.random.Generator(np.random.Philox(child))
+        x = rng.normal(mu, sigma, size=max_fills)
+        csum = np.cumsum(x)
+        csum2 = np.cumsum(x * x)
+        mean = csum / k
+        var = (csum2 - k * mean**2) / np.maximum(k - 1, 1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            t = mean * np.sqrt(k) / np.sqrt(var)
+        t[0] = 0.0
+        trajectories[row] = t
+    med = np.median(trajectories, axis=0)
+    hits = np.flatnonzero(np.abs(med) >= t_target)
+    return int(hits[0] + 1) if hits.size else max_fills
+
+
 class TestEmpiricalCrossing:
     def test_crossing_near_four_t(self):
         bound = min_fills_bound(1.0, 3.0)  # T = 9, 4T = 36
         crossing = empirical_crossing(1.0, 3.0, seeds=300, seed=5, t_target=2.0, max_fills=600)
         assert 2 * bound <= crossing <= 8 * bound
+
+    @pytest.mark.parametrize(
+        "mu, sigma, seeds, seed, t_target, max_fills",
+        [
+            (1.0, 10.0, 50, 3, 2.0, None),
+            (0.5, 12.0, 20, 1, 2.0, None),  # crosses several blocks in
+            (-0.25, 4.0, 16, 2, 2.0, None),  # negative mu, crosses in a later block
+            (0.05, 10.0, 20, 0, 2.0, 1300),  # never crosses; not a block multiple
+            (2.0, 3.0, 40, 5, 1.5, 1000),
+            (0.3, 2.0, 25, 9, 3.0, 1537),
+            (5.0, 1.0, 10, 1, 2.0, 3),
+        ],
+    )
+    def test_early_stop_matches_whole_matrix(self, mu, sigma, seeds, seed, t_target, max_fills):
+        args = (mu, sigma, seeds, seed, t_target, max_fills)
+        assert empirical_crossing(*args) == crossing_oracle(*args)
 
 
 class TestBucketReport:

@@ -204,7 +204,7 @@ class TestScoreFill:
             dark(int(2.5 * S)),
             lit(int(2.51 * S), side=Side.SELL),
         )
-        return Tape("SYM", events)
+        return Tape.from_events("SYM", events)
 
     def primed_window(self):
         w = DurationWindow(capacity=2)
@@ -223,7 +223,7 @@ class TestScoreFill:
 
     def test_censoring_beyond_horizon(self):
         events = (lit(0), lit(1 * S), dark(2 * S), lit(500 * S))
-        record = score_fill(Tape("SYM", events), 2, window_of(1.0, last_ts=S), horizon_s=50.0)
+        record = score_fill(Tape.from_events("SYM", events), 2, window_of(1.0, last_ts=S), horizon_s=50.0)
         assert record.p_fwd is None and record.delta_fwd is None
         assert record.p_bwd is not None  # record retained with backward score
 
@@ -231,14 +231,14 @@ class TestScoreFill:
         n = 10
         w = DurationWindow(n, (1.0,) * n, 0)
         events = (lit(0), dark(1), lit(2 * S))
-        record = score_fill(Tape("SYM", events), 1, w, horizon_s=50.0)
+        record = score_fill(Tape.from_events("SYM", events), 1, w, horizon_s=50.0)
         assert record.delta_bwd == pytest.approx(1e-9)
         # first-order expansion: p ~ n * d / (n * m) = d / m
         assert record.p_bwd == pytest.approx(1e-9, rel=1e-6)
 
     def test_equal_ts_lit_counts_backward_not_forward(self):
         events = (lit(0), dark(5 * S), lit(5 * S))
-        tape = Tape("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
+        tape = Tape.from_events("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
         record = score_fill(tape, 2, window_of(1.0, last_ts=0), horizon_s=50.0)
         assert record.delta_bwd == pytest.approx(1e-9)
 
@@ -264,7 +264,7 @@ class TestScoreTape:
             dark(int(2.4 * S)),
             lit(3 * S),
         )
-        tape = Tape("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
+        tape = Tape.from_events("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
         records = score_tape(tape, window_size=5)
         assert len(records) == 2
         assert all(r.p_fwd is not None for r in records)
@@ -280,7 +280,7 @@ class TestScoreTape:
         fill_ts = np.sort(rng.uniform(lit_ts[0] + 50.0, horizon - 60.0, size=10_500))
         events = [lit(int(round(t * S))) for t in lit_ts]
         events += [dark(int(round(t * S))) for t in fill_ts]
-        tape = Tape("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
+        tape = Tape.from_events("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
         records = score_tape(tape, window_size=10)
         ps = np.array([r.p_fwd for r in records if r.p_fwd is not None])[:10_000]
         assert ps.size == 10_000

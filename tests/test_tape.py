@@ -89,6 +89,38 @@ class TestParse:
         ]
 
 
+def record(**fields):
+    obj = {"kind": "lit", "ts": 1, "symbol": "S", "price": 1.0, "size": 1.0, "side": "buy"}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+class TestParseRejectsBadNumbers:
+    @pytest.mark.parametrize("name", ["price", "size", "mid"])
+    def test_infinite_value_names_line(self, name):
+        lines = [record(), record(ts=2, **{name: float("inf")})]
+        with pytest.raises(TapeFormatError, match=f"line 2: {name} must be finite, got inf"):
+            parse_tape(lines)
+
+    @pytest.mark.parametrize("name", ["price", "size", "mid"])
+    def test_nan_and_negative_infinity_rejected(self, name):
+        for bad in (float("nan"), float("-inf")):
+            with pytest.raises(TapeFormatError, match=f"line 1: {name} must be > 0"):
+                parse_tape([record(**{name: bad})])
+
+    def test_ts_beyond_int64_names_line(self):
+        lines = [record(), record(ts=2**63)]
+        with pytest.raises(TapeFormatError, match="line 2: ts 9223372036854775808 exceeds the int64"):
+            parse_tape(lines)
+
+    def test_ts_at_int64_max_accepted(self):
+        assert parse_tape([record(ts=2**63 - 1)]).ts[0] == 2**63 - 1
+
+    def test_numeric_strings_and_booleans_accepted_as_before(self):
+        tape = parse_tape([record(price="2.5", size=True, mid=3)])
+        assert (tape.price[0], tape.size[0], tape.mid[0]) == (2.5, 1.0, 3.0)
+
+
 class TestSerialize:
     def test_round_trip_field_exact(self):
         events = (
@@ -97,7 +129,7 @@ class TestSerialize:
                  truth={"fill": "V1:f0", "leaked": True}),
             lit(3, side=Side.UNKNOWN),
         )
-        tape = Tape("SYM", events, meta={"scenario": "unit", "seed": 7})
+        tape = Tape.from_events("SYM", events, meta={"scenario": "unit", "seed": 7})
         text = list(serialize_tape(tape))
         back = parse_tape(text)
         assert back.events == tape.events
@@ -105,15 +137,15 @@ class TestSerialize:
 
     def test_floats_survive_bit_exact(self):
         e = lit(1, price=0.1 + 0.2, size=1e-15)
-        back = parse_tape(serialize_tape(Tape("SYM", (e,))))
+        back = parse_tape(serialize_tape(Tape.from_events("SYM", (e,))))
         assert back.events[0].price == 0.30000000000000004
         assert back.events[0].size == 1e-15
 
 
 class TestMerge:
     def test_interleaves_by_ts(self):
-        a = Tape("S", (lit(1), lit(3)))
-        b = Tape("S", (dark(2),))
+        a = Tape.from_events("S", (lit(1), lit(3)))
+        b = Tape.from_events("S", (dark(2),))
         merged = merge_streams(a, b)
         assert [(e.ts, e.kind) for e in merged] == [
             (1, EventKind.LIT),
@@ -122,29 +154,29 @@ class TestMerge:
         ]
 
     def test_tie_break_lit_first(self):
-        merged = merge_streams(Tape("S", (lit(5),)), Tape("S", (dark(5),)))
+        merged = merge_streams(Tape.from_events("S", (lit(5),)), Tape.from_events("S", (dark(5),)))
         assert [e.kind for e in merged] == [EventKind.LIT, EventKind.DARK]
 
     def test_merge_with_empty_is_identity(self):
-        a = Tape("S", (lit(1), dark(2), lit(3)))
+        a = Tape.from_events("S", (lit(1), dark(2), lit(3)))
         merged = merge_streams(a, Tape("S"))
         assert merged.events == a.events
 
     def test_symbol_mismatch(self):
         with pytest.raises(ValueError, match="symbol mismatch"):
-            merge_streams(Tape("A", (lit(1, symbol="A"),)), Tape("B", (dark(1, symbol="B"),)))
+            merge_streams(Tape.from_events("A", (lit(1, symbol="A"),)), Tape.from_events("B", (dark(1, symbol="B"),)))
 
     def test_preserves_event_multiset_and_count(self):
-        a = Tape("S", (lit(1), lit(2), lit(2)))
-        b = Tape("S", (dark(1), dark(4)))
+        a = Tape.from_events("S", (lit(1), lit(2), lit(2)))
+        b = Tape.from_events("S", (dark(1), dark(4)))
         merged = merge_streams(a, b)
         assert len(merged) == len(a) + len(b)
         assert sorted(e.ts for e in merged) == [1, 1, 2, 2, 4]
 
     def test_associative_up_to_tie_break(self):
-        a = Tape("S", (lit(1), lit(5)))
-        b = Tape("S", (dark(2),))
-        c = Tape("S", (dark(5), dark(9)))
+        a = Tape.from_events("S", (lit(1), lit(5)))
+        b = Tape.from_events("S", (dark(2),))
+        c = Tape.from_events("S", (dark(5), dark(9)))
         left = merge_streams(merge_streams(a, b), c)
         right = merge_streams(a, merge_streams(Tape("S"), merge_streams(b, c)))
         assert left.events == right.events
@@ -152,11 +184,11 @@ class TestMerge:
 
 class TestValidate:
     def test_valid_tape_empty_report(self):
-        tape = Tape("SYM", (lit(1), dark(2), lit(5)))
+        tape = Tape.from_events("SYM", (lit(1), dark(2), lit(5)))
         assert validate_tape(tape) == []
 
     def test_out_of_order_pair_flagged_at_index(self):
-        tape = Tape("SYM", (lit(5), lit(3)))
+        tape = Tape.from_events("SYM", (lit(5), lit(3)))
         issues = validate_tape(tape)
         assert len(issues) == 1
         assert issues[0].code == "ordering"
@@ -164,30 +196,30 @@ class TestValidate:
 
     def test_dark_unknown_side_flagged(self):
         bad = TapeEvent(EventKind.DARK, 1, "SYM", 1.0, 1.0, Side.UNKNOWN, venue="V")
-        issues = validate_tape(Tape("SYM", (bad,)))
+        issues = validate_tape(Tape.from_events("SYM", (bad,)))
         assert [i.code for i in issues] == ["dark_side"]
 
     def test_field_domain_violations_all_reported(self):
         bad = TapeEvent(EventKind.LIT, -1, "SYM", 0.0, -2.0, Side.BUY)
-        codes = {i.code for i in validate_tape(Tape("SYM", (bad,)))}
+        codes = {i.code for i in validate_tape(Tape.from_events("SYM", (bad,)))}
         assert codes == {"ts_negative", "price_domain", "size_domain"}
 
     def test_symbol_mismatch_flagged(self):
-        tape = Tape("OTHER", (lit(1),))
+        tape = Tape.from_events("OTHER", (lit(1),))
         assert [i.code for i in validate_tape(tape)] == ["symbol_mismatch"]
 
     def test_equal_ts_dark_before_lit_is_ordering_violation(self):
-        tape = Tape("SYM", (dark(5), lit(5)))
+        tape = Tape.from_events("SYM", (dark(5), lit(5)))
         assert any(i.code == "ordering" for i in validate_tape(tape))
 
     def test_does_not_mutate(self):
-        tape = Tape("SYM", (lit(5), lit(3)))
+        tape = Tape.from_events("SYM", (lit(5), lit(3)))
         validate_tape(tape)
         assert [e.ts for e in tape] == [5, 3]
 
 
 def test_event_objects_are_flat_key_value(tmp_path):
-    tape = Tape("S", (dark(2, truth={"fill": "V:f0"}),))
+    tape = Tape.from_events("S", (dark(2, truth={"fill": "V:f0"}),))
     line = list(serialize_tape(tape))[0]
     obj = json.loads(line)
     assert obj["kind"] == "dark"
