@@ -238,6 +238,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         f"policy-on {report.mean_abs_on:.3f} bp over {report.n_on}; "
         f"ratio {report.abs_ratio:.3f}; {report.triggers} triggers in {report.decisions} decisions"
     )
+    if report.mean_abs_off == 0:
+        why = "every order's policy-off arrival slippage is 0"
+        if not any("order" in t for i, t in tp.truth.items() if not tp.is_lit[i]):
+            why += " (no fill carries truth.order, so each fill is its own order)"
+        print(f"warning: ratio nan: {why}", file=sys.stderr)
     return 0
 
 

@@ -21,15 +21,7 @@ import numpy as np
 
 from .evidence import DEFAULT_KMAX, EvidenceLedger, FisherResult, ledger_update
 from .slippage import PricePath, arrival_slippage
-from .surprise import (
-    DEFAULT_HORIZON_MULT,
-    DEFAULT_WINDOW_SIZE,
-    DurationWindow,
-    SurpriseRecord,
-    fill_neighbours,
-    score_around,
-    update_window,
-)
+from .surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, SurpriseRecord, score_tape
 from .tape import Side, Tape, TapeEvent
 
 __all__ = [
@@ -223,12 +215,13 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     """Two-pass backtest: accept-everything vs. policy-filtered.
 
-    The policy arm streams the tape once: lit prints advance the shared
-    duration window; an accepted dark fill is scored, its forward p-value
-    (subject to the direction filter, censored ones excluded) feeds the
-    venue's rolling ledger, and the fresh decision is applied before the next
-    fill. Orders come from fill ground truth when present, else each fill
-    stands alone. Arrival slippage per order uses the accepted fills only.
+    The fills are scored once by ``score_tape``: the lit window never
+    depends on policy state. The policy arm then walks the dark fills in
+    order; an accepted, scored fill's forward p-value (subject to the
+    direction filter, censored ones excluded) feeds the venue's rolling
+    ledger, and the fresh decision is applied before the next fill. Orders
+    come from fill ground truth when present, else each fill stands alone.
+    Arrival slippage per order uses the accepted fills only.
     """
     dark = np.flatnonzero(~tape.is_lit)
     if dark.size < cfg.k_min:
@@ -242,13 +235,11 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     states: dict[str, VenueState] = {}
     actions: list[PolicyAction] = []
 
-    fills = zip(tape.rows(dark), fill_neighbours(tape, dark))
-    window = DurationWindow(capacity=cfg.window_size)
-    for ts, is_lit in zip(tape.ts.tolist(), tape.is_lit.tolist()):
-        if is_lit:
-            window = update_window(window, ts)
-            continue
-        event, around = next(fills)
+    records = score_tape(tape, cfg.window_size, cfg.horizon_mult)
+    # The window primes once and stays primed: the unscored fills lead.
+    unscored = tape.rows(dark[: dark.size - len(records)])
+    fills = [(event, None) for event in unscored] + [(r.fill, r) for r in records]
+    for event, record in fills:
         venue = event.venue or ""
         key = (venue, _order_key(event, venue))
         if key not in fills_off:
@@ -264,10 +255,9 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
         if state.min_fill is not None and event.size < state.min_fill:
             continue
         fills_on.setdefault(key, []).append(event)
-        if not window.primed():
+        if record is None or record.p_fwd is None:
             continue
-        record = score_around(event, around, window, cfg.horizon_mult * window.mean)
-        if record.p_fwd is None or not direction_admits(record, cfg.direction_filter):
+        if not direction_admits(record, cfg.direction_filter):
             continue
         ledger_update(state.ledger, event.ts, record.p_fwd)
         if state.ledger.current.k < cfg.k_min:

@@ -150,8 +150,8 @@ def slippages(
     signs = np.array([f.side.sign for f in fills], dtype=np.float64)
     if np.any(signs == 0):
         raise ValueError("every fill side must be buy or sell")
-    end_ts = ts + cfg.tau_ns
-    covered = (ts >= path.start_ts) & (end_ts <= path.end_ts)
+    # ts + tau <= end_ts, compared without forming ts + tau, which can wrap
+    covered = (ts >= path.start_ts) & (ts <= path.end_ts - cfg.tau_ns)
     if not np.any(covered):
         return values, covered
     mids = np.array(
@@ -159,7 +159,7 @@ def slippages(
         dtype=np.float64,
     )
     p0 = np.where(np.isnan(mids[covered]), path.log_mid_at(ts[covered]), mids[covered])
-    p1 = path.log_mid_at(end_ts[covered])
+    p1 = path.log_mid_at(ts[covered] + cfg.tau_ns)
     values[covered] = signs[covered] * (p1 - p0) * BP
     return values, covered
 
@@ -364,31 +364,35 @@ _JSON_NUMBER = _JSON_INT + r"(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 _MID_LINE = re.compile(
     rf'\{{"kind": "mid", "ts": ({_JSON_INT}), "log_mid": ({_JSON_NUMBER})\}}'
 )
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def path_from_lines(lines) -> PricePath:
     """Inverse of path_to_lines.
 
     Lines in path_to_lines' own layout are read by one regular expression
-    that admits JSON numbers only; any other line is decoded as JSON.
+    that admits JSON numbers only; any other line is decoded as JSON. A
+    timestamp outside int64 raises ValueError naming the (1-based) line.
     """
     ts: list[int] = []
     vals: list[float] = []
     match = _MID_LINE.fullmatch
-    for line in lines:
+    for line_no, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         m = match(line)
         if m is not None:
-            ts.append(int(m[1]))
-            vals.append(float(m[2]))
-            continue
-        obj = json.loads(line)
-        if obj.get("kind") != "mid":
-            raise ValueError(f"expected kind 'mid' in path line, got {obj.get('kind')!r}")
-        ts.append(int(obj["ts"]))
-        vals.append(float(obj["log_mid"]))
+            t, v = int(m[1]), float(m[2])
+        else:
+            obj = json.loads(line)
+            if obj.get("kind") != "mid":
+                raise ValueError(f"expected kind 'mid' in path line, got {obj.get('kind')!r}")
+            t, v = int(obj["ts"]), float(obj["log_mid"])
+        if not _INT64_MIN <= t <= _INT64_MAX:
+            raise ValueError(f"path line {line_no}: ts {t} is outside int64")
+        ts.append(t)
+        vals.append(v)
     return PricePath(np.array(ts, dtype=np.int64), np.array(vals))
 
 

@@ -19,6 +19,14 @@ estimator noise of small windows priced in (heavier tails than the plug-in
 exponential). Small p = suspiciously quick lit print. The backward duration
 (lit print just before the fill) is scored identically as a latent-price
 indicator.
+
+``score_tape`` reads each fill's window straight off the lit column: with
+``before`` lit prints ahead of a fill in sequence order, the previous print
+is lit print ``before - 1``, the next one is lit print ``before``, and the
+window is the last n of the ``before - 1`` durations between them. A fill is
+scored once two lit prints precede it. ``DurationWindow``, ``update_window``
+(one lit print folded in at a time) and ``score_fill`` (one fill, neighbours
+found by a plain scan) are the scalar path the tests hold ``score_tape`` to.
 """
 
 from __future__ import annotations
@@ -39,8 +47,6 @@ __all__ = [
     "predictive_density",
     "predictive_cdf",
     "fill_pvalue",
-    "fill_neighbours",
-    "score_around",
     "score_fill",
     "score_tape",
     "DEFAULT_WINDOW_SIZE",
@@ -51,7 +57,7 @@ __all__ = [
 
 DEFAULT_WINDOW_SIZE = 10
 # Forward lookahead horizon, in units of the window mean. Censored mass under
-# the null is exp(-50): negligible, and the stream never stalls.
+# the null is (n / (n + 50))^n: 2% at n = 1, 1.6e-8 at the default n = 10.
 DEFAULT_HORIZON_MULT = 50.0
 # Tape duration floor (1 ns) in seconds.
 MIN_DURATION_S = DURATION_FLOOR_NS * 1e-9
@@ -66,8 +72,8 @@ class DurationWindow:
     """Rolling buffer of the last lit-print durations (seconds).
 
     ``capacity`` bounds the buffer; ``n`` is the retained count; ``mean`` is
-    the arithmetic mean, equal to the ML scale estimate ``intensity_hat``
-    (seconds per trade). ``last_ts`` is the previous lit print's timestamp.
+    the arithmetic mean, the ML scale estimate (seconds per trade).
+    ``last_ts`` is the previous lit print's timestamp.
     """
 
     capacity: int = DEFAULT_WINDOW_SIZE
@@ -87,11 +93,6 @@ class DurationWindow:
         if not self.durations:
             raise ValueError("empty window has no mean")
         return math.fsum(self.durations) / len(self.durations)
-
-    @property
-    def intensity_hat(self) -> float:
-        """ML scale estimate: the mean duration, seconds per trade."""
-        return self.mean
 
     def primed(self) -> bool:
         return bool(self.durations)
@@ -157,9 +158,11 @@ def predictive_cdf(delta: float, window: DurationWindow) -> float:
     _require_primed(window)
     if delta < 0:
         raise ValueError(f"duration must be >= 0, got {delta}")
-    n = window.n
-    m = window.mean
-    return -math.expm1(-n * math.log1p(delta / (n * m)))
+    return _predictive_cdf(delta, window.n, window.mean)
+
+
+def _predictive_cdf(delta: float, n: int, mean: float) -> float:
+    return -math.expm1(-n * math.log1p(delta / (n * mean)))
 
 
 def fill_pvalue(delta: float, window: DurationWindow) -> float:
@@ -169,7 +172,11 @@ def fill_pvalue(delta: float, window: DurationWindow) -> float:
     tape floor and the result clamped to [1e-300, 1] so log p is finite.
     """
     _require_primed(window)
-    p = predictive_cdf(max(delta, MIN_DURATION_S), window)
+    return _fill_pvalue(delta, window.n, window.mean)
+
+
+def _fill_pvalue(delta: float, n: int, mean: float) -> float:
+    p = _predictive_cdf(max(delta, MIN_DURATION_S), n, mean)
     return min(max(p, MIN_PVALUE), 1.0)
 
 
@@ -193,61 +200,6 @@ class SurpriseRecord:
     next_lit_side: Side = Side.UNKNOWN
 
 
-def fill_neighbours(
-    tape: Tape, rows: np.ndarray
-) -> list[tuple[int | None, int | None, Side]]:
-    """Lit prints around each row, in sequence order.
-
-    For each row: the timestamp of the last lit print before it, of the
-    first lit print after it (None at either end), and that next print's
-    side. Both are found by searchsorted over the lit rows' positions, so
-    an equal-timestamp lit print sorted ahead of a fill counts as backward.
-    """
-    lit_pos = np.flatnonzero(tape.is_lit)
-    lit_ts = tape.ts[lit_pos].tolist()
-    lit_side = tape.side[lit_pos].tolist()
-    after = np.searchsorted(lit_pos, rows, side="right").tolist()
-    before = (np.searchsorted(lit_pos, rows, side="left") - 1).tolist()
-    n_lit = len(lit_ts)
-    return [
-        (
-            lit_ts[b] if b >= 0 else None,
-            lit_ts[a] if a < n_lit else None,
-            SIDE_OF_SIGN[lit_side[a]] if a < n_lit else Side.UNKNOWN,
-        )
-        for b, a in zip(before, after)
-    ]
-
-
-def score_around(
-    fill: TapeEvent,
-    around: tuple[int | None, int | None, Side],
-    window: DurationWindow,
-    horizon_s: float,
-) -> SurpriseRecord:
-    """Score ``fill`` given its ``fill_neighbours`` entry (see score_fill)."""
-    prev_ts, next_ts, next_side = around
-    horizon_ns = int(horizon_s * 1e9)
-    delta_fwd = None
-    if next_ts is None or next_ts - fill.ts > horizon_ns:
-        next_side = Side.UNKNOWN
-    else:
-        delta_fwd = max(next_ts - fill.ts, DURATION_FLOOR_NS) * _NS
-    delta_bwd = None
-    if prev_ts is not None:
-        delta_bwd = max(fill.ts - prev_ts, DURATION_FLOOR_NS) * _NS
-    return SurpriseRecord(
-        fill=fill,
-        delta_fwd=delta_fwd,
-        delta_bwd=delta_bwd,
-        p_fwd=fill_pvalue(delta_fwd, window) if delta_fwd is not None else None,
-        p_bwd=fill_pvalue(delta_bwd, window) if delta_bwd is not None else None,
-        n_used=window.n,
-        mean_used=window.mean,
-        next_lit_side=next_side,
-    )
-
-
 def score_fill(
     tape: Tape,
     index: int,
@@ -266,8 +218,21 @@ def score_fill(
         raise ValueError(f"event at index {index} is not a dark fill")
     if not window.primed():
         raise ValueError("window must hold at least one duration before scoring")
-    (around,) = fill_neighbours(tape, np.array([row]))
-    return score_around(fill, around, window, horizon_s)
+    is_lit = tape.is_lit
+    prev = next((i for i in range(row - 1, -1, -1) if is_lit[i]), None)
+    nxt = next((i for i in range(row + 1, len(tape)) if is_lit[i]), None)
+    delta_fwd = p_fwd = delta_bwd = p_bwd = None
+    next_side = Side.UNKNOWN
+    if nxt is not None and int(tape.ts[nxt]) - fill.ts <= int(horizon_s * 1e9):
+        delta_fwd = max(int(tape.ts[nxt]) - fill.ts, DURATION_FLOOR_NS) * _NS
+        p_fwd = fill_pvalue(delta_fwd, window)
+        next_side = SIDE_OF_SIGN[int(tape.side[nxt])]
+    if prev is not None:
+        delta_bwd = max(fill.ts - int(tape.ts[prev]), DURATION_FLOOR_NS) * _NS
+        p_bwd = fill_pvalue(delta_bwd, window)
+    return SurpriseRecord(
+        fill, delta_fwd, delta_bwd, p_fwd, p_bwd, window.n, window.mean, next_side
+    )
 
 
 def score_tape(
@@ -275,24 +240,48 @@ def score_tape(
     window_size: int = DEFAULT_WINDOW_SIZE,
     horizon_mult: float = DEFAULT_HORIZON_MULT,
 ) -> list[SurpriseRecord]:
-    """Stream a merged tape and score every dark fill.
+    """Score every dark fill of a merged tape against the lit prints before it.
 
     Lit prints feed the duration window; dark fills never do. Fills arriving
-    before the window holds a single duration are skipped (nothing to score
-    against). The lookahead horizon is ``horizon_mult`` times the window mean
-    at scoring time.
+    before the window holds a single duration (fewer than two lit prints
+    ahead) are skipped. The lookahead horizon is ``horizon_mult`` times the
+    window mean at scoring time. Raises on decreasing lit timestamps.
     """
+    if window_size < 1:
+        raise ValueError(f"window capacity must be >= 1, got {window_size}")
+    lit_pos = np.flatnonzero(tape.is_lit)
+    lit_ts = tape.ts[lit_pos]
+    gaps = np.diff(lit_ts)
+    down = np.flatnonzero(gaps < 0)
+    if down.size:
+        i = down[0]
+        raise ValueError(f"non-monotone lit timestamp: {lit_ts[i + 1]} < {lit_ts[i]}")
+    # update_window's arithmetic: floored integer gap times 1e-9
+    durations = (np.maximum(gaps, DURATION_FLOOR_NS) * _NS).tolist()
     dark = np.flatnonzero(~tape.is_lit)
-    fills = zip(tape.rows(dark), fill_neighbours(tape, dark))
-    window = DurationWindow(capacity=window_size)
+    before = np.searchsorted(lit_pos, dark)
+    scored = before >= 2
+    lit_ts_list = lit_ts.tolist()
+    lit_side = tape.side[lit_pos].tolist()
+    n_lit = len(lit_ts_list)
     records: list[SurpriseRecord] = []
-    for ts, is_lit in zip(tape.ts.tolist(), tape.is_lit.tolist()):
-        if is_lit:
-            window = update_window(window, ts)
-            continue
-        fill, around = next(fills)
-        if window.primed():
-            records.append(score_around(fill, around, window, horizon_mult * window.mean))
+    for fill, b in zip(tape.rows(dark[scored]), before[scored].tolist()):
+        window = durations[max(b - 1 - window_size, 0) : b - 1]
+        n = len(window)
+        mean = math.fsum(window) / n
+        delta_fwd = p_fwd = None
+        next_side = Side.UNKNOWN
+        if b < n_lit and lit_ts_list[b] - fill.ts <= int(horizon_mult * mean * 1e9):
+            delta_fwd = max(lit_ts_list[b] - fill.ts, DURATION_FLOOR_NS) * _NS
+            p_fwd = _fill_pvalue(delta_fwd, n, mean)
+            next_side = SIDE_OF_SIGN[lit_side[b]]
+        delta_bwd = max(fill.ts - lit_ts_list[b - 1], DURATION_FLOOR_NS) * _NS
+        records.append(
+            SurpriseRecord(
+                fill, delta_fwd, delta_bwd, p_fwd, _fill_pvalue(delta_bwd, n, mean),
+                n, mean, next_side,
+            )
+        )
     return records
 
 

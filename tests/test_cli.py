@@ -109,6 +109,22 @@ class TestBacktest:
         for name in ("actions.jsonl", "cohorts.tsv", "summary.tsv"):
             assert read(a / name) == read(b / name)
 
+    def test_no_order_ids_warns_about_nan_ratio(self, tmp_path, simulated, capsys):
+        objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
+        for obj in objs:
+            obj.pop("truth", None)
+        stripped = tmp_path / "stripped.jsonl"
+        stripped.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        code = run([
+            "backtest", "--input", stripped,
+            "--path", simulated / "path.jsonl", "--output", tmp_path / "bt",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "ratio nan" in captured.out
+        warnings = [x for x in captured.err.splitlines() if x.startswith("warning:")]
+        assert len(warnings) == 1 and "no fill carries truth.order" in warnings[0]
+
 
 class TestPower:
     def test_prints_bound_and_crossing(self, capsys):
@@ -178,6 +194,38 @@ class TestExitCodes:
             argv += ["--path", simulated / "path.jsonl"]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("error: line 4: ")
+
+    @pytest.mark.parametrize("command", ["backtest", "report"])
+    def test_path_ts_outside_int64_exits_1_with_line(self, tmp_path, simulated, capsys, command):
+        path = tmp_path / "path.jsonl"
+        path.write_text(
+            '{"kind": "mid", "ts": 0, "log_mid": 4.6}\n'
+            '{"kind": "mid", "ts": 9223372036854775808, "log_mid": 4.6}\n'
+        )
+        argv = [command, "--input", simulated / "tape.jsonl", "--path", path,
+                "--output", tmp_path / "out"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: path line 2: ")
+
+    def test_fill_within_tau_of_int64_limit_is_censored(self, tmp_path):
+        def line(kind, ts, **extra):
+            return json.dumps({"kind": kind, "ts": ts, "symbol": "SYM", "price": 100.0,
+                               "size": 100.0, "side": "buy", **extra})
+
+        tape_file, path_file = tmp_path / "tape.jsonl", tmp_path / "path.jsonl"
+        tape_file.write_text("\n".join([
+            line("lit", 0), line("lit", 10**9),
+            line("dark", 9223372036854775000, venue="V1"),
+        ]) + "\n")
+        path_file.write_text(
+            '{"kind": "mid", "ts": 0, "log_mid": 4.6}\n'
+            '{"kind": "mid", "ts": 9223372036854775000, "log_mid": 4.6}\n'
+        )
+        out = tmp_path / "rep"
+        argv = ["report", "--input", tape_file, "--path", path_file, "--output", out]
+        assert run(argv) == 0
+        buckets = (out / "slippage_by_pvalue.tsv").read_text().splitlines()[1:]
+        assert all(row.endswith("\t0") for row in buckets)  # the one fill is censored
 
     def test_malformed_tape_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -92,6 +92,15 @@ class TestPricePath:
         with pytest.raises(ValueError, match="expected kind 'mid'"):
             path_from_lines([lines[0], lines[1].replace('"mid"', '"lit"')])
 
+    @pytest.mark.parametrize("ts", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("layout", ['{"kind": "mid", "ts": %d, "log_mid": 4.6}',
+                                        '{"ts": %d, "kind": "mid", "log_mid": 4.6}'],
+                             ids=["own-layout", "other-layout"])
+    def test_ts_outside_int64_names_the_line(self, ts, layout):
+        lines = ['{"kind": "mid", "ts": 0, "log_mid": 4.6}', "", layout % ts]
+        with pytest.raises(ValueError, match="path line 3: ts .* outside int64"):
+            path_from_lines(lines)
+
 
 class TestPostFillSlippage:
     def test_flat_path_zero_both_sides(self):
@@ -119,6 +128,15 @@ class TestPostFillSlippage:
         path = step_path([(0, 100.0), (12 * S, 100.0)], extend_to=None)
         with pytest.raises(CensoredFillError):
             post_fill_slippage(fill(10 * S), path, SlippageConfig(tau=5.0))
+
+    def test_horizon_past_int64_limit_censored(self):
+        # ts + tau would wrap in int64 and look covered
+        path = PricePath(np.array([0, 9223372036854775000]), np.zeros(2))
+        late = fill(9223372036854775000)
+        values, covered = slippages([fill(0), late], path, CFG)
+        assert covered.tolist() == [True, False] and math.isnan(values[1])
+        with pytest.raises(CensoredFillError):
+            post_fill_slippage(late, path, CFG)
 
     def test_unknown_side_rejected(self):
         event = TapeEvent(EventKind.LIT, 10 * S, "SYM", 100.0, 1.0, Side.UNKNOWN)

@@ -7,7 +7,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from darkscope.simulator import PRESET_NAMES, preset, simulate_scenario
 from darkscope.surprise import (
+    DEFAULT_HORIZON_MULT,
     DurationWindow,
     exponential_cdf,
     fill_pvalue,
@@ -47,7 +49,6 @@ class TestUpdateWindow:
         for i in range(6):
             w = update_window(w, i * 7 * S)
         assert w.mean == pytest.approx(7.0)
-        assert w.intensity_hat == w.mean
 
     def test_arithmetic_mean(self):
         assert window_of(1.0, 2.0, 3.0).mean == pytest.approx(2.0, rel=1e-12)
@@ -253,7 +254,72 @@ class TestScoreFill:
         assert (w.durations, w.last_ts) == before
 
 
+def oracle_score_tape(tape, window_size, horizon_mult=DEFAULT_HORIZON_MULT):
+    """score_tape the scalar way: fold each lit print in, score_fill each fill."""
+    window = DurationWindow(capacity=window_size)
+    records = []
+    for row, (ts, is_lit) in enumerate(zip(tape.ts.tolist(), tape.is_lit.tolist())):
+        if is_lit:
+            window = update_window(window, ts)
+        elif window.primed():
+            records.append(score_fill(tape, row, window, horizon_mult * window.mean))
+    return records
+
+
+@pytest.fixture(scope="module")
+def preset_tapes():
+    return {name: simulate_scenario(preset(name, seed=5, duration=600.0))[0] for name in PRESET_NAMES}
+
+
+@pytest.fixture(scope="module")
+def null_tapes():
+    """Null tapes: a flat 1 s lit rate, and the same rate stepping to 0.25 s halfway."""
+    flat = ((0.0, 1.0),)
+    step = ((0.0, 1.0), (3_000.0, 0.25))
+    return {
+        name: simulate_scenario(preset("null", seed=2, duration=6_000.0, lit_schedule=schedule))[0]
+        for name, schedule in (("flat", flat), ("step", step))
+    }
+
+
 class TestScoreTape:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("window_size", [1, 2, 5, 10, 50])
+    def test_matches_scalar_oracle(self, preset_tapes, name, window_size):
+        tape = preset_tapes[name]
+        records = score_tape(tape, window_size)
+        assert records and records == oracle_score_tape(tape, window_size)
+
+    def test_matches_scalar_oracle_with_censoring(self, preset_tapes):
+        tape = preset_tapes["leaky"]
+        records = score_tape(tape, 5, horizon_mult=0.5)
+        assert any(r.p_fwd is None for r in records)
+        assert records == oracle_score_tape(tape, 5, horizon_mult=0.5)
+
+    def test_decreasing_lit_timestamps_rejected(self):
+        events = (lit(0), lit(2 * S), dark(int(2.5 * S)), lit(1 * S))
+        with pytest.raises(ValueError, match="non-monotone lit timestamp: 1000000000 < 2000000000"):
+            score_tape(Tape.from_events("SYM", events))
+
+    def test_bad_window_size_rejected(self):
+        with pytest.raises(ValueError, match="window capacity must be >= 1"):
+            score_tape(Tape("SYM"), window_size=0)
+
+    @pytest.mark.parametrize("schedule", ["flat", "step"])
+    @pytest.mark.parametrize("window_size", [1, 2, 5, 50])
+    def test_null_calibration_every_window_size(self, null_tapes, schedule, window_size):
+        # The predictive CDF is exactly Uniform(0,1) under a Poisson null for
+        # every n; a rate step only disturbs the ~n fills just after it. The
+        # horizon censors p above c = F(horizon) = 1 - (n / (n + mult))^n
+        # (2% of fills at n = 1), so the scored p_fwd are Uniform(0, c).
+        n = window_size
+        records = [r for r in score_tape(null_tapes[schedule], n) if r.n_used == n]
+        ps = np.array([r.p_fwd for r in records if r.p_fwd is not None])
+        assert ps.size > 5_000
+        c = 1.0 - (n / (n + DEFAULT_HORIZON_MULT)) ** n
+        d_stat = scipy.stats.kstest(ps, "uniform", args=(0.0, c)).statistic
+        assert d_stat < 1.628 / math.sqrt(ps.size)  # 1% critical value
+
     def test_one_record_per_scoreable_fill(self):
         events = (
             dark(0),            # before any lit duration: skipped
