@@ -158,25 +158,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     records = surprise.score_tape(tp, args.window_n, args.horizon_mult)
 
     lines: list[str] = []
-    signalling: dict[str, evidence.EvidenceLedger] = {}
-    latent: dict[str, evidence.EvidenceLedger] = {}
-
-    def update(book: dict, name: str, venue: str, ts: int, p: float) -> None:
-        ledger = book.get(venue)
-        if ledger is None:
-            ledger = book[venue] = evidence.EvidenceLedger(venue, args.kmax)
-        evidence.ledger_update(ledger, ts, p)
-        lines.append(json.dumps(evidence.entry_to_obj(venue, ledger.history[-1], name)))
-
+    books: dict[str, dict[str, evidence.EvidenceLedger]] = {"signalling": {}, "latent": {}}
     for record in records:
         lines.append(json.dumps(surprise.record_to_obj(record)))
-        venue = record.fill.venue or ""
-        if record.p_fwd is not None:
-            update(signalling, "signalling", venue, record.fill.ts, record.p_fwd)
-            update(signalling, "signalling", "*", record.fill.ts, record.p_fwd)
-        if record.p_bwd is not None:
-            update(latent, "latent", venue, record.fill.ts, record.p_bwd)
-            update(latent, "latent", "*", record.fill.ts, record.p_bwd)
+        venue, ts = record.fill.venue or "", record.fill.ts
+        for name, p in (("signalling", record.p_fwd), ("latent", record.p_bwd)):
+            if p is not None:
+                for v, entry in evidence.fold(books[name], venue, ts, p, args.kmax):
+                    lines.append(json.dumps(evidence.entry_to_obj(v, entry, name)))
 
     _write_lines(out / "scored.jsonl", lines)
     print(f"wrote {out / 'scored.jsonl'}: {len(records)} fills scored")

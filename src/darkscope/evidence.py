@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -22,15 +21,19 @@ __all__ = [
     "FisherResult",
     "EvidenceLedger",
     "LedgerEntry",
-    "LedgerHistory",
     "fisher_statistic",
     "chisq_survival_even",
     "combine",
     "ledger_update",
+    "fold",
     "DEFAULT_KMAX",
+    "POOLED_VENUE",
 ]
 
 DEFAULT_KMAX = 5
+
+# Key of the ledger that pools every venue's p-values.
+POOLED_VENUE = "*"
 
 # Below this x/2 the Erlang sum is accumulated in linear space; above it
 # exp(-x/2) underflows and the sum moves to log space.
@@ -103,33 +106,14 @@ class LedgerEntry:
     result: FisherResult
 
 
-class LedgerHistory(SequenceABC):
-    """Read-only view of a ledger's update entries; indexing is O(1).
-
-    The view follows the ledger: it grows as updates are folded in.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: list[LedgerEntry]):
-        self._entries = entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._entries[index])
-        return self._entries[index]
-
-
 class EvidenceLedger:
-    """Rolling per-venue p-value buffer with its Fisher combination.
+    """Per-venue window of the last ``k_max`` updates and their Fisher result.
 
-    Single-writer: updates go through ledger_update; ``current`` is an
-    immutable result and ``history`` a read-only view of every update. The
-    buffer holds the most recent ``k_max`` p-values (oldest evicted), so
-    every fill yields a fresh decision input.
+    Single-writer: updates go through ledger_update. Only the most recent
+    ``k_max`` entries are kept (oldest evicted), so every fill yields a fresh
+    decision input and memory stays O(k_max). ``current`` is the newest
+    entry's result, ``buffer`` the window's p-values and ``history`` the
+    window as an immutable tuple, oldest first.
     """
 
     def __init__(self, venue: str, k_max: int = DEFAULT_KMAX):
@@ -137,30 +121,28 @@ class EvidenceLedger:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
         self.venue = venue
         self.k_max = k_max
-        self._buffer: deque[float] = deque(maxlen=k_max)
-        self._history: list[LedgerEntry] = []
-        self._current: FisherResult | None = None
+        self._window: deque[LedgerEntry] = deque(maxlen=k_max)
         self._updates = 0
 
     @property
     def current(self) -> FisherResult | None:
-        return self._current
+        return self._window[-1].result if self._window else None
 
     @property
     def buffer(self) -> tuple[float, ...]:
-        return tuple(self._buffer)
+        return tuple(e.p for e in self._window)
 
     @property
-    def history(self) -> LedgerHistory:
-        return LedgerHistory(self._history)
+    def history(self) -> tuple[LedgerEntry, ...]:
+        return tuple(self._window)
 
     @property
     def updates(self) -> int:
-        """Total p-values ever folded in (history length)."""
+        """Total p-values ever folded in."""
         return self._updates
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"EvidenceLedger(venue={self.venue!r}, k_max={self.k_max}, k={len(self._buffer)})"
+        return f"EvidenceLedger(venue={self.venue!r}, k_max={self.k_max}, k={len(self._window)})"
 
 
 def ledger_update(ledger: EvidenceLedger, fill_ts: int, p: float) -> EvidenceLedger:
@@ -171,16 +153,33 @@ def ledger_update(ledger: EvidenceLedger, fill_ts: int, p: float) -> EvidenceLed
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p-value outside (0, 1]: {p}")
-    if ledger._history and fill_ts < ledger._history[-1].ts:
-        raise ValueError(
-            f"timestamp regression: {fill_ts} < {ledger._history[-1].ts}"
-        )
-    ledger._buffer.append(p)
+    window = ledger._window
+    if window and fill_ts < window[-1].ts:
+        raise ValueError(f"timestamp regression: {fill_ts} < {window[-1].ts}")
+    result = combine((*(e.p for e in window), p)[-ledger.k_max :])
+    window.append(LedgerEntry(ts=fill_ts, p=p, result=result))
     ledger._updates += 1
-    result = combine(tuple(ledger._buffer))
-    ledger._current = result
-    ledger._history.append(LedgerEntry(ts=fill_ts, p=p, result=result))
     return ledger
+
+
+def fold(
+    ledgers: dict[str, EvidenceLedger], venue: str, ts: int, p: float, k_max: int = DEFAULT_KMAX
+) -> list[tuple[str, LedgerEntry]]:
+    """Fold one p-value into ``venue``'s ledger and the pooled ``*`` ledger.
+
+    Either ledger is created on first use; a venue named ``*`` is the pooled
+    ledger and is folded once. Returns the new (venue, entry) pairs in
+    update order.
+    """
+    updated = []
+    names = (venue,) if venue == POOLED_VENUE else (venue, POOLED_VENUE)
+    for name in names:
+        ledger = ledgers.get(name)
+        if ledger is None:
+            ledger = ledgers[name] = EvidenceLedger(name, k_max)
+        ledger_update(ledger, ts, p)
+        updated.append((name, ledger._window[-1]))
+    return updated
 
 
 def entry_to_obj(venue: str, entry: LedgerEntry, ledger: str = "signalling") -> dict:
@@ -198,24 +197,10 @@ def entry_to_obj(venue: str, entry: LedgerEntry, ledger: str = "signalling") -> 
 
 
 def build_ledgers(
-    scored: Iterable[tuple[str, int, float]],
-    k_max: int = DEFAULT_KMAX,
-    aggregate_venue: str | None = "*",
+    scored: Iterable[tuple[str, int, float]], k_max: int = DEFAULT_KMAX
 ) -> dict[str, EvidenceLedger]:
-    """Feed (venue, ts, p) triples into per-venue ledgers.
-
-    When ``aggregate_venue`` is set, a pooled ledger under that key receives
-    every p-value alongside the per-venue ones.
-    """
+    """Fold (venue, ts, p) triples into per-venue ledgers and the pooled ``*`` one."""
     ledgers: dict[str, EvidenceLedger] = {}
     for venue, ts, p in scored:
-        ledger = ledgers.get(venue)
-        if ledger is None:
-            ledger = ledgers[venue] = EvidenceLedger(venue, k_max)
-        ledger_update(ledger, ts, p)
-        if aggregate_venue is not None and venue != aggregate_venue:
-            agg = ledgers.get(aggregate_venue)
-            if agg is None:
-                agg = ledgers[aggregate_venue] = EvidenceLedger(aggregate_venue, k_max)
-            ledger_update(agg, ts, p)
+        fold(ledgers, venue, ts, p, k_max)
     return ledgers

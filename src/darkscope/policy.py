@@ -39,7 +39,9 @@ __all__ = [
 
 # Default ladder: the small-fill floor where ~1 bp of 5 s slippage sits, the
 # knee past which large fills stop signalling, and the plateau beyond which
-# raising the floor only costs liquidity.
+# raising the floor only costs liquidity. Rung 0 is the policy-off reference,
+# not an initial floor: a venue starts with no floor and a trigger applies
+# rung min(escalations + 1, top), so only a one-rung ladder applies ladder[0].
 DEFAULT_LADDER = (5_000.0, 25_000.0, 30_000.0)
 
 
@@ -94,7 +96,9 @@ def decide(
 
     No action while fewer than k_min p-values are combined or the combined p
     clears alpha. Otherwise the venue climbs one ladder rung per trigger and
-    pauses once ``pause_after`` escalations are spent.
+    pauses once ``pause_after`` escalations are spent. The first trigger
+    applies ``ladder[1]``: rung 0 is the policy-off reference, applied only
+    when the ladder has a single rung (then every trigger applies it).
     """
     current = ledger.current
     if current is None:

@@ -148,9 +148,6 @@ class Scenario:
         if self.fills_per_order is not None and self.fills_per_order < 1:
             raise ValueError("fills_per_order must be >= 1")
 
-    def mean_duration_at(self, t_s: float) -> float:
-        return _mean_duration_at(self.lit_schedule, t_s)
-
 
 def _mean_duration_at(schedule: tuple[tuple[float, float], ...], t_s: float) -> float:
     """Seconds per lit trade of the schedule segment holding t_s."""

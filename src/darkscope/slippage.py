@@ -372,10 +372,12 @@ def path_from_lines(lines) -> PricePath:
 
     Lines in path_to_lines' own layout are read by one regular expression
     that admits JSON numbers only; any other line is decoded as JSON. A
-    timestamp outside int64 raises ValueError naming the (1-based) line.
+    timestamp outside int64 or not above the previous one, or a non-finite
+    log mid, raises ValueError naming the (1-based) line.
     """
     ts: list[int] = []
     vals: list[float] = []
+    prev = _INT64_MIN - 1
     match = _MID_LINE.fullmatch
     for line_no, line in enumerate(lines, 1):
         line = line.strip()
@@ -389,8 +391,15 @@ def path_from_lines(lines) -> PricePath:
             if obj.get("kind") != "mid":
                 raise ValueError(f"expected kind 'mid' in path line, got {obj.get('kind')!r}")
             t, v = int(obj["ts"]), float(obj["log_mid"])
-        if not _INT64_MIN <= t <= _INT64_MAX:
-            raise ValueError(f"path line {line_no}: ts {t} is outside int64")
+        if not (prev < t <= _INT64_MAX and math.isfinite(v)):
+            if not _INT64_MIN <= t <= _INT64_MAX:
+                raise ValueError(f"path line {line_no}: ts {t} is outside int64")
+            if t <= prev:
+                raise ValueError(
+                    f"path line {line_no}: timestamps must be strictly increasing, got {t} after {prev}"
+                )
+            raise ValueError(f"path line {line_no}: log_mid must be finite, got {v}")
+        prev = t
         ts.append(t)
         vals.append(v)
     return PricePath(np.array(ts, dtype=np.int64), np.array(vals))

@@ -421,12 +421,10 @@ def _decoded(numbered_lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, A
             raise TapeFormatError(line_no, f"invalid JSON ({exc.msg})") from None
 
 
-def _parse_records(
-    records: Iterable[tuple[int, Any]], meta: dict[str, Any], symbol: str | None
-) -> Tape:
+def _parse_records(records: Iterable[tuple[int, Any]], meta: dict[str, Any]) -> Tape:
     """Scalar parse of decoded (line number, record) pairs, one at a time."""
     events: list[TapeEvent] = []
-    tape_symbol = symbol
+    tape_symbol: str | None = None
     for line_no, obj in records:
         if not isinstance(obj, dict):
             raise TapeFormatError(line_no, "record must be a JSON object")
@@ -445,9 +443,9 @@ def _parse_records(
     return Tape.from_events(tape_symbol or "", events, meta).sorted()
 
 
-def parse_tape_scalar(lines: Iterable[str], *, symbol: str | None = None) -> Tape:
+def parse_tape_scalar(lines: Iterable[str]) -> Tape:
     """parse_tape through the per-record validator only (the reference path)."""
-    return _parse_records(_decoded(enumerate(lines, start=1)), {}, symbol)
+    return _parse_records(_decoded(enumerate(lines, start=1)), {})
 
 
 class _Columns:
@@ -477,7 +475,7 @@ def _only(values: list, *types: type) -> bool:
     return set(map(type, values)) <= set(types)
 
 
-def _to_tape(cols: _Columns, meta: dict[str, Any], symbol: str | None) -> Tape | None:
+def _to_tape(cols: _Columns, meta: dict[str, Any]) -> Tape | None:
     """Columns checked and converted as wholes; None when any row fails a check."""
     n = len(cols.ts)
     kinds, sides, mids, owns, venues = cols.kind, cols.side, cols.mid, cols.own, cols.venue
@@ -495,7 +493,7 @@ def _to_tape(cols: _Columns, meta: dict[str, Any], symbol: str | None) -> Tape |
         and _only(cols.truth, dict, none)
     ):
         return None
-    tape_symbol = symbol if symbol is not None else (cols.symbol[0] if n else None)
+    tape_symbol = cols.symbol[0] if n else None
     if n and set(cols.symbol) != {tape_symbol}:
         return None
     try:
@@ -541,7 +539,7 @@ def _to_tape(cols: _Columns, meta: dict[str, Any], symbol: str | None) -> Tape |
     ).sorted()
 
 
-def parse_tape(lines: Iterable[str], *, symbol: str | None = None) -> Tape:
+def parse_tape(lines: Iterable[str]) -> Tape:
     """Parse line-delimited tape text into a validated, sorted Tape.
 
     Blank lines are skipped. Errors name the offending 1-based line number.
@@ -584,7 +582,7 @@ def parse_tape(lines: Iterable[str], *, symbol: str | None = None) -> Tape:
                 venue = intern(venue)
         except (ValueError, AttributeError, KeyError, TypeError):
             rest = _decoded(chain([(line_no, line)], numbered))
-            return _parse_records(chain(cols.records(), rest), meta, symbol)
+            return _parse_records(chain(cols.records(), rest), meta)
         kinds.append(kind)
         tss.append(ts)
         syms.append(sym)
@@ -595,9 +593,9 @@ def parse_tape(lines: Iterable[str], *, symbol: str | None = None) -> Tape:
         mids.append(obj.get("mid"))
         owns.append(obj.get("own"))
         truths.append(obj.get("truth"))
-    tape = _to_tape(cols, meta, symbol)
+    tape = _to_tape(cols, meta)
     if tape is None:
-        return _parse_records(cols.records(), meta, symbol)
+        return _parse_records(cols.records(), meta)
     return tape
 
 

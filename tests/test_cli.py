@@ -4,7 +4,10 @@ import os
 import pytest
 
 from darkscope.cli import main
+from darkscope.evidence import build_ledgers, entry_to_obj
 from darkscope.simulator import format_scenario, preset
+from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
+from darkscope.tape import parse_tape
 
 
 def read(path):
@@ -80,6 +83,41 @@ class TestScore:
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["score", "--input", tmp_path / "nope.jsonl", "--output", tmp_path]) == 1
+
+    def test_venue_named_like_the_pool_is_folded_once(self, tmp_path):
+        def event(kind, tenths, **extra):
+            return json.dumps({"kind": kind, "ts": tenths * 10**8, "symbol": "S", "price": 100.0,
+                               "size": 100.0, "side": "buy", **extra})
+
+        lines = [event("lit", 10), event("lit", 20), event("lit", 30),
+                 event("dark", 35, venue="*"), event("lit", 40)]
+        (tmp_path / "tape.jsonl").write_text("\n".join(lines) + "\n")
+        assert run(["score", "--input", tmp_path / "tape.jsonl", "--output", tmp_path / "out"]) == 0
+        scored = [json.loads(x) for x in (tmp_path / "out/scored.jsonl").read_text().splitlines()]
+        evidence_lines = [l for l in scored if l["kind"] == "evidence"]
+        assert [(l["ledger"], l["venue"], l["k"]) for l in evidence_lines] == [
+            ("signalling", "*", 1), ("latent", "*", 1),
+        ]
+        assert all(l["combined_p"] == l["p"] for l in evidence_lines)
+
+    def test_evidence_lines_match_the_library_fold(self, tmp_path, simulated):
+        out = tmp_path / "score"
+        assert run(["score", "--input", simulated / "tape.jsonl", "--output", out]) == 0
+        last = {}
+        for line in (out / "scored.jsonl").read_text().splitlines():
+            obj = json.loads(line)
+            if obj["kind"] == "evidence":
+                last[obj["ledger"], obj["venue"]] = obj
+        with open(simulated / "tape.jsonl") as fh:
+            records = score_tape(parse_tape(fh), DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
+        expected = {}
+        for name, attr in (("signalling", "p_fwd"), ("latent", "p_bwd")):
+            triples = [(r.fill.venue or "", r.fill.ts, getattr(r, attr)) for r in records
+                       if getattr(r, attr) is not None]
+            for venue, ledger in build_ledgers(triples).items():
+                expected[name, venue] = entry_to_obj(venue, ledger.history[-1], name)
+        assert len(expected) == 4
+        assert last == expected
 
 
 class TestBacktest:

@@ -13,6 +13,7 @@ from darkscope.evidence import (
     chisq_survival_even,
     combine,
     fisher_statistic,
+    fold,
     ledger_update,
 )
 
@@ -182,10 +183,13 @@ class TestLedger:
 
     def test_history_append_only(self):
         ledger = EvidenceLedger("V1", k_max=2)
+        emitted = []
         for i, p in enumerate([0.9, 0.8, 0.7]):
             ledger_update(ledger, i, p)
-        assert [e.p for e in ledger.history] == [0.9, 0.8, 0.7]
-        assert [e.result.k for e in ledger.history] == [1, 2, 2]
+            emitted.append(ledger.history[-1])
+        assert [e.p for e in emitted] == [0.9, 0.8, 0.7]
+        assert [e.result.k for e in emitted] == [1, 2, 2]
+        assert [e.ts for e in emitted] == [0, 1, 2]
 
     def test_history_is_read_only_view_of_updates(self):
         ledger = EvidenceLedger("V1", k_max=2)
@@ -193,19 +197,45 @@ class TestLedger:
         for i, p in enumerate([0.9, 0.2, 0.5, 0.01]):
             ledger_update(ledger, i, p)
             emitted.append(ledger.history[-1])
+            assert ledger.current is emitted[-1].result
+            assert ledger.history[-1] is emitted[-1]
+        assert [e.p for e in emitted] == [0.9, 0.2, 0.5, 0.01]
+        assert [e.result.k for e in emitted] == [1, 2, 2, 2]
+        assert len(set(map(id, emitted))) == 4
         history = ledger.history
-        assert list(history) == emitted
-        assert len(history) == 4 and history[0] is emitted[0]
-        assert history[1:3] == tuple(emitted[1:3])
+        assert history == tuple(emitted[-2:])
+        assert history[0] is emitted[2] and history[1] is emitted[3]
         with pytest.raises(TypeError):
             history[0] = emitted[-1]
         with pytest.raises(TypeError):
             del history[0]
         assert not hasattr(history, "append")
 
+    def test_memory_is_bounded_by_k_max(self):
+        ledger = EvidenceLedger("V1", k_max=5)
+        rng = np.random.default_rng(3)
+        for i, p in enumerate(rng.uniform(1e-3, 1.0, size=10_000)):
+            ledger_update(ledger, i, float(p))
+        history = ledger.history
+        assert type(history) is tuple
+        assert len(history) == ledger.k_max == 5
+        assert ledger.buffer == tuple(e.p for e in history)
+        assert ledger.updates == 10_000
+        assert [e.ts for e in history] == list(range(9_995, 10_000))
+        assert ledger.current is history[-1].result
+
     def test_build_ledgers_with_aggregate(self):
-        triples = [("A", 1, 0.5), ("B", 2, 0.1), ("A", 3, 0.9)]
+        triples = [("A", 1, 0.5), ("B", 2, 0.1), ("A", 3, 0.9), ("*", 4, 0.2)]
         books = build_ledgers(triples, k_max=5)
         assert books["A"].updates == 2
         assert books["B"].updates == 1
-        assert books["*"].updates == 3
+        assert books["*"].updates == 4
+
+    def test_fold_returns_new_entries_in_update_order(self):
+        ledgers = {}
+        updated = fold(ledgers, "A", 1, 0.5, k_max=3)
+        assert [v for v, _ in updated] == ["A", "*"]
+        assert [e for _, e in updated] == [ledgers["A"].history[-1], ledgers["*"].history[-1]]
+        assert ledgers["A"].k_max == ledgers["*"].k_max == 3
+        updated = fold(ledgers, "*", 2, 0.25, k_max=3)
+        assert [(v, e.p, e.result.k) for v, e in updated] == [("*", 0.25, 2)]

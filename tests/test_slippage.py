@@ -101,6 +101,21 @@ class TestPricePath:
         with pytest.raises(ValueError, match="path line 3: ts .* outside int64"):
             path_from_lines(lines)
 
+    @pytest.mark.parametrize("ts, log_mid, message", [
+        (0, "4.6", "timestamps must be strictly increasing, got 0 after 0"),
+        (-5, "4.6", "timestamps must be strictly increasing, got -5 after 0"),
+        (7, "NaN", "log_mid must be finite, got nan"),
+        (7, "-Infinity", "log_mid must be finite, got -inf"),
+        (7, "1e999", "log_mid must be finite, got inf"),
+    ])
+    @pytest.mark.parametrize("layout", ['{"kind": "mid", "ts": %d, "log_mid": %s}',
+                                        '{"ts": %d, "kind": "mid", "log_mid": %s}'],
+                             ids=["own-layout", "other-layout"])
+    def test_bad_sample_names_the_line(self, ts, log_mid, message, layout):
+        lines = ['{"kind": "mid", "ts": 0, "log_mid": 4.6}', "", layout % (ts, log_mid)]
+        with pytest.raises(ValueError, match=f"^path line 3: {message}$"):
+            path_from_lines(lines)
+
 
 class TestPostFillSlippage:
     def test_flat_path_zero_both_sides(self):
