@@ -23,6 +23,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import evidence, policy, simulator, slippage, surprise, tape
 
 log = logging.getLogger("darkscope.cli")
@@ -155,20 +157,31 @@ def cmd_score(args: argparse.Namespace) -> int:
     tp = _read_tape(args.input)
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
-    records = surprise.score_tape(tp, args.window_n, args.horizon_mult)
+    scores = surprise.score_columns(tp, args.window_n, args.horizon_mult)
 
-    lines: list[str] = []
-    books: dict[str, dict[str, evidence.EvidenceLedger]] = {"signalling": {}, "latent": {}}
-    for record in records:
-        lines.append(json.dumps(surprise.record_to_obj(record)))
-        venue, ts = record.fill.venue or "", record.fill.ts
-        for name, p in (("signalling", record.p_fwd), ("latent", record.p_bwd)):
-            if p is not None:
-                for v, entry in evidence.fold(books[name], venue, ts, p, args.kmax):
-                    lines.append(json.dumps(evidence.entry_to_obj(v, entry, name)))
-
-    _write_lines(out / "scored.jsonl", lines)
-    print(f"wrote {out / 'scored.jsonl'}: {len(records)} fills scored")
+    # Per scored fill: its surprise line, then its signalling (p_fwd) and
+    # latent (p_bwd) evidence lines, each venue ledger before the pooled one.
+    venue = tp.venue[scores.row]
+    names = (*tp.venues, "")  # code -1: a fill without a venue
+    rows = [np.arange(len(scores))]
+    lines = list(surprise.serialize_scores(tp, scores))
+    for name, fills, p in (
+        ("signalling", np.flatnonzero(scores.fwd), scores.p_fwd),
+        ("latent", np.arange(len(scores)), scores.p_bwd),
+    ):
+        updates = evidence.fold_columns(
+            venue[fills], names, tp.ts[scores.row[fills]], p[fills], args.kmax
+        )
+        rows.append(fills[updates.source])
+        lines += evidence.serialize_updates(updates, name)
+    # a stable sort by fill keeps block order, then update order, per fill
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    _write_lines(out / "scored.jsonl", map(lines.__getitem__, order.tolist()))
+    print(
+        f"wrote {out / 'scored.jsonl'}: {len(scores)} fills scored, "
+        f"{scores.skipped} skipped before the window filled, "
+        f"{scores.censored} forward-censored"
+    )
     return 0
 
 

@@ -8,14 +8,25 @@ evidence into a venue-level signalling likelihood after only a few fills.
 The chi-squared survival function is evaluated in closed form (even degrees
 of freedom only, the Erlang survival sum), so no special-function dependency
 is needed and the result is exact to rounding.
+
+``fold_columns`` folds a whole stream of p-values at once and returns the
+updates as columns; ``build_ledgers`` and ``darkscope score`` use it.
+``ledger_update`` and ``fold`` fold one p-value at a time: the policy replay
+needs that, because its decisions gate which fill enters the ledger next, and
+the tests hold ``fold_columns`` to them bit for bit.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .tape import json_floats
 
 __all__ = [
     "FisherResult",
@@ -26,6 +37,9 @@ __all__ = [
     "combine",
     "ledger_update",
     "fold",
+    "LedgerUpdates",
+    "fold_columns",
+    "serialize_updates",
     "DEFAULT_KMAX",
     "POOLED_VENUE",
 ]
@@ -196,11 +210,180 @@ def entry_to_obj(venue: str, entry: LedgerEntry, ledger: str = "signalling") -> 
     }
 
 
+@dataclass(frozen=True, eq=False)
+class LedgerUpdates:
+    """Ledger updates as columns, one row per update in update order.
+
+    ``ledger`` holds codes into ``names``; ``source`` is the input row each
+    update folds; ``k``, ``statistic`` and ``combined_p`` are the update's
+    Fisher result over the ledger's last ``k_max`` p-values.
+    """
+
+    names: tuple[str, ...]
+    ledger: np.ndarray
+    source: np.ndarray
+    ts: np.ndarray
+    p: np.ndarray
+    k: np.ndarray
+    statistic: np.ndarray
+    combined_p: np.ndarray
+
+
+def fold_columns(
+    venue: np.ndarray,
+    names: Sequence[str],
+    ts: np.ndarray,
+    p: np.ndarray,
+    k_max: int = DEFAULT_KMAX,
+) -> LedgerUpdates:
+    """``fold`` over a whole stream at once: each (venue, ts, p) row, in order,
+    into the venue's ledger and then the pooled ``*`` ledger.
+
+    ``venue`` holds codes into ``names`` (-1 is the last name). A venue named
+    ``*`` is the pooled ledger and is folded once. Every update's Fisher
+    result is bit-identical to ``fold``'s, and the same inputs raise the same
+    ``ValueError``: a p outside (0, 1], a timestamp earlier than the
+    ledger's last one, or ``k_max`` below 1.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    table: dict[str, int] = {}
+    code = np.array([table.setdefault(name, len(table)) for name in names], dtype=np.intp)
+    pool = table.setdefault(POOLED_VENUE, len(table))
+    own = code[np.asarray(venue, dtype=np.intp)]
+    twice = own != pool
+    count = 1 + twice
+    source = np.repeat(np.arange(own.size), count)
+    ledger = np.full(source.size, pool, dtype=np.intp)
+    ledger[np.cumsum(count) - count] = own
+    ts = np.asarray(ts, dtype=np.int64)[source]
+    p = np.asarray(p, dtype=np.float64)[source]
+    k, statistic, combined_p = _fisher_fold(ledger, ts, p, k_max)
+    return LedgerUpdates(
+        names=tuple(table),
+        ledger=ledger,
+        source=source,
+        ts=ts,
+        p=p,
+        k=k,
+        statistic=statistic,
+        combined_p=combined_p,
+    )
+
+
+def _fisher_fold(
+    ledger: np.ndarray, ts: np.ndarray, p: np.ndarray, k_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, statistic, combined_p) of each update of an update stream.
+
+    Works on the stream grouped by ledger, each group in update order. The
+    statistic sums log p over the last ``k_max`` updates of the ledger, oldest
+    first, from 0.0, as ``fisher_statistic`` does; slots before a ledger's
+    first update add 0.0 first, which changes no bit. Numpy does the adds and
+    products in ``chisq_survival_even``'s order; ``math`` does log and exp.
+    """
+    m = ledger.size
+    if m == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    order = np.argsort(ledger, kind="stable")
+    grouped = ledger[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    pos = np.arange(m) - np.repeat(starts, np.diff(np.r_[starts, m]))
+    _check_stream(order, pos, ts, p)
+
+    log_p = np.array(list(map(math.log, p[order].tolist())), dtype=np.float64)
+    lags = min(k_max, int(pos.max()) + 1)
+    total = np.zeros(m)
+    for lag in range(lags - 1, -1, -1):
+        total += np.where(pos >= lag, log_p[np.maximum(np.arange(m) - lag, 0)], 0.0)
+    statistic = -2.0 * total
+    k = np.minimum(pos + 1, k_max)
+
+    half = 0.5 * statistic
+    combined_p = np.ones(m)
+    linear = np.flatnonzero((half != 0.0) & (half < _LOG_SPACE_HALF_X))
+    h, kk = half[linear], k[linear]
+    term = np.array(list(map(math.exp, (-h).tolist())), dtype=np.float64)
+    acc = term
+    for j in range(1, int(kk.max()) if kk.size else 0):
+        term = term * (h / j)
+        acc = np.where(kk > j, acc + term, acc)
+    combined_p[linear] = np.minimum(acc, 1.0)
+    for i in np.flatnonzero(half >= _LOG_SPACE_HALF_X).tolist():
+        combined_p[i] = chisq_survival_even(float(statistic[i]), 2 * int(k[i]))
+
+    out = (np.empty(m, dtype=np.int64), np.empty(m), np.empty(m))
+    for column, grouped_values in zip(out, (k, statistic, combined_p)):
+        column[order] = grouped_values
+    return out
+
+
+def _check_stream(order: np.ndarray, pos: np.ndarray, ts: np.ndarray, p: np.ndarray) -> None:
+    """Raise ``ledger_update``'s error for the first update it would reject."""
+    bad_p = np.flatnonzero(~((p > 0.0) & (p <= 1.0)))
+    ts_grouped = ts[order]
+    back = np.flatnonzero((pos[1:] > 0) & (ts_grouped[1:] < ts_grouped[:-1])) + 1
+    first_back = int(order[back].min()) if back.size else ts.size
+    if bad_p.size and bad_p[0] <= first_back:
+        raise ValueError(f"p-value outside (0, 1]: {float(p[bad_p[0]])}")
+    if back.size:
+        j = back[np.argmin(order[back])]
+        raise ValueError(f"timestamp regression: {int(ts_grouped[j])} < {int(ts_grouped[j - 1])}")
+
+
+def serialize_updates(updates: LedgerUpdates, ledger: str = "signalling") -> Iterator[str]:
+    """Yield one wire line per update, in update order.
+
+    Each line equals ``json.dumps(entry_to_obj(venue, entry, ledger))``:
+    lines are formatted from the columns, with every string JSON-encoded once.
+    """
+    head = f'{{"kind": "evidence", "ledger": {json.dumps(ledger)}, "venue": '
+    venues = [head + json.dumps(name) for name in updates.names]
+    for code, ts, p, k, statistic, combined_p in zip(
+        updates.ledger.tolist(),
+        updates.ts.tolist(),
+        json_floats(updates.p),
+        updates.k.tolist(),
+        json_floats(updates.statistic),
+        json_floats(updates.combined_p),
+    ):
+        yield (
+            f'{venues[code]}, "ts": {ts}, "p": {p}, "k": {k}, '
+            f'"statistic": {statistic}, "combined_p": {combined_p}}}'
+        )
+
+
 def build_ledgers(
     scored: Iterable[tuple[str, int, float]], k_max: int = DEFAULT_KMAX
 ) -> dict[str, EvidenceLedger]:
-    """Fold (venue, ts, p) triples into per-venue ledgers and the pooled ``*`` one."""
-    ledgers: dict[str, EvidenceLedger] = {}
-    for venue, ts, p in scored:
-        fold(ledgers, venue, ts, p, k_max)
+    """Fold (venue, ts, p) triples into per-venue ledgers and the pooled ``*`` one.
+
+    The ledgers come in order of first use, each holding its last ``k_max``
+    updates, as ``fold`` leaves them.
+    """
+    table: dict[str, int] = {}
+    venue, ts, p = [], [], []
+    for name, t, pv in scored:
+        venue.append(table.setdefault(name, len(table)))
+        ts.append(t)
+        p.append(pv)
+    updates = fold_columns(np.array(venue, dtype=np.intp), tuple(table), ts, p, k_max)
+    order = np.argsort(updates.ledger, kind="stable")
+    codes, starts, counts = np.unique(updates.ledger[order], return_index=True, return_counts=True)
+    ledgers = {}
+    for i in np.argsort(order[starts], kind="stable").tolist():
+        name = updates.names[codes[i]]
+        ledger = ledgers[name] = EvidenceLedger(name, k_max)
+        last = order[starts[i] + max(counts[i] - k_max, 0) : starts[i] + counts[i]]
+        ledger._window.extend(
+            LedgerEntry(ts, p, FisherResult(k, statistic, combined_p))
+            for ts, p, k, statistic, combined_p in zip(
+                updates.ts[last].tolist(),
+                updates.p[last].tolist(),
+                updates.k[last].tolist(),
+                updates.statistic[last].tolist(),
+                updates.combined_p[last].tolist(),
+            )
+        )
+        ledger._updates = int(counts[i])
     return ledgers

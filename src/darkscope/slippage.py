@@ -106,6 +106,8 @@ class SlippageConfig:
     def __post_init__(self) -> None:
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
 
     @property
     def tau_ns(self) -> int:
@@ -200,10 +202,15 @@ def min_fills_bound(mu: float, sigma: float) -> float:
     """Minimum fills to detect mean slippage mu against noise sigma.
 
     (sigma/mu)^2, the 1/Sharpe^2 bound; infinite when mu = 0. Half the signal
-    costs four times the fills.
+    costs four times the fills. Raises on a non-finite mu or sigma and on
+    sigma <= 0.
     """
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if mu == 0:
         return math.inf
     return (sigma / mu) ** 2
@@ -232,7 +239,14 @@ def empirical_crossing(
     so a block continues the same stream, and the running sums carry over as
     the first term of the next block's cumsum; both are sequential, so the
     result equals that of one draw of max_fills per seed.
+
+    Raises on seeds < 1, a non-finite t_target, and what min_fills_bound
+    rejects.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if not math.isfinite(t_target):
+        raise ValueError(f"t_target must be finite, got {t_target}")
     if sigma <= 0 or mu == 0:
         raise ValueError("need sigma > 0 and mu != 0 for a finite crossing")
     bound = min_fills_bound(mu, sigma)

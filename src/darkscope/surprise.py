@@ -20,23 +20,36 @@ exponential). Small p = suspiciously quick lit print. The backward duration
 (lit print just before the fill) is scored identically as a latent-price
 indicator.
 
-``score_tape`` reads each fill's window straight off the lit column: with
-``before`` lit prints ahead of a fill in sequence order, the previous print
-is lit print ``before - 1``, the next one is lit print ``before``, and the
-window is the last n of the ``before - 1`` durations between them. A fill is
-scored once two lit prints precede it. ``DurationWindow``, ``update_window``
-(one lit print folded in at a time) and ``score_fill`` (one fill, neighbours
-found by a plain scan) are the scalar path the tests hold ``score_tape`` to.
+``score_columns`` scores every fill at once, reading each fill's window
+straight off the lit column: with ``before`` lit prints ahead of a fill in
+sequence order, the previous print is lit print ``before - 1``, the next one
+is lit print ``before``, and the window is the last n of the ``before - 1``
+durations between them. A fill is scored once two lit prints precede it.
+It returns columns; ``score_tape`` views them as one ``SurpriseRecord`` per
+fill and ``serialize_scores`` formats them as wire lines. ``DurationWindow``,
+``update_window`` (one lit print folded in at a time) and ``score_fill`` (one
+fill, neighbours found by a plain scan) are the scalar path the tests hold
+``score_tape`` to, value for value.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .tape import DURATION_FLOOR_NS, SIDE_OF_SIGN, Side, Tape, TapeEvent
+from .tape import (
+    DURATION_FLOOR_NS,
+    SIDE_JSON,
+    SIDE_OF_SIGN,
+    Side,
+    Tape,
+    TapeEvent,
+    json_floats,
+)
 
 __all__ = [
     "DurationWindow",
@@ -48,7 +61,10 @@ __all__ = [
     "predictive_cdf",
     "fill_pvalue",
     "score_fill",
+    "ScoreColumns",
+    "score_columns",
     "score_tape",
+    "serialize_scores",
     "DEFAULT_WINDOW_SIZE",
     "DEFAULT_HORIZON_MULT",
     "MIN_DURATION_S",
@@ -235,20 +251,63 @@ def score_fill(
     )
 
 
-def score_tape(
+@dataclass(frozen=True, eq=False)
+class ScoreColumns:
+    """Scores of the scored dark fills as columns, one row per fill in tape order.
+
+    ``row`` is the fill's tape row; ``n`` and ``mean`` are the window's count
+    and mean. ``fwd`` marks fills with a lit print inside the horizon; where it
+    is False (censored), ``delta_fwd`` and ``p_fwd`` hold 0.0 and ``next_side``
+    0. ``skipped`` counts the dark fills ahead of them, before the window held
+    a duration.
+    """
+
+    row: np.ndarray
+    n: np.ndarray
+    mean: np.ndarray
+    fwd: np.ndarray
+    delta_fwd: np.ndarray
+    p_fwd: np.ndarray
+    delta_bwd: np.ndarray
+    p_bwd: np.ndarray
+    next_side: np.ndarray
+    skipped: int
+
+    def __len__(self) -> int:
+        return int(self.row.size)
+
+    @property
+    def censored(self) -> int:
+        """Scored fills with no lit print inside the horizon."""
+        return len(self) - int(np.count_nonzero(self.fwd))
+
+
+def _pvalues(delta: np.ndarray, n: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``_fill_pvalue`` over columns: numpy does the arithmetic in the scalar
+    order, ``math`` the transcendentals, so every value is bit-identical."""
+    x = np.maximum(delta, MIN_DURATION_S) / (n * mean)
+    y = -n * np.array(list(map(math.log1p, x.tolist())), dtype=np.float64)
+    p = -np.array(list(map(math.expm1, y.tolist())), dtype=np.float64)
+    return np.minimum(np.maximum(p, MIN_PVALUE), 1.0)
+
+
+def score_columns(
     tape: Tape,
     window_size: int = DEFAULT_WINDOW_SIZE,
     horizon_mult: float = DEFAULT_HORIZON_MULT,
-) -> list[SurpriseRecord]:
+) -> ScoreColumns:
     """Score every dark fill of a merged tape against the lit prints before it.
 
     Lit prints feed the duration window; dark fills never do. Fills arriving
     before the window holds a single duration (fewer than two lit prints
     ahead) are skipped. The lookahead horizon is ``horizon_mult`` times the
-    window mean at scoring time. Raises on decreasing lit timestamps.
+    window mean at scoring time. Raises on a window size below 1, a
+    ``horizon_mult`` that is not finite and > 0, and decreasing lit timestamps.
     """
     if window_size < 1:
         raise ValueError(f"window capacity must be >= 1, got {window_size}")
+    if not 0.0 < horizon_mult < math.inf:
+        raise ValueError(f"horizon_mult must be finite and > 0, got {horizon_mult}")
     lit_pos = np.flatnonzero(tape.is_lit)
     lit_ts = tape.ts[lit_pos]
     gaps = np.diff(lit_ts)
@@ -261,28 +320,77 @@ def score_tape(
     dark = np.flatnonzero(~tape.is_lit)
     before = np.searchsorted(lit_pos, dark)
     scored = before >= 2
-    lit_ts_list = lit_ts.tolist()
-    lit_side = tape.side[lit_pos].tolist()
-    n_lit = len(lit_ts_list)
-    records: list[SurpriseRecord] = []
-    for fill, b in zip(tape.rows(dark[scored]), before[scored].tolist()):
-        window = durations[max(b - 1 - window_size, 0) : b - 1]
-        n = len(window)
-        mean = math.fsum(window) / n
-        delta_fwd = p_fwd = None
-        next_side = Side.UNKNOWN
-        if b < n_lit and lit_ts_list[b] - fill.ts <= int(horizon_mult * mean * 1e9):
-            delta_fwd = max(lit_ts_list[b] - fill.ts, DURATION_FLOOR_NS) * _NS
-            p_fwd = _fill_pvalue(delta_fwd, n, mean)
-            next_side = SIDE_OF_SIGN[lit_side[b]]
-        delta_bwd = max(fill.ts - lit_ts_list[b - 1], DURATION_FLOOR_NS) * _NS
-        records.append(
-            SurpriseRecord(
-                fill, delta_fwd, delta_bwd, p_fwd, _fill_pvalue(delta_bwd, n, mean),
-                n, mean, next_side,
-            )
+    row, b = dark[scored], before[scored]
+    # the window is the last window_size of the b - 1 durations before the fill
+    hi = b - 1
+    lo = np.maximum(hi - window_size, 0)
+    n = hi - lo
+    sums = [math.fsum(durations[i:j]) for i, j in zip(lo.tolist(), hi.tolist())]
+    mean = np.array(sums, dtype=np.float64) / n
+    fill_ts = tape.ts[row]
+
+    # forward: lit print b, if any, within int(horizon_mult * mean * 1e9) ns
+    has_next = b < lit_ts.size
+    nxt = np.minimum(b, lit_ts.size - 1)
+    gap_fwd = lit_ts[nxt] - fill_ts
+    with np.errstate(over="ignore"):  # an infinite horizon censors nothing
+        horizon = horizon_mult * mean * 1e9
+    beyond_int64 = horizon >= 2.0**63
+    limit = np.where(beyond_int64, 0.0, horizon).astype(np.int64)  # truncates, as int()
+    fwd = has_next & (beyond_int64 | (gap_fwd <= limit))
+    delta_fwd = np.zeros(row.size)
+    p_fwd = np.zeros(row.size)
+    delta_fwd[fwd] = np.maximum(gap_fwd[fwd], DURATION_FLOOR_NS) * _NS
+    p_fwd[fwd] = _pvalues(delta_fwd[fwd], n[fwd], mean[fwd])
+    next_side = np.where(fwd, tape.side[lit_pos][nxt], 0).astype(np.int8)
+
+    # backward: lit print b - 1 always precedes a scored fill
+    delta_bwd = np.maximum(fill_ts - lit_ts[hi], DURATION_FLOOR_NS) * _NS
+    p_bwd = _pvalues(delta_bwd, n, mean)
+    return ScoreColumns(
+        row=row,
+        n=n,
+        mean=mean,
+        fwd=fwd,
+        delta_fwd=delta_fwd,
+        p_fwd=p_fwd,
+        delta_bwd=delta_bwd,
+        p_bwd=p_bwd,
+        next_side=next_side,
+        skipped=int(dark.size - row.size),
+    )
+
+
+def score_tape(
+    tape: Tape,
+    window_size: int = DEFAULT_WINDOW_SIZE,
+    horizon_mult: float = DEFAULT_HORIZON_MULT,
+) -> list[SurpriseRecord]:
+    """``score_columns`` as one SurpriseRecord row view per scored fill."""
+    cols = score_columns(tape, window_size, horizon_mult)
+    return [
+        SurpriseRecord(
+            fill,
+            delta_fwd if has_fwd else None,
+            delta_bwd,
+            p_fwd if has_fwd else None,
+            p_bwd,
+            n,
+            mean,
+            SIDE_OF_SIGN[side],
         )
-    return records
+        for fill, has_fwd, delta_fwd, p_fwd, delta_bwd, p_bwd, n, mean, side in zip(
+            tape.rows(cols.row),
+            cols.fwd.tolist(),
+            cols.delta_fwd.tolist(),
+            cols.p_fwd.tolist(),
+            cols.delta_bwd.tolist(),
+            cols.p_bwd.tolist(),
+            cols.n.tolist(),
+            cols.mean.tolist(),
+            cols.next_side.tolist(),
+        )
+    ]
 
 
 def _require_primed(window: DurationWindow) -> None:
@@ -311,3 +419,41 @@ def record_to_obj(record: SurpriseRecord) -> dict:
         obj["delta_bwd"] = record.delta_bwd
         obj["p_bwd"] = record.p_bwd
     return obj
+
+
+def serialize_scores(tape: Tape, cols: ScoreColumns) -> Iterator[str]:
+    """Yield one wire line per scored fill, in ``cols`` order.
+
+    Each line equals ``json.dumps(record_to_obj(record))`` for that fill's
+    record: lines are formatted from the columns, with every string
+    JSON-encoded once.
+    """
+    row = cols.row
+    symbol = json.dumps(tape.symbol)
+    symbols = {i: json.dumps(s) for i, s in tape.symbols.items()}
+    venues = [json.dumps(v) for v in tape.venues] + ["null"]
+    fwd_texts = (
+        f', "delta_fwd": {d}, "p_fwd": {p}' if has_fwd else ""
+        for has_fwd, d, p in zip(
+            cols.fwd.tolist(), json_floats(cols.delta_fwd), json_floats(cols.p_fwd)
+        )
+    )
+    for i, ts, venue, side, size, n, mean, next_side, fwd, delta_bwd, p_bwd in zip(
+        row.tolist(),
+        tape.ts[row].tolist(),
+        tape.venue[row].tolist(),
+        tape.side[row].tolist(),
+        json_floats(tape.size[row]),
+        cols.n.tolist(),
+        json_floats(cols.mean),
+        cols.next_side.tolist(),
+        fwd_texts,
+        json_floats(cols.delta_bwd),
+        json_floats(cols.p_bwd),
+    ):
+        yield (
+            f'{{"kind": "surprise", "ts": {ts}, "symbol": {symbols.get(i, symbol)}, '
+            f'"venue": {venues[venue]}, "side": {SIDE_JSON[side]}, "size": {size}, '
+            f'"n": {n}, "mean": {mean}, "next_lit_side": {SIDE_JSON[next_side]}'
+            f'{fwd}, "delta_bwd": {delta_bwd}, "p_bwd": {p_bwd}}}'
+        )

@@ -620,7 +620,7 @@ def event_to_obj(event: TapeEvent) -> dict[str, Any]:
     return obj
 
 
-def _float_texts(column: np.ndarray) -> list[str]:
+def json_floats(column: np.ndarray) -> list[str]:
     """JSON text of each float: repr, or json's spelling when not finite."""
     values = column.tolist()
     if np.all(np.isfinite(column)):
@@ -629,7 +629,8 @@ def _float_texts(column: np.ndarray) -> list[str]:
 
 
 _KIND_TEXT = ('"dark"', '"lit"')
-_SIDE_TEXT = {1: '"buy"', -1: '"sell"', 0: '"unknown"'}
+# JSON text of each side code.
+SIDE_JSON = {1: '"buy"', -1: '"sell"', 0: '"unknown"'}
 _OWN_TEXT = ("", ', "own": false', ', "own": true')
 
 
@@ -647,15 +648,15 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
     mid_present = ~np.isnan(tape.mid)
     mids = [
         f', "mid": {m}' if ok else ""
-        for m, ok in zip(_float_texts(np.where(mid_present, tape.mid, 0.0)), mid_present.tolist())
+        for m, ok in zip(json_floats(np.where(mid_present, tape.mid, 0.0)), mid_present.tolist())
     ]
     truth = tape.truth
     for i, (lit, ts, price, size, side, venue, mid, own) in enumerate(
         zip(
             tape.is_lit.tolist(),
             tape.ts.tolist(),
-            _float_texts(tape.price),
-            _float_texts(tape.size),
+            json_floats(tape.price),
+            json_floats(tape.size),
             tape.side.tolist(),
             tape.venue.tolist(),
             mids,
@@ -664,7 +665,7 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
     ):
         line = (
             f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbols.get(i, symbol)}, '
-            f'"price": {price}, "size": {size}, "side": {_SIDE_TEXT[side]}'
+            f'"price": {price}, "size": {size}, "side": {SIDE_JSON[side]}'
             f"{venues[venue]}{mid}{_OWN_TEXT[own]}"
         )
         if i in truth:

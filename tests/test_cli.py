@@ -100,6 +100,24 @@ class TestScore:
         ]
         assert all(l["combined_p"] == l["p"] for l in evidence_lines)
 
+    def test_stdout_counts_skipped_and_censored_fills(self, tmp_path, capsys):
+        def event(kind, tenths, **extra):
+            return json.dumps({"kind": kind, "ts": tenths * 10**8, "symbol": "S", "price": 100.0,
+                               "size": 100.0, "side": "buy", **extra})
+
+        lines = [event("dark", 0, venue="V"), event("lit", 10), event("dark", 15, venue="V"),
+                 event("lit", 20), event("dark", 22, venue="V"), event("lit", 30),
+                 event("dark", 35, venue="V")]  # no lit print after the last fill
+        (tmp_path / "tape.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["score", "--input", tmp_path / "tape.jsonl", "--output", out]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out / 'scored.jsonl'}: 2 fills scored, "
+            "2 skipped before the window filled, 1 forward-censored\n"
+        )
+        scored = [json.loads(x) for x in (out / "scored.jsonl").read_text().splitlines()]
+        assert [("p_fwd" in l) for l in scored if l["kind"] == "surprise"] == [True, False]
+
     def test_evidence_lines_match_the_library_fold(self, tmp_path, simulated):
         out = tmp_path / "score"
         assert run(["score", "--input", simulated / "tape.jsonl", "--output", out]) == 0
@@ -264,6 +282,38 @@ class TestExitCodes:
         assert run(argv) == 0
         buckets = (out / "slippage_by_pvalue.tsv").read_text().splitlines()[1:]
         assert all(row.endswith("\t0") for row in buckets)  # the one fill is censored
+
+    @pytest.mark.parametrize("command", ["score", "backtest", "report"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_bad_horizon_mult_exits_1(self, tmp_path, simulated, capsys, command, value):
+        argv = [command, "--input", simulated / "tape.jsonl", "--output", tmp_path / "out",
+                "--horizon-mult", value]
+        if command != "score":
+            argv += ["--path", simulated / "path.jsonl"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: horizon_mult must be finite and > 0, got {float(value)}"
+        ]
+
+    def test_infinite_tau_exits_1(self, tmp_path, simulated, capsys):
+        argv = ["report", "--input", simulated / "tape.jsonl", "--path", simulated / "path.jsonl",
+                "--output", tmp_path / "out", "--tau", "inf"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: tau must be finite, got inf"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seeds", "0"], "seeds must be >= 1, got 0"),
+            (["--mu", "nan"], "mu must be finite, got nan"),
+            (["--sigma", "inf"], "sigma must be finite, got inf"),
+            (["--t-target", "nan"], "t_target must be finite, got nan"),
+        ],
+    )
+    def test_degenerate_power_options_exit_1(self, capsys, args, message):
+        argv = ["power", "--mu", "0.5", "--sigma", "12", "--seed", "1", "--seeds", "50", *args]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_malformed_tape_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

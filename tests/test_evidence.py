@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,9 +13,12 @@ from darkscope.evidence import (
     build_ledgers,
     chisq_survival_even,
     combine,
+    entry_to_obj,
     fisher_statistic,
     fold,
+    fold_columns,
     ledger_update,
+    serialize_updates,
 )
 
 
@@ -239,3 +243,113 @@ class TestLedger:
         assert ledgers["A"].k_max == ledgers["*"].k_max == 3
         updated = fold(ledgers, "*", 2, 0.25, k_max=3)
         assert [(v, e.p, e.result.k) for v, e in updated] == [("*", 0.25, 2)]
+
+
+# ---------------------------------------------------------------------------
+# The batch fold against the sequential one
+
+
+def sequential(triples, k_max):
+    """(venue, ts, p, k, statistic, combined_p) per update, the (venue, entry)
+    pairs and the ledgers, via ``fold``."""
+    ledgers = {}
+    pairs = [pair for venue, ts, p in triples for pair in fold(ledgers, venue, ts, p, k_max)]
+    stream = [(name, e.ts, e.p, e.result.k, e.result.statistic, e.result.combined_p)
+              for name, e in pairs]
+    return stream, pairs, ledgers
+
+
+def batch(triples, k_max):
+    table = {}
+    codes = [table.setdefault(venue, len(table)) for venue, _, _ in triples]
+    updates = fold_columns(np.array(codes, dtype=np.intp), tuple(table),
+                           [t for _, t, _ in triples], [p for _, _, p in triples], k_max)
+    stream = list(zip([updates.names[c] for c in updates.ledger.tolist()], updates.ts.tolist(),
+                      updates.p.tolist(), updates.k.tolist(), updates.statistic.tolist(),
+                      updates.combined_p.tolist()))
+    return stream, updates
+
+
+def bits(stream):
+    """Floats by their bit pattern, so 0.0 and -0.0 differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in stream]
+
+
+def outcome(fn, triples, k_max):
+    try:
+        return ("ok", bits(fn(triples, k_max)[0]))
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+# p = 1e-300 (the scorer's floor) often, so runs of it reach the log-space tail
+pvalues = st.sampled_from([1e-300, 1e-300, 1e-5, 1.0, 0.5]) | st.floats(0.0, 1.0, exclude_min=True)
+venues = st.sampled_from(["A", "B", "*", ""])
+
+
+@st.composite
+def streams(draw):
+    """(venue, ts, p) triples with non-decreasing timestamps."""
+    rows = draw(st.lists(st.tuples(venues, st.integers(0, 3), pvalues), max_size=80))
+    ts = np.cumsum([step for _, step, _ in rows]).tolist()
+    return [(venue, t, p) for (venue, _, p), t in zip(rows, ts)]
+
+
+class TestFoldColumns:
+    @given(triples=streams(), k_max=st.sampled_from([1, 2, 5, 50]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sequential_fold_bit_for_bit(self, triples, k_max):
+        expected, pairs, ledgers = sequential(triples, k_max)
+        got, updates = batch(triples, k_max)
+        assert bits(got) == bits(expected)
+        assert list(serialize_updates(updates, "latent")) == [
+            json.dumps(entry_to_obj(name, entry, "latent")) for name, entry in pairs
+        ]
+        books = build_ledgers(triples, k_max)
+        assert list(books) == list(ledgers)
+        for name, ledger in ledgers.items():
+            assert books[name].history == ledger.history
+            assert books[name].updates == ledger.updates
+            assert books[name].k_max == k_max
+
+    @pytest.mark.parametrize("k_max", [1, 3, 50])
+    def test_runs_of_the_p_floor_reach_the_log_space_tail(self, k_max):
+        # A window holding 1e-300 and 1e-5 has x/2 = 702: past the switch to
+        # log space, yet the survival is still a normal number (~2e-300).
+        cycle = [1e-300, 1e-5, 1.0, 1e-300, 1e-300, 0.5]
+        triples = [("A", i, cycle[i % len(cycle)]) for i in range(120)]
+        expected, _, _ = sequential(triples, k_max)
+        got, updates = batch(triples, k_max)
+        assert bits(got) == bits(expected)
+        deep = updates.statistic / 2 >= 700.0
+        assert np.any(deep & (updates.combined_p > 0.0)) == (k_max > 1)
+
+    @given(
+        triples=st.lists(
+            st.tuples(venues, st.integers(0, 5),
+                      pvalues | st.sampled_from([0.0, -0.5, 1.5, math.nan, math.inf])),
+            min_size=1, max_size=30,
+        ),
+        k_max=st.sampled_from([0, 1, 3, 50]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_sequential_fold(self, triples, k_max):
+        # unordered timestamps and bad p-values: the same error, or the same stream
+        assert outcome(batch, triples, k_max) == outcome(sequential, triples, k_max)
+
+    @pytest.mark.parametrize(
+        "triples, k_max, message",
+        [
+            ([("A", 1, 0.5), ("B", 2, 0.0)], 5, r"p-value outside \(0, 1\]: 0.0"),
+            ([("A", 1, math.nan)], 5, r"p-value outside \(0, 1\]: nan"),
+            ([("A", 5, 0.5), ("A", 3, 0.5)], 5, "timestamp regression: 3 < 5"),
+            ([("A", 5, 0.5), ("B", 3, 0.5)], 5, "timestamp regression: 3 < 5"),  # pooled
+            ([("A", 5, 0.5), ("A", 3, 1.5)], 5, r"p-value outside \(0, 1\]: 1.5"),
+            ([("A", 1, 0.5)], 0, "k_max must be >= 1, got 0"),
+        ],
+    )
+    def test_errors_match_sequential_fold(self, triples, k_max, message):
+        with pytest.raises(ValueError, match=message):
+            sequential(triples, k_max)
+        with pytest.raises(ValueError, match=message):
+            batch(triples, k_max)

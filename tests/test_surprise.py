@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,11 @@ from darkscope.surprise import (
     plugin_pvalue,
     predictive_cdf,
     predictive_density,
+    record_to_obj,
+    score_columns,
     score_fill,
     score_tape,
+    serialize_scores,
     update_window,
 )
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
@@ -282,6 +286,28 @@ def null_tapes():
     }
 
 
+@st.composite
+def tie_tapes(draw):
+    """Sorted tapes of lit prints and dark fills on venues A, B, ``*`` or none.
+
+    Most timestamps fall on a coarse 0.1 s grid, so lit/dark ties are common.
+    """
+    ts = st.integers(0, 40).map(lambda tick: tick * S // 10) | st.integers(0, 4 * S)
+    rows = draw(
+        st.lists(
+            st.tuples(st.booleans(), ts, st.sampled_from(["A", "B", "*", None]),
+                      st.sampled_from([Side.BUY, Side.SELL])),
+            max_size=80,
+        )
+    )
+    events = [lit(t, side) if is_lit else dark(t, side, venue) for is_lit, t, venue, side in rows]
+    return Tape.from_events("SYM", sorted(events, key=lambda e: e.sort_key))
+
+
+# small multiples censor many fills; 50 is the default
+horizon_mults = st.sampled_from([0.05, 0.3, 1.0, DEFAULT_HORIZON_MULT]) | st.floats(0.01, 100.0)
+
+
 class TestScoreTape:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("window_size", [1, 2, 5, 10, 50])
@@ -304,6 +330,52 @@ class TestScoreTape:
     def test_bad_window_size_rejected(self):
         with pytest.raises(ValueError, match="window capacity must be >= 1"):
             score_tape(Tape("SYM"), window_size=0)
+
+    @pytest.mark.parametrize("offset, censored", [(0, False), (1, True)])
+    def test_lit_print_exactly_at_the_horizon_is_not_censored(self, offset, censored):
+        mean = S * 1e-9  # two equal 1 s durations
+        horizon_ns = int(2.0 * mean * 1e9)
+        fill_ts = 2 * S + 7
+        events = (lit(0), lit(S), lit(2 * S), dark(fill_ts), lit(fill_ts + horizon_ns + offset))
+        tape = Tape.from_events("SYM", events)
+        (record,) = score_tape(tape, window_size=2, horizon_mult=2.0)
+        assert (record.p_fwd is None) is censored
+        assert [record] == oracle_score_tape(tape, 2, horizon_mult=2.0)
+
+    @pytest.mark.parametrize(
+        "horizon_mult, censored", [(2_000.0, True), (4_000.0, False), (1e12, False)]
+    )
+    def test_long_horizons(self, horizon_mult, censored):
+        # a lit print 3 000 s after the fill; 1e12 s is past the int64 range of ns
+        events = (lit(0), lit(S), lit(2 * S), dark(2 * S + 7), lit(3_002 * S))
+        tape = Tape.from_events("SYM", events)
+        (record,) = score_tape(tape, window_size=2, horizon_mult=horizon_mult)
+        assert (record.p_fwd is None) is censored
+        assert [record] == oracle_score_tape(tape, 2, horizon_mult=horizon_mult)
+
+    def test_horizon_past_the_float_range_censors_nothing(self):
+        # 1e300 window means overflow to an infinite horizon (the scalar
+        # oracle cannot take it: int(inf) raises)
+        events = (lit(0), lit(S), lit(2 * S), dark(2 * S + 7), lit(3_002 * S))
+        (record,) = score_tape(Tape.from_events("SYM", events), 2, horizon_mult=1e300)
+        assert record.p_fwd is not None
+
+    @pytest.mark.parametrize("horizon_mult", [math.inf, math.nan, -1.0, 0.0])
+    def test_bad_horizon_mult_rejected(self, horizon_mult):
+        tape = Tape.from_events("SYM", (lit(0), lit(S), dark(S + 1), lit(2 * S)))
+        with pytest.raises(ValueError, match=f"horizon_mult must be finite and > 0, got {horizon_mult}"):
+            score_tape(tape, horizon_mult=horizon_mult)
+
+    @given(tape=tie_tapes(), window_size=st.integers(1, 50), horizon_mult=horizon_mults)
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_scalar_oracle(self, tape, window_size, horizon_mult):
+        records = score_tape(tape, window_size, horizon_mult)
+        assert records == oracle_score_tape(tape, window_size, horizon_mult)
+        cols = score_columns(tape, window_size, horizon_mult)
+        assert cols.skipped == int((~tape.is_lit).sum()) - len(records)
+        assert cols.censored == sum(r.p_fwd is None for r in records)
+        lines = list(serialize_scores(tape, cols))
+        assert lines == [json.dumps(record_to_obj(r)) for r in records]
 
     @pytest.mark.parametrize("schedule", ["flat", "step"])
     @pytest.mark.parametrize("window_size", [1, 2, 5, 50])

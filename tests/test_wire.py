@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope import simulator
+from darkscope.cli import main
 from darkscope.slippage import path_to_lines
 from darkscope.tape import (
     EventKind,
@@ -67,6 +68,29 @@ def test_simulated_bytes_pinned(name, scenario):
     assert (len(tape), digest(lines), digest(path_to_lines(path))) == PINNED[name]
     assert lines[1:] == [json.dumps(event_to_obj(e)) for e in tape.events]
     assert digest(serialize_tape(parse_tape(lines))) == PINNED[name][1]
+
+
+# (lines, sha256) of ``darkscope score``'s scored.jsonl on each pinned tape,
+# recorded from the per-fill scorer, ledger fold and json.dumps lines that
+# preceded the columnar ones.
+SCORED = {
+    "null": (2970, "6aa833121379bc61ba7bc6467750c37ac55b39ba2f82a0b7ed9abe90682b3b5e"),
+    "leaky": (175, "5c3973f92c68911442cbf1a10230256c55f0bbc2303d89de0ccdc4620a3a07a1"),
+    "sweep": (175, "9820afd4b84818175cfc7be45c5fd18ad706f535506816f71e3ee0d6997bc0d9"),
+    "latent": (175, "f0a91466aff7f92679062a99d065c276223e2c7c2371ef6f0c4eaca6d7c31f11"),
+    "competing": (175, "db2c94d0c3860ff1e65300fbda7aa021aa1e7b499a22d47b4b3f597d84deae48"),
+    "size_knee": (290, "29d89da0571c8de7fa31ad6dd5030e1bb82f614ba8d8db7040195793b3a49ecc"),
+    "fleet": (125, "34f2bbbf742417d619d26d24735930b12415cd4018d3b793a4034c2d01faa318"),
+}
+
+
+@pytest.mark.parametrize("name, scenario", pinned_scenarios().items())
+def test_scored_bytes_pinned(tmp_path, name, scenario):
+    tape, _ = simulator.simulate_scenario(scenario)
+    (tmp_path / "tape.jsonl").write_text("".join(line + "\n" for line in serialize_tape(tape)))
+    assert main(["score", "--input", str(tmp_path / "tape.jsonl"), "--output", str(tmp_path)]) == 0
+    data = (tmp_path / "scored.jsonl").read_bytes()
+    assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == SCORED[name]
 
 
 # ---------------------------------------------------------------------------
