@@ -69,7 +69,6 @@ from .tape import (
     merge_streams,
     parse_tape,
     serialize_tape,
-    validate_tape,
 )
 
 __version__ = "0.1.0"

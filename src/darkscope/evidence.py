@@ -10,7 +10,7 @@ of freedom only, the Erlang survival sum), so no special-function dependency
 is needed and the result is exact to rounding.
 
 ``fold_columns`` folds a whole stream of p-values at once and returns the
-updates as columns; ``build_ledgers`` and ``darkscope score`` use it.
+updates as columns; ``darkscope score`` uses it.
 ``ledger_update`` and ``fold`` fold one p-value at a time: the policy replay
 needs that, because its decisions gate which fill enters the ledger next, and
 the tests hold ``fold_columns`` to them bit for bit.
@@ -22,7 +22,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -352,38 +352,3 @@ def serialize_updates(updates: LedgerUpdates, ledger: str = "signalling") -> Ite
             f'"statistic": {statistic}, "combined_p": {combined_p}}}'
         )
 
-
-def build_ledgers(
-    scored: Iterable[tuple[str, int, float]], k_max: int = DEFAULT_KMAX
-) -> dict[str, EvidenceLedger]:
-    """Fold (venue, ts, p) triples into per-venue ledgers and the pooled ``*`` one.
-
-    The ledgers come in order of first use, each holding its last ``k_max``
-    updates, as ``fold`` leaves them.
-    """
-    table: dict[str, int] = {}
-    venue, ts, p = [], [], []
-    for name, t, pv in scored:
-        venue.append(table.setdefault(name, len(table)))
-        ts.append(t)
-        p.append(pv)
-    updates = fold_columns(np.array(venue, dtype=np.intp), tuple(table), ts, p, k_max)
-    order = np.argsort(updates.ledger, kind="stable")
-    codes, starts, counts = np.unique(updates.ledger[order], return_index=True, return_counts=True)
-    ledgers = {}
-    for i in np.argsort(order[starts], kind="stable").tolist():
-        name = updates.names[codes[i]]
-        ledger = ledgers[name] = EvidenceLedger(name, k_max)
-        last = order[starts[i] + max(counts[i] - k_max, 0) : starts[i] + counts[i]]
-        ledger._window.extend(
-            LedgerEntry(ts, p, FisherResult(k, statistic, combined_p))
-            for ts, p, k, statistic, combined_p in zip(
-                updates.ts[last].tolist(),
-                updates.p[last].tolist(),
-                updates.k[last].tolist(),
-                updates.statistic[last].tolist(),
-                updates.combined_p[last].tolist(),
-            )
-        )
-        ledger._updates = int(counts[i])
-    return ledgers

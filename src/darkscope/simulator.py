@@ -29,7 +29,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .slippage import PricePath
-from .tape import Tape, concat_tapes, merge_streams
+from .tape import Tape, merge_streams
 
 __all__ = [
     "VenueProfile",
@@ -266,7 +266,7 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
                 truth=truth,
             )
         )
-    return concat_tapes(scenario.symbol, parts).sorted()
+    return merge_streams(Tape(scenario.symbol), *parts)
 
 
 def inject_leakage(
@@ -364,8 +364,7 @@ def inject_leakage(
         side=np.array(injected_side, dtype=np.int8),
         truth=injected_truth,
     )
-    lit_all = concat_tapes(lit.symbol, (lit, injected), lit.meta)
-    return merge_streams(lit_all, replace(dark, ts=fill_ts, truth=fill_truth))
+    return merge_streams(lit, injected, replace(dark, ts=fill_ts, truth=fill_truth))
 
 
 def gen_price_path(

@@ -46,6 +46,8 @@ __all__ = [
 BP = 1e4  # basis points per unit log return
 # Fills per block in empirical_crossing's early-stopping walk.
 _CROSSING_BLOCK = 512
+# Most p-value buckets bucket_report takes: it allocates every bucket.
+MAX_BUCKETS = 10_000
 
 
 class CensoredFillError(ValueError):
@@ -297,6 +299,8 @@ def bucket_report(
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
+    if buckets > MAX_BUCKETS:
+        raise ValueError(f"buckets must be <= {MAX_BUCKETS}, got {buckets}")
     sums = np.zeros(buckets)
     sums2 = np.zeros(buckets)
     counts = np.zeros(buckets, dtype=np.int64)
@@ -343,6 +347,11 @@ def size_threshold_report(
     For each threshold the cohort is the fills at least that large with a
     scored forward duration; empty cohorts report an absent share.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    for threshold in thresholds:
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
     if not records:
         raise ValueError("no records to report on")
     sizes = []
@@ -451,5 +460,8 @@ def arrival_slippage(fills: Sequence[TapeEvent]) -> float:
     arrival = first.mid if first.mid is not None else first.price
     weights = np.array([f.size for f in fills], dtype=np.float64)
     prices = np.array([f.price for f in fills], dtype=np.float64)
-    vwap = float(np.average(prices, weights=weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vwap = float(np.average(prices, weights=weights))
+    if not math.isfinite(vwap):  # the weighted sums overflowed: scale the weights
+        vwap = float(np.average(prices, weights=weights / weights.max()))
     return sign * (math.log(vwap) - math.log(arrival)) * BP

@@ -430,7 +430,6 @@ def serialize_scores(tape: Tape, cols: ScoreColumns) -> Iterator[str]:
     """
     row = cols.row
     symbol = json.dumps(tape.symbol)
-    symbols = {i: json.dumps(s) for i, s in tape.symbols.items()}
     venues = [json.dumps(v) for v in tape.venues] + ["null"]
     fwd_texts = (
         f', "delta_fwd": {d}, "p_fwd": {p}' if has_fwd else ""
@@ -438,8 +437,7 @@ def serialize_scores(tape: Tape, cols: ScoreColumns) -> Iterator[str]:
             cols.fwd.tolist(), json_floats(cols.delta_fwd), json_floats(cols.p_fwd)
         )
     )
-    for i, ts, venue, side, size, n, mean, next_side, fwd, delta_bwd, p_bwd in zip(
-        row.tolist(),
+    for ts, venue, side, size, n, mean, next_side, fwd, delta_bwd, p_bwd in zip(
         tape.ts[row].tolist(),
         tape.venue[row].tolist(),
         tape.side[row].tolist(),
@@ -452,7 +450,7 @@ def serialize_scores(tape: Tape, cols: ScoreColumns) -> Iterator[str]:
         json_floats(cols.p_bwd),
     ):
         yield (
-            f'{{"kind": "surprise", "ts": {ts}, "symbol": {symbols.get(i, symbol)}, '
+            f'{{"kind": "surprise", "ts": {ts}, "symbol": {symbol}, '
             f'"venue": {venues[venue]}, "side": {SIDE_JSON[side]}, "size": {size}, '
             f'"n": {n}, "mean": {mean}, "next_lit_side": {SIDE_JSON[next_side]}'
             f'{fwd}, "delta_bwd": {delta_bwd}, "p_bwd": {p_bwd}}}'

@@ -1,4 +1,4 @@
-"""Unified event tape: columnar data model, parsing, merging, validation.
+"""Unified event tape: columnar data model, validating parse, merging.
 
 A tape is one symbol's strictly ordered stream of lit-market prints and
 dark-venue fills. Timestamps are integer nanoseconds so duration arithmetic
@@ -15,9 +15,7 @@ event, held in that one form from parse (or simulation) to report:
 * ``venue`` int32 codes into the ``venues`` name table, -1 when absent;
 * ``own`` int8: 1 true, 0 false, -1 absent;
 * ``truth``: a side table {row: simulator ground-truth dict};
-* ``symbol`` and ``meta`` once per tape. Rows built by ``from_events`` from
-  events of another symbol keep theirs in the ``symbols`` side table, so
-  ``validate_tape`` can report them.
+* ``symbol`` and ``meta`` once per tape: every row is of that symbol.
 
 ``TapeEvent`` is a row view: ``Tape.events``, ``Tape.rows(index)`` and
 iteration build them on demand for tests, demos, error messages and the
@@ -49,12 +47,9 @@ __all__ = [
     "TapeEvent",
     "Tape",
     "TapeFormatError",
-    "ValidationIssue",
     "parse_tape",
     "serialize_tape",
     "merge_streams",
-    "concat_tapes",
-    "validate_tape",
 ]
 
 # Duration floor, in nanoseconds: equal-timestamp events yield this instead of 0.
@@ -168,7 +163,6 @@ class Tape:
     own: np.ndarray | None = None
     truth: dict[int, dict[str, Any]] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
-    symbols: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.ts if self.ts is not None else (), dtype=np.int64)
@@ -190,8 +184,14 @@ class Tape:
     def from_events(
         cls, symbol: str, events: Iterable[TapeEvent], meta: dict[str, Any] | None = None
     ) -> "Tape":
-        """Columns from TapeEvent rows, kept in the given order (no checks)."""
+        """Columns from TapeEvent rows, kept in the given order.
+
+        Raises ValueError on an event of another symbol; nothing else is checked.
+        """
         events = list(events)
+        for e in events:
+            if e.symbol != symbol:
+                raise ValueError(f"event symbol '{e.symbol}' != tape symbol '{symbol}'")
         names: dict[str, int] = {}
         return cls(
             symbol=symbol,
@@ -209,7 +209,6 @@ class Tape:
             own=np.array([-1 if e.own is None else int(e.own) for e in events], dtype=np.int8),
             truth={i: e.truth for i, e in enumerate(events) if e.truth is not None},
             meta=dict(meta or {}),
-            symbols={i: e.symbol for i, e in enumerate(events) if e.symbol != symbol},
         )
 
     def __len__(self) -> int:
@@ -229,13 +228,12 @@ class Tape:
         index = every if index is None else every[np.asarray(index, dtype=np.intp)]
         venues = self.venues
         truth = self.truth.get
-        symbol = self.symbols.get
         lit, dark = EventKind.LIT, EventKind.DARK
         return [
             TapeEvent(
                 kind=lit if is_lit else dark,
                 ts=ts,
-                symbol=symbol(i, self.symbol),
+                symbol=self.symbol,
                 price=price,
                 size=size,
                 side=SIDE_OF_SIGN[side],
@@ -264,10 +262,7 @@ class Tape:
             return self
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size)
-
-        def remap(table: dict) -> dict:
-            return dict(zip(inverse[list(table)].tolist(), table.values())) if table else {}
-
+        truth = self.truth
         return replace(
             self,
             ts=self.ts[order],
@@ -278,57 +273,8 @@ class Tape:
             venue=self.venue[order],
             mid=self.mid[order],
             own=self.own[order],
-            truth=remap(self.truth),
-            symbols=remap(self.symbols),
+            truth=dict(zip(inverse[list(truth)].tolist(), truth.values())) if truth else {},
         )
-
-
-def concat_tapes(symbol: str, parts: Sequence[Tape], meta: dict[str, Any] | None = None) -> Tape:
-    """Rows of ``parts`` end to end under ``symbol``, venue tables merged.
-
-    Rows of a part with another symbol keep theirs in the ``symbols`` table.
-    """
-    names: dict[str, int] = {}
-    venue_cols = []
-    truth: dict[int, dict[str, Any]] = {}
-    symbols: dict[int, str] = {}
-    offset = 0
-    for part in parts:
-        codes = np.array([names.setdefault(v, len(names)) for v in part.venues] + [-1], dtype=np.int32)
-        venue_cols.append(codes[part.venue])
-        truth.update((offset + i, t) for i, t in part.truth.items())
-        if part.symbol != symbol and len(part):
-            symbols.update((offset + i, part.symbol) for i in range(len(part)))
-        symbols.update((offset + i, s) for i, s in part.symbols.items())
-        offset += len(part)
-
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(p, name) for p in parts]) if parts else None
-
-    return Tape(
-        symbol=symbol,
-        ts=cat("ts"),
-        is_lit=cat("is_lit"),
-        price=cat("price"),
-        size=cat("size"),
-        side=cat("side"),
-        venue=np.concatenate(venue_cols) if parts else None,
-        venues=tuple(names),
-        mid=cat("mid"),
-        own=cat("own"),
-        truth=truth,
-        meta=dict(meta or {}),
-        symbols={i: s for i, s in symbols.items() if s != symbol},
-    )
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    """One invariant violation found by validate_tape (data, not an error)."""
-
-    index: int
-    code: str
-    message: str
 
 
 _REQUIRED_FIELDS = ("kind", "ts", "symbol", "price", "size")
@@ -643,7 +589,6 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
     if tape.meta:
         yield json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)
     symbol = json.dumps(tape.symbol)
-    symbols = {i: json.dumps(s) for i, s in tape.symbols.items()}
     venues = [f', "venue": {json.dumps(v)}' for v in tape.venues] + [""]
     mid_present = ~np.isnan(tape.mid)
     mids = [
@@ -664,7 +609,7 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
         )
     ):
         line = (
-            f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbols.get(i, symbol)}, '
+            f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbol}, '
             f'"price": {price}, "size": {size}, "side": {SIDE_JSON[side]}'
             f"{venues[venue]}{mid}{_OWN_TEXT[own]}"
         )
@@ -675,47 +620,41 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
         yield line
 
 
-def merge_streams(lit: Tape, dark: Tape) -> Tape:
-    """Stable merge of two same-symbol tapes, lit-first at equal timestamps."""
-    if lit.symbol and dark.symbol and lit.symbol != dark.symbol:
-        raise ValueError(f"symbol mismatch: '{lit.symbol}' vs '{dark.symbol}'")
-    merged = concat_tapes(lit.symbol or dark.symbol, (lit, dark), {**lit.meta, **dark.meta})
-    return merged.sorted()
+def merge_streams(*parts: Tape) -> Tape:
+    """Rows of ``parts`` end to end, then a stable sort, lit-first at equal timestamps.
 
-
-def validate_tape(tape: Tape) -> list[ValidationIssue]:
-    """Audit every tape invariant; returns all violations, mutating nothing.
-
-    Empty report iff the tape is valid.
+    Venue tables, ``truth`` and ``meta`` merge in part order. The parts must
+    share one symbol; an empty symbol matches any.
     """
-    issues: list[ValidationIssue] = []
-    prev_key: tuple[int, int] | None = None
-    for i, e in enumerate(tape.events):
-        if e.ts < 0:
-            issues.append(ValidationIssue(i, "ts_negative", f"ts {e.ts} < 0"))
-        if not e.price > 0:
-            issues.append(ValidationIssue(i, "price_domain", f"price {e.price} <= 0"))
-        if not e.size > 0:
-            issues.append(ValidationIssue(i, "size_domain", f"size {e.size} <= 0"))
-        if e.symbol != tape.symbol:
-            issues.append(
-                ValidationIssue(
-                    i, "symbol_mismatch", f"event symbol '{e.symbol}' != tape '{tape.symbol}'"
-                )
-            )
-        if e.is_dark():
-            if not e.venue:
-                issues.append(ValidationIssue(i, "dark_venue", "dark fill missing venue"))
-            if e.side is Side.UNKNOWN:
-                issues.append(ValidationIssue(i, "dark_side", "dark fill with side unknown"))
-        key = e.sort_key
-        if prev_key is not None and key < prev_key:
-            issues.append(
-                ValidationIssue(
-                    i,
-                    "ordering",
-                    f"event at index {i} out of order: {key} after {prev_key}",
-                )
-            )
-        prev_key = key
-    return issues
+    symbols = list(dict.fromkeys(p.symbol for p in parts if p.symbol))
+    if len(symbols) > 1:
+        raise ValueError("symbol mismatch: " + " vs ".join(f"'{s}'" for s in symbols))
+    names: dict[str, int] = {}
+    venue_cols = []
+    truth: dict[int, dict[str, Any]] = {}
+    meta: dict[str, Any] = {}
+    offset = 0
+    for part in parts:
+        codes = np.array([names.setdefault(v, len(names)) for v in part.venues] + [-1], dtype=np.int32)
+        venue_cols.append(codes[part.venue])
+        truth.update((offset + i, t) for i, t in part.truth.items())
+        meta.update(part.meta)
+        offset += len(part)
+
+    def cat(name: str) -> np.ndarray | None:
+        return np.concatenate([getattr(p, name) for p in parts]) if parts else None
+
+    return Tape(
+        symbol=symbols[0] if symbols else "",
+        ts=cat("ts"),
+        is_lit=cat("is_lit"),
+        price=cat("price"),
+        size=cat("size"),
+        side=cat("side"),
+        venue=np.concatenate(venue_cols) if parts else None,
+        venues=tuple(names),
+        mid=cat("mid"),
+        own=cat("own"),
+        truth=truth,
+        meta=meta,
+    ).sorted()

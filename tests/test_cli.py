@@ -4,8 +4,9 @@ import os
 import pytest
 
 from darkscope.cli import main
-from darkscope.evidence import build_ledgers, entry_to_obj
+from darkscope.evidence import entry_to_obj, fold
 from darkscope.simulator import format_scenario, preset
+from darkscope.slippage import MAX_BUCKETS
 from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
 from darkscope.tape import parse_tape
 
@@ -132,7 +133,10 @@ class TestScore:
         for name, attr in (("signalling", "p_fwd"), ("latent", "p_bwd")):
             triples = [(r.fill.venue or "", r.fill.ts, getattr(r, attr)) for r in records
                        if getattr(r, attr) is not None]
-            for venue, ledger in build_ledgers(triples).items():
+            ledgers = {}
+            for venue, ts, p in triples:
+                fold(ledgers, venue, ts, p)
+            for venue, ledger in ledgers.items():
                 expected[name, venue] = entry_to_obj(venue, ledger.history[-1], name)
         assert len(expected) == 4
         assert last == expected
@@ -180,6 +184,20 @@ class TestBacktest:
         assert "ratio nan" in captured.out
         warnings = [x for x in captured.err.splitlines() if x.startswith("warning:")]
         assert len(warnings) == 1 and "no fill carries truth.order" in warnings[0]
+
+    def test_dark_sizes_near_the_float_limit_write_no_nan(self, tmp_path, simulated):
+        objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
+        for obj in objs:
+            if obj["kind"] == "dark":
+                obj["size"] = 1e308
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        out = tmp_path / "bt"
+        code = run(["backtest", "--input", huge, "--path", simulated / "path.jsonl", "--output", out])
+        assert code == 0
+        cohorts = (out / "cohorts.tsv").read_text()
+        assert len(cohorts.splitlines()) > 1
+        assert "nan" not in cohorts
 
 
 class TestPower:
@@ -314,6 +332,28 @@ class TestExitCodes:
         argv = ["power", "--mu", "0.5", "--sigma", "12", "--seed", "1", "--seeds", "50", *args]
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--alpha", "nan"], "alpha must be in (0, 1), got nan"),
+            (["--alpha", "5"], "alpha must be in (0, 1), got 5.0"),
+            (["--thresholds", "nan,5000"], "threshold must be finite, got nan"),
+        ],
+    )
+    def test_degenerate_report_shares_exit_1(self, tmp_path, simulated, capsys, args, message):
+        argv = ["report", "--input", simulated / "tape.jsonl", "--path", simulated / "path.jsonl",
+                "--output", tmp_path / "out", *args]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_bucket_count_above_the_cap_exits_1(self, tmp_path, simulated, capsys):
+        argv = ["report", "--input", simulated / "tape.jsonl", "--path", simulated / "path.jsonl",
+                "--output", tmp_path / "out", "--buckets", str(MAX_BUCKETS + 1)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: buckets must be <= {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"
+        ]
 
     def test_malformed_tape_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

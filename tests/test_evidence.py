@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from darkscope.evidence import (
     EvidenceLedger,
-    build_ledgers,
     chisq_survival_even,
     combine,
     entry_to_obj,
@@ -230,7 +229,9 @@ class TestLedger:
 
     def test_build_ledgers_with_aggregate(self):
         triples = [("A", 1, 0.5), ("B", 2, 0.1), ("A", 3, 0.9), ("*", 4, 0.2)]
-        books = build_ledgers(triples, k_max=5)
+        books = {}
+        for venue, ts, p in triples:
+            fold(books, venue, ts, p, k_max=5)
         assert books["A"].updates == 2
         assert books["B"].updates == 1
         assert books["*"].updates == 4
@@ -250,13 +251,13 @@ class TestLedger:
 
 
 def sequential(triples, k_max):
-    """(venue, ts, p, k, statistic, combined_p) per update, the (venue, entry)
-    pairs and the ledgers, via ``fold``."""
+    """(venue, ts, p, k, statistic, combined_p) per update and the (venue,
+    entry) pairs, via ``fold``."""
     ledgers = {}
     pairs = [pair for venue, ts, p in triples for pair in fold(ledgers, venue, ts, p, k_max)]
     stream = [(name, e.ts, e.p, e.result.k, e.result.statistic, e.result.combined_p)
               for name, e in pairs]
-    return stream, pairs, ledgers
+    return stream, pairs
 
 
 def batch(triples, k_max):
@@ -299,18 +300,12 @@ class TestFoldColumns:
     @given(triples=streams(), k_max=st.sampled_from([1, 2, 5, 50]))
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_fold_bit_for_bit(self, triples, k_max):
-        expected, pairs, ledgers = sequential(triples, k_max)
+        expected, pairs = sequential(triples, k_max)
         got, updates = batch(triples, k_max)
         assert bits(got) == bits(expected)
         assert list(serialize_updates(updates, "latent")) == [
             json.dumps(entry_to_obj(name, entry, "latent")) for name, entry in pairs
         ]
-        books = build_ledgers(triples, k_max)
-        assert list(books) == list(ledgers)
-        for name, ledger in ledgers.items():
-            assert books[name].history == ledger.history
-            assert books[name].updates == ledger.updates
-            assert books[name].k_max == k_max
 
     @pytest.mark.parametrize("k_max", [1, 3, 50])
     def test_runs_of_the_p_floor_reach_the_log_space_tail(self, k_max):
@@ -318,7 +313,7 @@ class TestFoldColumns:
         # log space, yet the survival is still a normal number (~2e-300).
         cycle = [1e-300, 1e-5, 1.0, 1e-300, 1e-300, 0.5]
         triples = [("A", i, cycle[i % len(cycle)]) for i in range(120)]
-        expected, _, _ = sequential(triples, k_max)
+        expected, _ = sequential(triples, k_max)
         got, updates = batch(triples, k_max)
         assert bits(got) == bits(expected)
         deep = updates.statistic / 2 >= 700.0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from darkscope.slippage import (
     BP,
+    MAX_BUCKETS,
     CensoredFillError,
     PricePath,
     SlippageConfig,
@@ -345,6 +346,11 @@ class TestBucketReport:
         for row in bucket_report(pairs, buckets=10):
             assert abs(row.mean) < 2.5 * row.stderr + 1e-9
 
+    def test_bucket_count_is_capped(self):
+        assert len(bucket_report([(record_with_p(0.5), 1.0)], buckets=MAX_BUCKETS)) == MAX_BUCKETS
+        with pytest.raises(ValueError, match=f"buckets must be <= {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"):
+            bucket_report([(record_with_p(0.5), 1.0)], buckets=MAX_BUCKETS + 1)
+
 
 class TestSizeThresholdReport:
     def records(self):
@@ -369,6 +375,16 @@ class TestSizeThresholdReport:
         with pytest.raises(ValueError):
             size_threshold_report([], [0.0])
 
+    @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 5.0, -0.05])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=rf"alpha must be in \(0, 1\), got {alpha}"):
+            size_threshold_report(self.records(), [0.0], alpha=alpha)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"threshold must be finite, got {bad}"):
+            size_threshold_report(self.records(), [0.0, bad], alpha=0.05)
+
 
 class TestArrivalSlippage:
     def test_flat_fills_zero(self):
@@ -388,3 +404,11 @@ class TestArrivalSlippage:
         buys = [fill(0, price=100.0, mid=100.0), fill(S, price=100.02)]
         sells = [fill(0, Side.SELL, price=100.0, mid=100.0), fill(S, Side.SELL, price=100.02)]
         assert arrival_slippage(sells) == -arrival_slippage(buys)
+
+    def test_sizes_near_the_float_limit_weigh_like_their_ratio(self):
+        def order(sizes):
+            return [fill(0, price=100.0, mid=100.0, size=sizes[0]), fill(S, price=100.02, size=sizes[1])]
+
+        slip = arrival_slippage(order((1e308, 5e307)))
+        assert math.isfinite(slip)
+        assert slip == arrival_slippage(order((1.0, 0.5)))

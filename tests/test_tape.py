@@ -11,7 +11,6 @@ from darkscope.tape import (
     merge_streams,
     parse_tape,
     serialize_tape,
-    validate_tape,
 )
 
 
@@ -144,8 +143,8 @@ class TestSerialize:
 
 class TestMerge:
     def test_interleaves_by_ts(self):
-        a = Tape.from_events("S", (lit(1), lit(3)))
-        b = Tape.from_events("S", (dark(2),))
+        a = Tape.from_events("SYM", (lit(1), lit(3)))
+        b = Tape.from_events("SYM", (dark(2),))
         merged = merge_streams(a, b)
         assert [(e.ts, e.kind) for e in merged] == [
             (1, EventKind.LIT),
@@ -154,12 +153,12 @@ class TestMerge:
         ]
 
     def test_tie_break_lit_first(self):
-        merged = merge_streams(Tape.from_events("S", (lit(5),)), Tape.from_events("S", (dark(5),)))
+        merged = merge_streams(Tape.from_events("SYM", (lit(5),)), Tape.from_events("SYM", (dark(5),)))
         assert [e.kind for e in merged] == [EventKind.LIT, EventKind.DARK]
 
     def test_merge_with_empty_is_identity(self):
-        a = Tape.from_events("S", (lit(1), dark(2), lit(3)))
-        merged = merge_streams(a, Tape("S"))
+        a = Tape.from_events("SYM", (lit(1), dark(2), lit(3)))
+        merged = merge_streams(a, Tape("SYM"))
         assert merged.events == a.events
 
     def test_symbol_mismatch(self):
@@ -167,59 +166,43 @@ class TestMerge:
             merge_streams(Tape.from_events("A", (lit(1, symbol="A"),)), Tape.from_events("B", (dark(1, symbol="B"),)))
 
     def test_preserves_event_multiset_and_count(self):
-        a = Tape.from_events("S", (lit(1), lit(2), lit(2)))
-        b = Tape.from_events("S", (dark(1), dark(4)))
+        a = Tape.from_events("SYM", (lit(1), lit(2), lit(2)))
+        b = Tape.from_events("SYM", (dark(1), dark(4)))
         merged = merge_streams(a, b)
         assert len(merged) == len(a) + len(b)
         assert sorted(e.ts for e in merged) == [1, 1, 2, 2, 4]
 
     def test_associative_up_to_tie_break(self):
-        a = Tape.from_events("S", (lit(1), lit(5)))
-        b = Tape.from_events("S", (dark(2),))
-        c = Tape.from_events("S", (dark(5), dark(9)))
+        a = Tape.from_events("SYM", (lit(1), lit(5)))
+        b = Tape.from_events("SYM", (dark(2),))
+        c = Tape.from_events("SYM", (dark(5), dark(9)))
         left = merge_streams(merge_streams(a, b), c)
-        right = merge_streams(a, merge_streams(Tape("S"), merge_streams(b, c)))
+        right = merge_streams(a, merge_streams(Tape("SYM"), merge_streams(b, c)))
         assert left.events == right.events
 
+    def test_three_parts_equal_two_nested_merges(self):
+        a = Tape.from_events("SYM", (lit(1), dark(4, venue="V2", truth={"fill": "V2:f0"})),
+                             meta={"scenario": "a", "seed": 1})
+        b = Tape.from_events("SYM", (dark(2), lit(4, truth={"injected_by": "V1:f0"})),
+                             meta={"seed": 2})
+        c = Tape.from_events("SYM", (dark(4, venue="V3"), dark(0, truth={"fill": "V1:f1"})),
+                             meta={"part": "c"})
+        flat = merge_streams(a, b, c)
+        nested = merge_streams(merge_streams(a, b), c)
+        assert flat.events == nested.events
+        assert flat.venues == nested.venues == ("V2", "V1", "V3")
+        assert flat.truth == nested.truth
+        assert flat.meta == nested.meta == {"scenario": "a", "seed": 2, "part": "c"}
 
-class TestValidate:
-    def test_valid_tape_empty_report(self):
-        tape = Tape.from_events("SYM", (lit(1), dark(2), lit(5)))
-        assert validate_tape(tape) == []
 
-    def test_out_of_order_pair_flagged_at_index(self):
-        tape = Tape.from_events("SYM", (lit(5), lit(3)))
-        issues = validate_tape(tape)
-        assert len(issues) == 1
-        assert issues[0].code == "ordering"
-        assert issues[0].index == 1
-
-    def test_dark_unknown_side_flagged(self):
-        bad = TapeEvent(EventKind.DARK, 1, "SYM", 1.0, 1.0, Side.UNKNOWN, venue="V")
-        issues = validate_tape(Tape.from_events("SYM", (bad,)))
-        assert [i.code for i in issues] == ["dark_side"]
-
-    def test_field_domain_violations_all_reported(self):
-        bad = TapeEvent(EventKind.LIT, -1, "SYM", 0.0, -2.0, Side.BUY)
-        codes = {i.code for i in validate_tape(Tape.from_events("SYM", (bad,)))}
-        assert codes == {"ts_negative", "price_domain", "size_domain"}
-
-    def test_symbol_mismatch_flagged(self):
-        tape = Tape.from_events("OTHER", (lit(1),))
-        assert [i.code for i in validate_tape(tape)] == ["symbol_mismatch"]
-
-    def test_equal_ts_dark_before_lit_is_ordering_violation(self):
-        tape = Tape.from_events("SYM", (dark(5), lit(5)))
-        assert any(i.code == "ordering" for i in validate_tape(tape))
-
-    def test_does_not_mutate(self):
-        tape = Tape.from_events("SYM", (lit(5), lit(3)))
-        validate_tape(tape)
-        assert [e.ts for e in tape] == [5, 3]
+class TestFromEvents:
+    def test_foreign_symbol_raises(self):
+        with pytest.raises(ValueError, match="event symbol 'SYM' != tape symbol 'OTHER'"):
+            Tape.from_events("OTHER", (lit(1),))
 
 
 def test_event_objects_are_flat_key_value(tmp_path):
-    tape = Tape.from_events("S", (dark(2, truth={"fill": "V:f0"}),))
+    tape = Tape.from_events("SYM", (dark(2, truth={"fill": "V:f0"}),))
     line = list(serialize_tape(tape))[0]
     obj = json.loads(line)
     assert obj["kind"] == "dark"
