@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -245,6 +246,13 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         if not any("order" in t for i, t in tp.truth.items() if not tp.is_lit[i]):
             why += " (no fill carries truth.order, so each fill is its own order)"
         print(f"warning: ratio nan: {why}", file=sys.stderr)
+    for arm, stderr, n in (
+        ("off", report.stderr_abs_off, report.n_off),
+        ("on", report.stderr_abs_on, report.n_on),
+    ):
+        if math.isnan(stderr):
+            why = f"the policy-{arm} cohort holds {n} order(s); a stderr needs 2"
+            print(f"warning: stderr_abs_{arm}_bp nan: {why}", file=sys.stderr)
     return 0
 
 

@@ -7,7 +7,8 @@ fill, then filtering fills the policy would have rejected while re-scoring
 only accepted ones - and compares per-order arrival slippage between arms.
 Rejected fills are dropped, not re-routed, so liquidity-access gains are
 deliberately not measured; the lit stream and price path stay fixed either
-way.
+way. The walk reads lists taken from the tape's columns and from
+``surprise.score_columns``; it builds no per-fill object.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .evidence import DEFAULT_KMAX, EvidenceLedger, FisherResult, ledger_update
 from .slippage import PricePath, arrival_slippage
-from .surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, SurpriseRecord, score_tape
-from .tape import Side, Tape, TapeEvent
+from .surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_columns
+from .tape import SIDE_OF_SIGN, Side, Tape
 
 __all__ = [
     "ActionKind",
@@ -113,16 +114,14 @@ def decide(
     return PolicyAction(ts, ledger.venue, ActionKind.RAISE_MIN_FILL, ladder[rung], current)
 
 
-def direction_admits(record: SurpriseRecord, mode: DirectionFilter) -> bool:
-    """Whether a scored fill's p_fwd may enter the ledger under the filter."""
+def direction_admits(fill_side: np.ndarray, next_side: np.ndarray, mode: DirectionFilter) -> np.ndarray:
+    """Mask of scored fills whose p_fwd may enter the ledger under the filter,
+    from the side signs of each fill and of the lit print after it."""
     if mode is DirectionFilter.IGNORE:
-        return True
-    fill_side = record.fill.side
-    next_side = record.next_lit_side
-    if fill_side is Side.UNKNOWN or next_side is Side.UNKNOWN:
-        return False
-    same = fill_side is next_side
-    return same if mode is DirectionFilter.SAME_SIDE_ONLY else not same
+        return np.ones(fill_side.shape, dtype=bool)
+    known = (fill_side != 0) & (next_side != 0)
+    same = fill_side == next_side
+    return known & (same if mode is DirectionFilter.SAME_SIDE_ONLY else ~same)
 
 
 @dataclass
@@ -201,12 +200,6 @@ def action_to_obj(action: PolicyAction) -> dict:
     return obj
 
 
-def _order_key(fill: TapeEvent, venue: str) -> str:
-    if fill.truth and "order" in fill.truth:
-        return str(fill.truth["order"])
-    return f"{venue}:f@{fill.ts}"
-
-
 def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
@@ -219,13 +212,15 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     """Two-pass backtest: accept-everything vs. policy-filtered.
 
-    The fills are scored once by ``score_tape``: the lit window never
+    The fills are scored once by ``score_columns``: the lit window never
     depends on policy state. The policy arm then walks the dark fills in
-    order; an accepted, scored fill's forward p-value (subject to the
-    direction filter, censored ones excluded) feeds the venue's rolling
-    ledger, and the fresh decision is applied before the next fill. Orders
-    come from fill ground truth when present, else each fill stands alone.
-    Arrival slippage per order uses the accepted fills only.
+    order, over lists taken from the columns; an accepted, scored fill's
+    forward p-value (subject to the direction filter, censored ones
+    excluded) feeds the venue's rolling ledger, and the fresh decision is
+    applied before the next fill. A fill's order is its ground-truth
+    ``order`` when present, else the fill stands alone as ``venue:f@ts``;
+    orders keep first-seen order. Arrival slippage per order uses the
+    accepted fills only. ``path`` is not read.
     """
     dark = np.flatnonzero(~tape.is_lit)
     if dark.size < cfg.k_min:
@@ -233,37 +228,36 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
             f"insufficient fills: tape has {dark.size} dark fills, need >= {cfg.k_min}"
         )
 
-    fills_off: dict[tuple[str, str], list[TapeEvent]] = {}
-    fills_on: dict[tuple[str, str], list[TapeEvent]] = {}
-    order_seq: list[tuple[str, str]] = []
+    cols = score_columns(tape, cfg.window_size, cfg.horizon_mult)
+    admitted = cols.fwd & direction_admits(tape.side[cols.row], cols.next_side, cfg.direction_filter)
+    # The window primes once and stays primed: the unscored fills lead.
+    # NaN marks a fill whose p_fwd never enters the ledger.
+    p_fwd = np.full(dark.size, np.nan)
+    p_fwd[cols.skipped + np.flatnonzero(admitted)] = cols.p_fwd[admitted]
+
+    names = (*tape.venues, "")  # code -1: a fill without a venue
+    orders: dict[tuple[str, str], list[int]] = {}
+    accepted = np.zeros(len(tape), dtype=bool)
     states: dict[str, VenueState] = {}
     actions: list[PolicyAction] = []
-
-    records = score_tape(tape, cfg.window_size, cfg.horizon_mult)
-    # The window primes once and stays primed: the unscored fills lead.
-    unscored = tape.rows(dark[: dark.size - len(records)])
-    fills = [(event, None) for event in unscored] + [(r.fill, r) for r in records]
-    for event, record in fills:
-        venue = event.venue or ""
-        key = (venue, _order_key(event, venue))
-        if key not in fills_off:
-            fills_off[key] = []
-            order_seq.append(key)
-        fills_off[key].append(event)
+    columns = (tape.venue[dark], tape.ts[dark], tape.size[dark], p_fwd)
+    for row, code, ts, size, p in zip(dark.tolist(), *(c.tolist() for c in columns)):
+        venue = names[code]
+        truth = tape.truth.get(row) or {}
+        order = str(truth["order"]) if "order" in truth else f"{venue}:f@{ts}"
+        orders.setdefault((venue, order), []).append(row)
 
         state = states.get(venue)
         if state is None:
             state = states[venue] = VenueState(ledger=EvidenceLedger(venue, cfg.k_max))
         if state.paused:
             continue
-        if state.min_fill is not None and event.size < state.min_fill:
+        if state.min_fill is not None and size < state.min_fill:
             continue
-        fills_on.setdefault(key, []).append(event)
-        if record is None or record.p_fwd is None:
+        accepted[row] = True
+        if math.isnan(p):
             continue
-        if not direction_admits(record, cfg.direction_filter):
-            continue
-        ledger_update(state.ledger, event.ts, record.p_fwd)
+        ledger_update(state.ledger, ts, p)
         if state.ledger.current.k < cfg.k_min:
             continue
         state.decisions += 1
@@ -279,19 +273,18 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
             state.paused = True
 
     outcomes: list[OrderOutcome] = []
-    for key in order_seq:
-        venue, order = key
-        off = fills_off[key]
-        on = fills_on.get(key, [])
+    for (venue, order), rows in orders.items():
+        off = np.array(rows)
+        on = off[accepted[off]]
         outcomes.append(
             OrderOutcome(
                 venue=venue,
                 order=order,
-                side=off[0].side,
-                fills_off=len(off),
-                fills_on=len(on),
-                slip_off=arrival_slippage(off),
-                slip_on=arrival_slippage(on) if on else None,
+                side=SIDE_OF_SIGN[int(tape.side[off[0]])],
+                fills_off=off.size,
+                fills_on=on.size,
+                slip_off=arrival_slippage(tape, off),
+                slip_on=arrival_slippage(tape, on) if on.size else None,
             )
         )
 

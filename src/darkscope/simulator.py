@@ -134,6 +134,8 @@ class Scenario:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
         if self.dark_fill_rate < 0:
@@ -612,81 +614,86 @@ def format_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+def _pairs(value: str) -> tuple[tuple[float, float], ...]:
+    """``a:b,c:d,...`` as float pairs."""
+    pairs = []
+    for part in value.split(","):
+        a, colon, b = part.partition(":")
+        if not colon:
+            raise ValueError(f"expected colon-separated pairs, got {part!r}")
+        pairs.append((_float(a), _float(b)))
+    return tuple(pairs)
+
+
+def _pair(value: str) -> tuple[float, float]:
+    pairs = _pairs(value)
+    if len(pairs) != 1:
+        raise ValueError(f"expected one start:end pair, got {value!r}")
+    return pairs[0]
+
+
+# Scenario file keys and the parser of each value: scalar keys set Scenario
+# fields, ``price.<key>`` PriceModel fields, ``venue.<name>.<key>`` VenueProfile fields.
+_SCENARIO_KEYS = {
+    "name": str, "symbol": str, "seed": int, "fills_per_order": int, "lit_schedule": _pairs,
+    **dict.fromkeys(("duration", "dark_fill_rate", "lit_size_log_mu", "lit_size_log_sigma"), _float),
+}
+_PRICE_KEYS = dict.fromkeys(("sigma_per_trade", "leak_impact", "competing_drift", "start_mid"), _float)
+_VENUE_KEYS = {
+    "leak_latency_kind": str, "active": _pair,
+    **dict.fromkeys(("leak_prob", "leak_latency_mean", "size_log_mu", "size_log_sigma"), _float),
+    **dict.fromkeys(("size_leak_knee", "leak_prob_large", "sweep_prob", "latent_prob"), _float),
+}
+
+
 def parse_scenario(text: str | Iterable[str]) -> Scenario:
-    """Parse the flat key=value scenario format."""
+    """Parse the flat key=value scenario format.
+
+    Each line is applied to the scenario as it is read, so an unknown key, a
+    malformed value and a value the dataclass rejects all raise ValueError
+    naming the (1-based) line. Keys left out keep their defaults; with no
+    venue lines the scenario has one default venue, ``DARK1``.
+    """
     if isinstance(text, str):
         text = text.splitlines()
-    scalars: dict[str, str] = {}
-    price_kv: dict[str, str] = {}
-    venue_kv: dict[str, dict[str, str]] = {}
+    scenario = Scenario()
+    price = PriceModel()
+    venues: dict[str, VenueProfile] = {}
     for raw_no, raw in enumerate(text, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"scenario line {raw_no}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip(), value.strip()
+        key, value = (x.strip() for x in line.split("=", 1))
         if key.startswith("price."):
-            price_kv[key[len("price.") :]] = value
+            table, attr = _PRICE_KEYS, key[len("price.") :]
         elif key.startswith("venue."):
-            rest = key[len("venue.") :]
-            if "." not in rest:
+            venue, dot, attr = key[len("venue.") :].partition(".")
+            if not dot:
                 raise ValueError(f"scenario line {raw_no}: bad venue key {key!r}")
-            venue, attr = rest.split(".", 1)
-            venue_kv.setdefault(venue, {})[attr] = value
+            table = _VENUE_KEYS
         else:
-            scalars[key] = value
-
-    def fget(kv: dict[str, str], key: str, default: float) -> float:
-        return float(kv[key]) if key in kv else default
-
-    schedule: tuple[tuple[float, float], ...] = ((0.0, 1.0),)
-    if "lit_schedule" in scalars:
-        pairs = []
-        for part in scalars["lit_schedule"].split(","):
-            s, m = part.split(":")
-            pairs.append((float(s), float(m)))
-        schedule = tuple(pairs)
-
-    price = PriceModel(
-        sigma_per_trade=fget(price_kv, "sigma_per_trade", 3.0),
-        leak_impact=fget(price_kv, "leak_impact", 0.0),
-        competing_drift=fget(price_kv, "competing_drift", 0.0),
-        start_mid=fget(price_kv, "start_mid", 100.0),
-    )
-    venues = []
-    for venue, kv in venue_kv.items():
-        knee = float(kv["size_leak_knee"]) if "size_leak_knee" in kv else None
-        active = None
-        if "active" in kv:
-            a, b = kv["active"].split(":")
-            active = (float(a), float(b))
-        venues.append(
-            VenueProfile(
-                venue=venue,
-                leak_prob=fget(kv, "leak_prob", 0.0),
-                leak_latency_mean=fget(kv, "leak_latency_mean", 0.01),
-                leak_latency_kind=kv.get("leak_latency_kind", "exp"),
-                size_log_mu=fget(kv, "size_log_mu", 8.82),
-                size_log_sigma=fget(kv, "size_log_sigma", 1.0),
-                size_leak_knee=knee,
-                leak_prob_large=fget(kv, "leak_prob_large", 0.0),
-                sweep_prob=fget(kv, "sweep_prob", 0.0),
-                latent_prob=fget(kv, "latent_prob", 0.0),
-                active=active,
-            )
-        )
-    return Scenario(
-        symbol=scalars.get("symbol", "SYM"),
-        seed=int(scalars.get("seed", "0")),
-        duration=float(scalars.get("duration", "1000.0")),
-        lit_schedule=schedule,
-        dark_fill_rate=float(scalars.get("dark_fill_rate", "0.05")),
-        venues=tuple(venues) if venues else (VenueProfile("DARK1"),),
-        price=price,
-        fills_per_order=int(scalars["fills_per_order"]) if "fills_per_order" in scalars else None,
-        lit_size_log_mu=float(scalars.get("lit_size_log_mu", "9.0")),
-        lit_size_log_sigma=float(scalars.get("lit_size_log_sigma", "1.0")),
-        name=scalars.get("name", "custom"),
-    )
+            table, attr = _SCENARIO_KEYS, key
+        if attr not in table:
+            raise ValueError(f"scenario line {raw_no}: unknown key {key!r}")
+        try:
+            change = {attr: table[attr](value)}
+            if table is _PRICE_KEYS:
+                price = replace(price, **change)
+            elif table is _VENUE_KEYS:
+                venues[venue] = replace(venues.get(venue) or VenueProfile(venue), **change)
+            else:
+                scenario = replace(scenario, **change)
+        except ValueError as exc:
+            raise ValueError(f"scenario line {raw_no}: {key}={value}: {exc}") from None
+    if venues:
+        scenario = replace(scenario, venues=tuple(venues.values()))
+    return replace(scenario, price=price)

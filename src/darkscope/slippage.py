@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .surprise import SurpriseRecord
-from .tape import Side, TapeEvent
+from .tape import Side, Tape, TapeEvent
 
 __all__ = [
     "PricePath",
@@ -444,24 +444,27 @@ def threshold_row_to_obj(row: ThresholdRow) -> dict:
     return obj
 
 
-def arrival_slippage(fills: Sequence[TapeEvent]) -> float:
-    """Order-level arrival slippage in bp over one order's fills.
+def arrival_slippage(tape: Tape, rows: Sequence[int] | np.ndarray) -> float:
+    """Order-level arrival slippage in bp over one order's fills, the tape rows ``rows``.
 
     Signed difference between the size-weighted average fill price and the
     order's first-fill mid (the arrival proxy: a dark order's first fill is
     effectively at mid). Positive = adverse for the order's side.
     """
-    if not fills:
+    if len(rows) == 0:
         raise ValueError("order has no fills")
-    sign = fills[0].side.sign
+    first = rows[0]
+    sign = int(tape.side[first])
     if sign == 0:
         raise ValueError("order side must be buy or sell")
-    first = fills[0]
-    arrival = first.mid if first.mid is not None else first.price
-    weights = np.array([f.size for f in fills], dtype=np.float64)
-    prices = np.array([f.price for f in fills], dtype=np.float64)
+    arrival = float(tape.price[first] if np.isnan(tape.mid[first]) else tape.mid[first])
+    weights, prices = tape.size[rows], tape.price[rows]
     with np.errstate(over="ignore", invalid="ignore"):
         vwap = float(np.average(prices, weights=weights))
-    if not math.isfinite(vwap):  # the weighted sums overflowed: scale the weights
-        vwap = float(np.average(prices, weights=weights / weights.max()))
+        if not math.isfinite(vwap):  # the weighted sums overflowed: scale the weights
+            weights = weights / weights.max()
+            vwap = float(np.average(prices, weights=weights))
+        if not math.isfinite(vwap):  # the price sum overflowed too: scale the prices
+            top = prices.max()
+            vwap = float(np.average(prices / top, weights=weights)) * float(top)
     return sign * (math.log(vwap) - math.log(arrival)) * BP

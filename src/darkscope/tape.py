@@ -18,8 +18,8 @@ event, held in that one form from parse (or simulation) to report:
 * ``symbol`` and ``meta`` once per tape: every row is of that symbol.
 
 ``TapeEvent`` is a row view: ``Tape.events``, ``Tape.rows(index)`` and
-iteration build them on demand for tests, demos, error messages and the
-per-order fill lists of the policy replay.
+iteration build them on demand for tests, demos and ``report``'s record-based
+``score_tape``; ``score`` and the policy replay read the columns only.
 
 Wire format: one JSON object per line with fields
 ``kind`` ("lit" | "dark"), ``ts`` (int ns), ``symbol``, ``price``, ``size``,

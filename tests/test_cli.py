@@ -43,6 +43,21 @@ class TestSimulate:
         assert run(["simulate", "--scenario", scenario_file, "--output", out]) == 0
         assert (out / "tape.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("dark_fil_rate=0.9", "error: scenario line 2: unknown key 'dark_fil_rate'"),
+            ("lit_schedule=0:1,5", "error: scenario line 2: lit_schedule=0:1,5: expected"),
+        ],
+    )
+    def test_bad_scenario_line_exits_1(self, tmp_path, capsys, line, error):
+        scenario_file = tmp_path / "scn.txt"
+        scenario_file.write_text(f"name=x\n{line}\nduration=100.0\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 1
+        assert capsys.readouterr().err.startswith(error)
+        assert not (out / "tape.jsonl").exists()
+
     def test_seed_required_in_test_mode(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DARKSCOPE_TEST", "1")
         code = run(["simulate", "--preset", "null", "--output", tmp_path / "x"])
@@ -185,7 +200,7 @@ class TestBacktest:
         warnings = [x for x in captured.err.splitlines() if x.startswith("warning:")]
         assert len(warnings) == 1 and "no fill carries truth.order" in warnings[0]
 
-    def test_dark_sizes_near_the_float_limit_write_no_nan(self, tmp_path, simulated):
+    def test_dark_sizes_near_the_float_limit_write_no_nan(self, tmp_path, simulated, capsys):
         objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
         for obj in objs:
             if obj["kind"] == "dark":
@@ -198,6 +213,31 @@ class TestBacktest:
         cohorts = (out / "cohorts.tsv").read_text()
         assert len(cohorts.splitlines()) > 1
         assert "nan" not in cohorts
+        # the size floor leaves one policy-on order: its stderr is nan, and said so
+        header, row = [x.split("\t") for x in (out / "summary.tsv").read_text().splitlines()]
+        summary = dict(zip(header, row))
+        assert summary["n_on"] == "1" and summary["stderr_abs_on_bp"] == "nan"
+        warnings = [x for x in capsys.readouterr().err.splitlines() if x.startswith("warning:")]
+        assert [x for x in warnings if "stderr" in x] == [
+            "warning: stderr_abs_on_bp nan: the policy-on cohort holds 1 order(s); a stderr needs 2"
+        ]
+
+    def test_dark_prices_near_the_float_limit_write_no_nan(self, tmp_path, simulated, capsys):
+        objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
+        for obj in objs:
+            if obj["kind"] == "dark":
+                obj["price"] *= 1e306  # about 1e308: a price sum overflows
+                obj.pop("mid", None)
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        out = tmp_path / "bt"
+        code = run(["backtest", "--input", huge, "--path", simulated / "path.jsonl", "--output", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        for name in ("cohorts.tsv", "summary.tsv"):
+            text = (out / name).read_text()
+            assert len(text.splitlines()) > 1
+            assert "nan" not in text and "inf" not in text
 
 
 class TestPower:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from darkscope.policy import (
     direction_admits,
     replay,
 )
-from darkscope.simulator import fleet, preset, simulate_scenario
+from darkscope.simulator import PRESET_NAMES, fleet, preset, simulate_scenario
 from darkscope.slippage import PricePath
 from darkscope.surprise import SurpriseRecord
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
@@ -72,24 +73,35 @@ class TestDecide:
 
 class TestDirectionFilter:
     def record(self, fill_side, next_side):
-        fill = TapeEvent(EventKind.DARK, 0, "SYM", 100.0, 100.0, fill_side, venue="V1")
-        return SurpriseRecord(
-            fill=fill, delta_fwd=0.1, delta_bwd=None, p_fwd=0.5, p_bwd=None,
-            n_used=10, mean_used=1.0, next_lit_side=next_side,
-        )
+        """Side-sign columns of one scored fill and the lit print after it."""
+        return np.array([fill_side.sign], np.int8), np.array([next_side.sign], np.int8)
+
+    def admits(self, sides, mode):
+        (admitted,) = direction_admits(*sides, mode).tolist()
+        return admitted
 
     def test_ignore_admits_everything(self):
-        assert direction_admits(self.record(Side.BUY, Side.SELL), DirectionFilter.IGNORE)
-        assert direction_admits(self.record(Side.BUY, Side.UNKNOWN), DirectionFilter.IGNORE)
+        assert self.admits(self.record(Side.BUY, Side.SELL), DirectionFilter.IGNORE)
+        assert self.admits(self.record(Side.BUY, Side.UNKNOWN), DirectionFilter.IGNORE)
 
     def test_same_side_only(self):
-        assert direction_admits(self.record(Side.BUY, Side.BUY), DirectionFilter.SAME_SIDE_ONLY)
-        assert not direction_admits(self.record(Side.BUY, Side.SELL), DirectionFilter.SAME_SIDE_ONLY)
-        assert not direction_admits(self.record(Side.BUY, Side.UNKNOWN), DirectionFilter.SAME_SIDE_ONLY)
+        assert self.admits(self.record(Side.BUY, Side.BUY), DirectionFilter.SAME_SIDE_ONLY)
+        assert not self.admits(self.record(Side.BUY, Side.SELL), DirectionFilter.SAME_SIDE_ONLY)
+        assert not self.admits(self.record(Side.BUY, Side.UNKNOWN), DirectionFilter.SAME_SIDE_ONLY)
 
     def test_opposite_side_only(self):
-        assert direction_admits(self.record(Side.BUY, Side.SELL), DirectionFilter.OPPOSITE_SIDE_ONLY)
-        assert not direction_admits(self.record(Side.BUY, Side.BUY), DirectionFilter.OPPOSITE_SIDE_ONLY)
+        assert self.admits(self.record(Side.BUY, Side.SELL), DirectionFilter.OPPOSITE_SIDE_ONLY)
+        assert not self.admits(self.record(Side.BUY, Side.BUY), DirectionFilter.OPPOSITE_SIDE_ONLY)
+
+    def test_masks_a_column(self):
+        fill_side = np.array([1, 1, -1, 0, -1], np.int8)
+        next_side = np.array([1, -1, -1, 1, 0], np.int8)
+        assert direction_admits(fill_side, next_side, DirectionFilter.SAME_SIDE_ONLY).tolist() == [
+            True, False, True, False, False,
+        ]
+        assert direction_admits(fill_side, next_side, DirectionFilter.OPPOSITE_SIDE_ONLY).tolist() == [
+            False, True, False, False, False,
+        ]
 
 
 def crafted_toxic_tape(n_fills=8, fill_size=50_000.0):
@@ -192,3 +204,63 @@ class TestReplay:
         )
         # sides are i.i.d., so roughly half the records are filtered out
         assert 0 < same_only.decisions < all_in.decisions
+
+
+# sha256 of the reprs of replay under each DirectionFilter x window size
+# (1, 10), per tape, recorded from the replay that walked SurpriseRecords.
+REPLAY_PINS = {
+    "null-0": "f48ce0ebc319fdc4f1bc83e69c3b166b249bb3af7a414f7ef9b8f958ba602f4a",
+    "null-1": "3bc5fcb82f29d714426b37f92f590550eba772ee2fc7053fb665a1400ab54a08",
+    "leaky-0": "6915c3e9502b4d996143bd151c136b411703d656c6cb045019d23b72fd39e042",
+    "leaky-1": "ae19982bcda1864f0c8ca5c8fcede20f1f9c79007e19a6943e8799dea3d0a35b",
+    "sweep-0": "ad5526ae7b0c8865c9cc0dff386635685146d6006e9fcc0abab316f83f786f3b",
+    "sweep-1": "0d5daee4d8b317c0e6c9dc4add881651f93c823a6bdb0e52a3ebcde9469aac2a",
+    "latent-0": "90d53d3b2351a4548333630a29f1cd03298c71a26d654d81bdace6c69feb0382",
+    "latent-1": "7bde31cfe187adaf6d3ef4c1958cd63d89789e47ba2beca1b8292b894d01800d",
+    "competing-0": "ce98e590b3706dfa9641ef50acb1f9369e94e68e61e342254e0304faaeee083e",
+    "competing-1": "1c0229292307c07eba876d82b8939f636dcab31204a9d2fcbb85a897e2c6c65a",
+    "size_knee-0": "dd3abf008d852dba5aaa68625c2633a3d503b69880e4170f696b3d5412d920ab",
+    "size_knee-1": "558bb027be8ac544a3b31da7fff2656fcdff92dc53c6c13eab5e26ba8dee9a6c",
+    "leaky-fleet": "9442eb49e93ecef81a1029da3e5c08d3b7ff52567c44327280bc4e2bef1ab717",
+    "leaky-0-no-truth": "0aaee8303ea36b29039072f5b4cb26b39f6c6e6c61c08341efe0787c6bd35912",
+}
+
+
+def pin_tapes():
+    """(name, (tape, path)) of every pinned tape."""
+    for name in PRESET_NAMES:
+        for seed in (0, 1):
+            yield f"{name}-{seed}", simulate_scenario(preset(name, seed=seed, duration=2_000.0))
+    yield "leaky-fleet", simulate_scenario(fleet(preset("leaky", seed=5), 10, 300.0, 150.0))
+    tape, path = simulate_scenario(preset("leaky", seed=0, duration=2_000.0))
+    yield "leaky-0-no-truth", (replace(tape, truth={}), path)
+
+
+def replay_digest(tape, path):
+    reprs = [
+        repr(replay(tape, path, PolicyConfig(direction_filter=mode, window_size=n)))
+        for mode in DirectionFilter
+        for n in (1, 10)
+    ]
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_tapes():
+    return dict(pin_tapes())
+
+
+class TestReplayPins:
+    @pytest.mark.parametrize("name", list(REPLAY_PINS))
+    def test_replay_matches_its_pin(self, pinned_tapes, name):
+        assert replay_digest(*pinned_tapes[name]) == REPLAY_PINS[name]
+
+    def test_replay_builds_no_row_views(self, pinned_tapes, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay built a per-fill object")
+
+        monkeypatch.setattr(Tape, "rows", refuse)
+        monkeypatch.setattr(SurpriseRecord, "__init__", refuse)
+        tape, path = pinned_tapes["leaky-fleet"]
+        report = replay(tape, path, PolicyConfig())
+        assert report.orders and report.decisions > 0

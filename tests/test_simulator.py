@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -288,10 +289,37 @@ class TestScenarioFiles:
         sc = preset("size_knee", seed=11, fills_per_order=15)
         sc = replace(
             sc,
+            lit_schedule=((0.0, 1.0), (300.0, 0.25)),
             venues=sc.venues + (VenueProfile("DARK2", sweep_prob=0.25, active=(10.0, 500.0)),),
         )
         back = parse_scenario(format_scenario(sc))
         assert back == replace(sc, name=back.name)
+
+    @pytest.mark.parametrize(
+        "line", ["dark_fil_rate=0.9", "price.sigma=7", "venue.D1.leek_prob=0.5"]
+    )
+    def test_unknown_key_names_its_line(self, line):
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=rf"^scenario line 3: unknown key '{key}'$"):
+            parse_scenario(f"name=x\n# comment\n{line}\nseed=1\n")
+
+    @pytest.mark.parametrize(
+        "line, why",
+        [
+            ("lit_schedule=0:1,5", "expected colon-separated pairs, got '5'"),
+            ("venue.D1.active=1", "expected colon-separated pairs, got '1'"),
+            ("venue.D1.active=1:2,3:4", "expected one start:end pair"),
+            ("duration=nan", "must be finite"),
+            ("seed=1.5", "invalid literal for int"),
+            ("seed=-1", "seed must be >= 0, got -1"),
+            ("venue.D1.leak_prob=1.5", r"leak_prob must be in \[0, 1\]"),
+            ("lit_schedule=5:1", "lit_schedule must start at t = 0"),
+            ("price.start_mid=-1", "start_mid must be > 0"),
+        ],
+    )
+    def test_bad_value_names_its_line(self, line, why):
+        with pytest.raises(ValueError, match=rf"^scenario line 2: {re.escape(line)}: {why}"):
+            parse_scenario(f"name=x\n{line}\n")
 
     def test_fleet_staggers_windows(self):
         base = preset("leaky", seed=1)

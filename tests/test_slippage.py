@@ -24,7 +24,7 @@ from darkscope.slippage import (
     slippages,
 )
 from darkscope.surprise import SurpriseRecord
-from darkscope.tape import EventKind, Side, TapeEvent
+from darkscope.tape import EventKind, Side, Tape, TapeEvent
 
 S = 1_000_000_000
 
@@ -386,10 +386,15 @@ class TestSizeThresholdReport:
             size_threshold_report(self.records(), [0.0, bad], alpha=0.05)
 
 
+def arrival(fills):
+    """arrival_slippage over an order given as TapeEvent fills."""
+    return arrival_slippage(Tape.from_events("SYM", fills), range(len(fills)))
+
+
 class TestArrivalSlippage:
     def test_flat_fills_zero(self):
         fills = [fill(0, price=100.0, mid=100.0), fill(S, price=100.0)]
-        assert arrival_slippage(fills) == 0.0
+        assert arrival(fills) == 0.0
 
     def test_buy_order_adverse_drift(self):
         fills = [
@@ -398,17 +403,45 @@ class TestArrivalSlippage:
             fill(2 * S, price=100.04, size=2000.0),
         ]
         vwap = (100.0 * 1000 + 100.02 * 1000 + 100.04 * 2000) / 4000
-        assert arrival_slippage(fills) == pytest.approx(BP * math.log(vwap / 100.0), rel=1e-9)
+        assert arrival(fills) == pytest.approx(BP * math.log(vwap / 100.0), rel=1e-9)
 
     def test_sell_order_flips_sign(self):
         buys = [fill(0, price=100.0, mid=100.0), fill(S, price=100.02)]
         sells = [fill(0, Side.SELL, price=100.0, mid=100.0), fill(S, Side.SELL, price=100.02)]
-        assert arrival_slippage(sells) == -arrival_slippage(buys)
+        assert arrival(sells) == -arrival(buys)
 
     def test_sizes_near_the_float_limit_weigh_like_their_ratio(self):
         def order(sizes):
             return [fill(0, price=100.0, mid=100.0, size=sizes[0]), fill(S, price=100.02, size=sizes[1])]
 
-        slip = arrival_slippage(order((1e308, 5e307)))
+        slip = arrival(order((1e308, 5e307)))
         assert math.isfinite(slip)
-        assert slip == arrival_slippage(order((1.0, 0.5)))
+        assert slip == arrival(order((1.0, 0.5)))
+
+    def test_prices_near_the_float_limit_stay_finite(self):
+        def order(prices, sizes=(1000.0, 1000.0)):
+            return [fill(0, price=prices[0], size=sizes[0]), fill(S, price=prices[1], size=sizes[1])]
+
+        # no mid: the arrival is the first price, and the price sum overflows
+        slip = arrival(order((1e308, 1.5e308)))
+        assert math.isfinite(slip)
+        assert slip == pytest.approx(arrival(order((1.0, 1.5))), rel=1e-12)
+        both = arrival(order((1e308, 1.5e308), sizes=(1e308, 1e308)))
+        assert math.isfinite(both)
+        assert both == slip
+
+    def test_rows_pick_the_order_out_of_a_tape(self):
+        fills = [
+            fill(0, price=100.0, mid=100.0, size=1000.0),
+            fill(S, price=250.0, size=1000.0),
+            fill(2 * S, price=100.04, size=2000.0),
+        ]
+        tape = Tape.from_events("SYM", fills)
+        assert arrival_slippage(tape, np.array([0, 2])) == arrival([fills[0], fills[2]])
+
+    def test_empty_order_and_unknown_side_rejected(self):
+        tape = Tape.from_events("SYM", [fill(0, Side.UNKNOWN, price=100.0, mid=100.0)])
+        with pytest.raises(ValueError, match="order has no fills"):
+            arrival_slippage(tape, [])
+        with pytest.raises(ValueError, match="order side must be buy or sell"):
+            arrival_slippage(tape, [0])
