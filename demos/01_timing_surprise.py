@@ -11,35 +11,27 @@ trade rate integrated out.
 
 import numpy as np
 
-from darkscope import (
-    DurationWindow,
-    exponential_cdf,
-    fill_pvalue,
-    plugin_pvalue,
-    predictive_cdf,
-    update_window,
-)
+from darkscope import exponential_cdf, fill_pvalue, predictive_cdf
 
 S = 1_000_000_000  # nanoseconds per second
 
 # ---------------------------------------------------------------------------
-# Build a window from ten lit prints arriving roughly once a second.
+# A window: the last ten durations between lit prints arriving roughly once
+# a second, summarised by their count n and mean m (seconds per trade).
 
 rng = np.random.default_rng(0)
-window = DurationWindow(capacity=10)
-ts = 0
-for gap in rng.exponential(1.0, size=11):
-    ts += int(gap * S)
-    window = update_window(window, ts)
+ts = np.cumsum((rng.exponential(1.0, size=11) * S).astype(np.int64))
+durations = np.diff(ts) * 1e-9
+n, mean = durations.size, float(durations.mean())
 
-print(f"window holds n={window.n} durations, mean {window.mean:.3f} s/trade")
+print(f"window holds n={n} durations, mean {mean:.3f} s/trade")
 
 # ---------------------------------------------------------------------------
 # A lit print 10 ms after our fill, against ~1 print per second, is a
 # once-in-a-hundred event. Half a second later is unremarkable.
 
 for wait in (0.010, 0.100, 0.500, 2.0):
-    print(f"  wait {wait*1000:7.1f} ms  ->  p = {fill_pvalue(wait, window):.5f}")
+    print(f"  wait {wait*1000:7.1f} ms  ->  p = {fill_pvalue(wait, n, mean):.5f}")
 
 # ---------------------------------------------------------------------------
 # The naive route plugs the window mean into an exponential law. That
@@ -47,9 +39,8 @@ for wait in (0.010, 0.100, 0.500, 2.0):
 # prices the estimator noise in and has heavier tails.
 
 print("\nplug-in vs predictive, duration = one mean duration:")
-print(f"  plug-in    {plugin_pvalue(window.mean, window):.4f}  (1 - 1/e = "
-      f"{exponential_cdf(window.mean, window.mean):.4f})")
-print(f"  predictive {predictive_cdf(window.mean, window):.4f}  (heavier tail)")
+print(f"  plug-in    {exponential_cdf(mean, mean):.4f}  (1 - 1/e)")
+print(f"  predictive {predictive_cdf(mean, n, mean):.4f}  (heavier tail)")
 
 # ---------------------------------------------------------------------------
 # Why the predictive form matters: when fills are innocent, its p-values are
@@ -57,7 +48,6 @@ print(f"  predictive {predictive_cdf(window.mean, window):.4f}  (heavier tail)")
 # Simulate innocent fills against a Poisson lit stream and look at the
 # sub-0.05 rate.
 
-window = DurationWindow(capacity=10)
 lit_times = np.cumsum(rng.exponential(1.0, size=60_000))
 hits = 0
 trials = 20_000
@@ -65,8 +55,7 @@ probe_times = rng.uniform(20.0, lit_times[-1] - 20.0, size=trials)
 for probe in probe_times:
     i = np.searchsorted(lit_times, probe)
     wait = lit_times[i] - probe
-    n = 10
-    w = DurationWindow(n, tuple(np.diff(lit_times[i - n - 1 : i])), 0)
-    hits += fill_pvalue(wait, w) < 0.05
+    window = np.diff(lit_times[i - n - 1 : i])
+    hits += fill_pvalue(wait, n, float(window.mean())) < 0.05
 
 print(f"\ninnocent fills flagged at the 5% level: {hits / trials:.4f} (want ~0.05)")

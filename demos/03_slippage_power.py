@@ -10,14 +10,8 @@ steer an order that is leaking *now*.
 
 import numpy as np
 
-from darkscope import (
-    PricePath,
-    SlippageConfig,
-    empirical_crossing,
-    mean_slippage,
-    min_fills_bound,
-    post_fill_slippage,
-)
+from darkscope import PricePath, SlippageConfig, empirical_crossing, min_fills_bound
+from darkscope.slippage import slippages
 from darkscope.tape import EventKind, Side, TapeEvent
 
 S = 1_000_000_000
@@ -32,8 +26,9 @@ path = PricePath(
 buy = TapeEvent(EventKind.DARK, 1 * S, "SYM", 100.0, 5_000.0, Side.BUY, venue="D1", mid=100.0)
 sell = TapeEvent(EventKind.DARK, 1 * S, "SYM", 100.0, 5_000.0, Side.SELL, venue="D1", mid=100.0)
 cfg = SlippageConfig(tau=5.0)
-print(f"buy fill, mid 100.00 -> 100.01 within tau: {post_fill_slippage(buy, path, cfg):+.2f} bp")
-print(f"sell fill, same path:                      {post_fill_slippage(sell, path, cfg):+.2f} bp")
+(buy_bp, sell_bp), _ = slippages([buy, sell], path, cfg)
+print(f"buy fill, mid 100.00 -> 100.01 within tau: {buy_bp:+.2f} bp")
+print(f"sell fill, same path:                      {sell_bp:+.2f} bp")
 
 # ---------------------------------------------------------------------------
 # The detectability bound. Typical magnitudes: 0.5 bp of impact per fill
@@ -60,10 +55,9 @@ print("conclusion: slippage confirms leakage only after ~2,000+ fills;")
 print("timing evidence (demos 01-02) flags it within a handful.")
 
 # ---------------------------------------------------------------------------
-# mean_slippage over a batch of fills on a shared path, with the t-stat.
+# The mean slippage of a batch of fills on a shared path, with its t-stat.
 
 fills = []
-walk = [0.0]
 rng = np.random.default_rng(7)
 steps = rng.normal(0.0, 3e-4, size=2_000)
 walk = np.concatenate(([np.log(100.0)], np.log(100.0) + np.cumsum(steps)))
@@ -71,6 +65,8 @@ path = PricePath((np.arange(2_001) * S).astype(np.int64), walk)
 for t in range(10, 1_500, 3):
     side = Side.BUY if rng.integers(2) else Side.SELL
     fills.append(TapeEvent(EventKind.DARK, t * S, "SYM", 100.0, 5_000.0, side, venue="D1"))
-stats = mean_slippage(fills, path, cfg)
-print(f"\ndriftless tape, {stats.count} fills: mean {stats.mean:+.3f} bp, t = {stats.t_stat:+.2f}")
+values, covered = slippages(fills, path, cfg)
+sample = values[covered]
+t = sample.mean() * np.sqrt(sample.size) / sample.std(ddof=1)
+print(f"\ndriftless tape, {sample.size} fills: mean {sample.mean():+.3f} bp, t = {t:+.2f}")
 print("(no drift, no signal - as it should be)")

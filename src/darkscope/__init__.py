@@ -39,26 +39,18 @@ from .simulator import (
 from .slippage import (
     PricePath,
     SlippageConfig,
-    SlippageStats,
     arrival_slippage,
     bucket_report,
     empirical_crossing,
-    mean_slippage,
     min_fills_bound,
-    post_fill_slippage,
     size_threshold_report,
 )
 from .surprise import (
-    DurationWindow,
     SurpriseRecord,
     exponential_cdf,
     fill_pvalue,
-    plugin_pvalue,
     predictive_cdf,
-    predictive_density,
-    score_fill,
     score_tape,
-    update_window,
 )
 from .tape import (
     EventKind,

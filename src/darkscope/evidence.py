@@ -9,11 +9,12 @@ The chi-squared survival function is evaluated in closed form (even degrees
 of freedom only, the Erlang survival sum), so no special-function dependency
 is needed and the result is exact to rounding.
 
-``fold_columns`` folds a whole stream of p-values at once and returns the
-updates as columns; ``darkscope score`` uses it.
-``ledger_update`` and ``fold`` fold one p-value at a time: the policy replay
-needs that, because its decisions gate which fill enters the ledger next, and
-the tests hold ``fold_columns`` to them bit for bit.
+``fold_columns`` folds a whole stream of p-values at once, into each
+venue's ledger and the pooled ``*`` ledger, and returns the updates as
+columns; ``darkscope score`` uses it. ``ledger_update`` folds one p-value at a
+time: the policy replay needs that, because its decisions gate which fill
+enters the ledger next. The tests hold ``fold_columns`` bit for bit to a
+reference fold built on ``ledger_update``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "chisq_survival_even",
     "combine",
     "ledger_update",
-    "fold",
     "LedgerUpdates",
     "fold_columns",
     "serialize_updates",
@@ -126,8 +126,8 @@ class EvidenceLedger:
     Single-writer: updates go through ledger_update. Only the most recent
     ``k_max`` entries are kept (oldest evicted), so every fill yields a fresh
     decision input and memory stays O(k_max). ``current`` is the newest
-    entry's result, ``buffer`` the window's p-values and ``history`` the
-    window as an immutable tuple, oldest first.
+    entry's result and ``history`` the window as an immutable tuple, oldest
+    first.
     """
 
     def __init__(self, venue: str, k_max: int = DEFAULT_KMAX):
@@ -141,10 +141,6 @@ class EvidenceLedger:
     @property
     def current(self) -> FisherResult | None:
         return self._window[-1].result if self._window else None
-
-    @property
-    def buffer(self) -> tuple[float, ...]:
-        return tuple(e.p for e in self._window)
 
     @property
     def history(self) -> tuple[LedgerEntry, ...]:
@@ -176,40 +172,6 @@ def ledger_update(ledger: EvidenceLedger, fill_ts: int, p: float) -> EvidenceLed
     return ledger
 
 
-def fold(
-    ledgers: dict[str, EvidenceLedger], venue: str, ts: int, p: float, k_max: int = DEFAULT_KMAX
-) -> list[tuple[str, LedgerEntry]]:
-    """Fold one p-value into ``venue``'s ledger and the pooled ``*`` ledger.
-
-    Either ledger is created on first use; a venue named ``*`` is the pooled
-    ledger and is folded once. Returns the new (venue, entry) pairs in
-    update order.
-    """
-    updated = []
-    names = (venue,) if venue == POOLED_VENUE else (venue, POOLED_VENUE)
-    for name in names:
-        ledger = ledgers.get(name)
-        if ledger is None:
-            ledger = ledgers[name] = EvidenceLedger(name, k_max)
-        ledger_update(ledger, ts, p)
-        updated.append((name, ledger._window[-1]))
-    return updated
-
-
-def entry_to_obj(venue: str, entry: LedgerEntry, ledger: str = "signalling") -> dict:
-    """Wire-format object for one ledger update (kind = "evidence")."""
-    return {
-        "kind": "evidence",
-        "ledger": ledger,
-        "venue": venue,
-        "ts": entry.ts,
-        "p": entry.p,
-        "k": entry.result.k,
-        "statistic": entry.result.statistic,
-        "combined_p": entry.result.combined_p,
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class LedgerUpdates:
     """Ledger updates as columns, one row per update in update order.
@@ -236,14 +198,14 @@ def fold_columns(
     p: np.ndarray,
     k_max: int = DEFAULT_KMAX,
 ) -> LedgerUpdates:
-    """``fold`` over a whole stream at once: each (venue, ts, p) row, in order,
-    into the venue's ledger and then the pooled ``*`` ledger.
+    """Fold a whole stream at once: each (venue, ts, p) row, in order, into
+    the venue's ledger and then the pooled ``*`` ledger.
 
     ``venue`` holds codes into ``names`` (-1 is the last name). A venue named
     ``*`` is the pooled ledger and is folded once. Every update's Fisher
-    result is bit-identical to ``fold``'s, and the same inputs raise the same
-    ``ValueError``: a p outside (0, 1], a timestamp earlier than the
-    ledger's last one, or ``k_max`` below 1.
+    result is bit-identical to ``ledger_update``'s on that ledger, and the
+    same inputs raise the same ``ValueError``: a p outside (0, 1], a
+    timestamp earlier than the ledger's last one, or ``k_max`` below 1.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -334,8 +296,9 @@ def _check_stream(order: np.ndarray, pos: np.ndarray, ts: np.ndarray, p: np.ndar
 def serialize_updates(updates: LedgerUpdates, ledger: str = "signalling") -> Iterator[str]:
     """Yield one wire line per update, in update order.
 
-    Each line equals ``json.dumps(entry_to_obj(venue, entry, ledger))``:
-    lines are formatted from the columns, with every string JSON-encoded once.
+    Each line is ``json.dumps`` of the update's "evidence" object (ledger,
+    venue, ts, p, k, statistic and combined_p), formatted from the columns
+    with every string JSON-encoded once.
     """
     head = f'{{"kind": "evidence", "ledger": {json.dumps(ledger)}, "venue": '
     venues = [head + json.dumps(name) for name in updates.names]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -46,11 +46,15 @@ __all__ = [
     "parse_scenario",
     "format_scenario",
     "PRESET_NAMES",
+    "MAX_EVENTS",
 ]
 
 _NS = 1_000_000_000
 SWEEP_LATENCY_NS = 1_000_000  # fixed ~1 ms sweep print latency
 LATENT_OFFSET_NS = 1_000_000  # latent fills land ~1 ms after a lit print
+# Most events (lit prints plus dark fills) a Scenario may expect. The
+# generator allocates memory in proportion to this count.
+MAX_EVENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,10 @@ class Scenario:
     ``fills_per_order`` is set, each venue's fill stream is chunked into
     consecutive parent orders of that many fills sharing one i.i.d. side;
     otherwise sides are i.i.d. per fill.
+
+    The expected event count, ``duration`` over the shortest schedule mean
+    plus ``dark_fill_rate * duration`` per venue, may not exceed
+    ``MAX_EVENTS``.
     """
 
     symbol: str = "SYM"
@@ -136,10 +144,10 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
-        if self.dark_fill_rate < 0:
-            raise ValueError("dark_fill_rate must be >= 0")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration}")
+        if not 0 <= self.dark_fill_rate < math.inf:
+            raise ValueError(f"dark_fill_rate must be finite and >= 0, got {self.dark_fill_rate}")
         if not self.lit_schedule or self.lit_schedule[0][0] != 0.0:
             raise ValueError("lit_schedule must start at t = 0")
         starts = [s for s, _ in self.lit_schedule]
@@ -149,6 +157,12 @@ class Scenario:
             raise ValueError("lit_schedule mean durations must be > 0")
         if self.fills_per_order is not None and self.fills_per_order < 1:
             raise ValueError("fills_per_order must be >= 1")
+        lit = self.duration / min(m for _, m in self.lit_schedule)
+        events = lit + self.dark_fill_rate * self.duration * len(self.venues)
+        if not events <= MAX_EVENTS:
+            raise ValueError(
+                f"scenario expects {events:.3g} events, more than MAX_EVENTS = {MAX_EVENTS:.0e}"
+            )
 
 
 def _mean_duration_at(schedule: tuple[tuple[float, float], ...], t_s: float) -> float:
@@ -272,27 +286,24 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
 
 
 def inject_leakage(
-    lit: Tape,
-    dark: Tape,
-    profiles: Sequence[VenueProfile],
-    *,
-    schedule: tuple[tuple[float, float], ...] = ((0.0, 1.0),),
-    lit_size_log_mu: float = 9.0,
-    lit_size_log_sigma: float = 1.0,
-    seed: int | np.random.SeedSequence = 0,
+    lit: Tape, dark: Tape, scenario: Scenario, seed: int | np.random.SeedSequence = 0
 ) -> Tape:
-    """Apply venue pathologies and return the merged, sorted tape.
+    """Apply the scenario's venue pathologies and return the merged, sorted tape.
 
     Per dark fill on a profiled venue: with the (size-dependent) leak
     probability, inject a lit print at fill time plus a truncated-exponential
     latency; with ``sweep_prob``, inject one at a fixed ~1 ms; with
     ``latent_prob``, re-time the fill itself to ~1 ms after the nearest
-    preceding lit print. Injected prints carry the causing fill's key in
-    ``truth``; with all probabilities zero this is a plain merge. Draws are
-    made fill by fill in tape order, so every tape is reproducible.
+    preceding lit print. The leak latency's cap follows the scenario's
+    ``lit_schedule``; injected print sizes are lognormal with its lit size
+    parameters. Injected prints carry the causing fill's key in ``truth``;
+    with all probabilities zero this is a plain merge. Draws are made fill by
+    fill in tape order, so every tape is reproducible.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    by_venue = {p.venue: p for p in profiles}
+    schedule = scenario.lit_schedule
+    size_mu, size_sigma = scenario.lit_size_log_mu, scenario.lit_size_log_sigma
+    by_venue = {p.venue: p for p in scenario.venues}
     children = dict(zip(by_venue, seq.spawn(max(len(by_venue), 1))))
     rngs = {venue: _rng(child) for venue, child in children.items()}
     lit_ts = lit.ts
@@ -342,7 +353,7 @@ def inject_leakage(
             injected_truth[len(injected_ts)] = {"injected_by": truth.get("fill", ""), "cause": "leak"}
             injected_ts.append(ts + latency_ns)
             injected_price.append(price)
-            injected_size.append(float(rng.lognormal(lit_size_log_mu, lit_size_log_sigma)))
+            injected_size.append(float(rng.lognormal(size_mu, size_sigma)))
             injected_side.append(side)
 
         if profile.sweep_prob and rng.random() < profile.sweep_prob:
@@ -350,7 +361,7 @@ def inject_leakage(
             injected_truth[len(injected_ts)] = {"injected_by": truth.get("fill", ""), "cause": "sweep"}
             injected_ts.append(ts + SWEEP_LATENCY_NS)
             injected_price.append(price)
-            injected_size.append(float(rng.lognormal(lit_size_log_mu, lit_size_log_sigma)))
+            injected_size.append(float(rng.lognormal(size_mu, size_sigma)))
             injected_side.append(-side)
 
         if ts != original_ts or truth != (old_truth or {}):
@@ -374,15 +385,14 @@ def gen_price_path(
     model: PriceModel,
     seed: int | np.random.SeedSequence = 0,
     *,
-    start_ts: int = 0,
     end_ts: int | None = None,
 ) -> PricePath:
     """Log-mid random walk sampled at every lit print.
 
     Each print steps by sigma_per_trade plus drift accrued since the previous
     sample; an injected print adds the impact step in its own direction. The
-    path opens at ``start_ts`` and closes with a drift-only sample at
-    ``end_ts`` (defaults to the last event).
+    path opens at 0 and closes with a drift-only sample at ``end_ts``
+    (defaults to the last event).
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = _rng(seq)
@@ -390,7 +400,7 @@ def gen_price_path(
     n = lit_rows.size
     ts = merged.ts[lit_rows]
     z = rng.normal(size=n)
-    prev = np.concatenate(([start_ts], ts[:-1])) if n else np.empty(0, dtype=np.int64)
+    prev = np.concatenate(([0], ts[:-1])) if n else np.empty(0, dtype=np.int64)
     dt_s = (ts - prev) / _NS
     steps = model.sigma_per_trade * 1e-4 * z + model.competing_drift * 1e-4 * dt_s
     if model.leak_impact:
@@ -402,11 +412,11 @@ def gen_price_path(
     log_mid = math.log(model.start_mid) + np.cumsum(steps)
 
     # One sample per distinct timestamp: the last print at a timestamp wins.
-    out_ts = np.concatenate(([start_ts], ts)).astype(np.int64)
+    out_ts = np.concatenate(([0], ts)).astype(np.int64)
     out_val = np.concatenate(([math.log(model.start_mid)], log_mid))
     keep = np.append(out_ts[1:] != out_ts[:-1], True)
     out_ts, out_val = out_ts[keep], out_val[keep]
-    last = end_ts if end_ts is not None else (int(ts[-1]) if n else start_ts)
+    last = end_ts if end_ts is not None else (int(ts[-1]) if n else 0)
     if last > out_ts[-1]:
         drift_tail = model.competing_drift * 1e-4 * (last - int(out_ts[-1])) / _NS
         out_ts = np.append(out_ts, last)
@@ -425,15 +435,7 @@ def simulate_scenario(scenario: Scenario) -> tuple[Tape, PricePath]:
     streams = _streams(scenario)
     lit = gen_lit_tape(scenario)
     dark = gen_dark_fills(scenario)
-    merged = inject_leakage(
-        lit,
-        dark,
-        scenario.venues,
-        schedule=scenario.lit_schedule,
-        lit_size_log_mu=scenario.lit_size_log_mu,
-        lit_size_log_sigma=scenario.lit_size_log_sigma,
-        seed=streams["inject"],
-    )
+    merged = inject_leakage(lit, dark, scenario, streams["inject"])
     end_ts = int(round(scenario.duration * _NS))
     path = gen_price_path(merged, scenario.price, streams["price"], end_ts=end_ts)
     meta = {
@@ -657,8 +659,9 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
     """Parse the flat key=value scenario format.
 
     Each line is applied to the scenario as it is read, so an unknown key, a
-    malformed value and a value the dataclass rejects all raise ValueError
-    naming the (1-based) line. Keys left out keep their defaults; with no
+    malformed value and a value the dataclass rejects (the expected event
+    count above ``MAX_EVENTS`` included) all raise ValueError naming the
+    (1-based) line. Keys left out keep their defaults; with no
     venue lines the scenario has one default venue, ``DARK1``.
     """
     if isinstance(text, str):
@@ -689,6 +692,8 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
             if table is _PRICE_KEYS:
                 price = replace(price, **change)
             elif table is _VENUE_KEYS:
+                if venue not in venues:  # a venue adds to the expected event count
+                    scenario = replace(scenario, venues=(*venues.values(), VenueProfile(venue)))
                 venues[venue] = replace(venues.get(venue) or VenueProfile(venue), **change)
             else:
                 scenario = replace(scenario, **change)

@@ -2,11 +2,12 @@
 
 Slippage of a fill is the signed log-mid move over a short horizon,
 sign * (log mid(t + tau) - log mid(t)) * 1e4 basis points, positive when the
-price moved with the fill (adverse for the filler). Detecting a mean
-slippage mu against return noise sigma with a t-test needs at least
-(sigma/mu)^2 fills, the 1/Sharpe^2 bound; the module also estimates the
-empirical fill count where the seed-averaged running t-statistic reaches a
-target, to show the bound at work on simulated drift.
+price moved with the fill (adverse for the filler); ``slippages`` computes
+it for a batch of fills at once. Detecting a mean slippage mu against return
+noise sigma with a t-test (t = mean * sqrt(k) / std over k fills) needs at
+least (sigma/mu)^2 fills, the 1/Sharpe^2 bound; ``empirical_crossing`` finds
+the fill count where the seed-median running t-statistic reaches a target,
+to show the bound at work on simulated drift.
 
 Reports: mean slippage per p-value bucket (signalling fills should sit in
 the low-p buckets with visibly higher slippage) and the share of flagged
@@ -24,18 +25,15 @@ from typing import Sequence
 import numpy as np
 
 from .surprise import SurpriseRecord
-from .tape import Side, Tape, TapeEvent
+from .tape import Tape, TapeEvent
 
 __all__ = [
     "PricePath",
     "SlippageConfig",
-    "SlippageStats",
     "BucketRow",
     "ThresholdRow",
     "CensoredFillError",
-    "post_fill_slippage",
     "slippages",
-    "mean_slippage",
     "min_fills_bound",
     "empirical_crossing",
     "bucket_report",
@@ -95,9 +93,6 @@ class PricePath:
             raise CensoredFillError("timestamp precedes the first path sample")
         return self.log_mid[idx]
 
-    def covers(self, t0: int, t1: int) -> bool:
-        return len(self) > 0 and self.start_ts <= t0 and t1 <= self.end_ts
-
 
 @dataclass(frozen=True)
 class SlippageConfig:
@@ -114,27 +109,6 @@ class SlippageConfig:
     @property
     def tau_ns(self) -> int:
         return int(round(self.tau * 1e9))
-
-
-def post_fill_slippage(fill: TapeEvent, path: PricePath, cfg: SlippageConfig) -> float:
-    """Signed post-fill return in bp; positive = price moved with the fill.
-
-    The start mid is the fill's own ``mid`` when present, else LOCF from the
-    path. Raises CensoredFillError when the path does not cover
-    [fill.ts, fill.ts + tau].
-    """
-    sign = fill.side.sign
-    if sign == 0:
-        raise ValueError("fill side must be buy or sell")
-    end_ts = fill.ts + cfg.tau_ns
-    if not path.covers(fill.ts, end_ts):
-        raise CensoredFillError(
-            f"path [{path.start_ts}, {path.end_ts}] does not cover fill horizon "
-            f"[{fill.ts}, {end_ts}]"
-        )
-    p0 = math.log(fill.mid) if fill.mid is not None else float(path.log_mid_at(fill.ts))
-    p1 = float(path.log_mid_at(end_ts))
-    return sign * (p1 - p0) * BP
 
 
 def slippages(
@@ -166,38 +140,6 @@ def slippages(
     p1 = path.log_mid_at(ts[covered] + cfg.tau_ns)
     values[covered] = signs[covered] * (p1 - p0) * BP
     return values, covered
-
-
-@dataclass(frozen=True)
-class SlippageStats:
-    """Sample mean/std/t over uncensored fills.
-
-    ``degenerate`` is set when the sample std is zero, leaving t undefined.
-    """
-
-    mean: float
-    std: float
-    t_stat: float
-    count: int
-    censored: int = 0
-    degenerate: bool = False
-
-
-def mean_slippage(
-    fills: Sequence[TapeEvent], path: PricePath, cfg: SlippageConfig
-) -> SlippageStats:
-    """Mean, std and t = mean * sqrt(count) / std over uncensored fills."""
-    values, covered = slippages(fills, path, cfg)
-    sample = values[covered]
-    censored = int(len(fills) - sample.size)
-    if sample.size < 2:
-        raise ValueError(f"need >= 2 uncensored fills, got {sample.size}")
-    mean = float(sample.mean())
-    std = float(sample.std(ddof=1))
-    if std == 0.0:
-        return SlippageStats(mean, 0.0, math.nan, int(sample.size), censored, degenerate=True)
-    t = mean * math.sqrt(sample.size) / std
-    return SlippageStats(mean, std, t, int(sample.size), censored)
 
 
 def min_fills_bound(mu: float, sigma: float) -> float:
@@ -461,10 +403,10 @@ def arrival_slippage(tape: Tape, rows: Sequence[int] | np.ndarray) -> float:
     weights, prices = tape.size[rows], tape.price[rows]
     with np.errstate(over="ignore", invalid="ignore"):
         vwap = float(np.average(prices, weights=weights))
-        if not math.isfinite(vwap):  # the weighted sums overflowed: scale the weights
+        if not 0.0 < vwap < math.inf:  # a weighted sum over- or underflowed: scale the weights
             weights = weights / weights.max()
             vwap = float(np.average(prices, weights=weights))
-        if not math.isfinite(vwap):  # the price sum overflowed too: scale the prices
+        if not 0.0 < vwap < math.inf:  # the price sum did too: scale the prices
             top = prices.max()
             vwap = float(np.average(prices / top, weights=weights)) * float(top)
     return sign * (math.log(vwap) - math.log(arrival)) * BP

@@ -26,10 +26,11 @@ sequence order, the previous print is lit print ``before - 1``, the next one
 is lit print ``before``, and the window is the last n of the ``before - 1``
 durations between them. A fill is scored once two lit prints precede it.
 It returns columns; ``score_tape`` views them as one ``SurpriseRecord`` per
-fill and ``serialize_scores`` formats them as wire lines. ``DurationWindow``,
-``update_window`` (one lit print folded in at a time) and ``score_fill`` (one
-fill, neighbours found by a plain scan) are the scalar path the tests hold
-``score_tape`` to, value for value.
+fill and ``serialize_scores`` formats them as wire lines. ``_predictive_cdfs``
+is the one implementation of the formula (``_pvalues`` adds the duration floor
+and the clamp); ``predictive_cdf`` and ``fill_pvalue`` are its one-element
+calls, for a window given by its count n and mean m. The scalar reference
+scorer that the tests compare against, value for value, lives with the tests.
 """
 
 from __future__ import annotations
@@ -52,15 +53,10 @@ from .tape import (
 )
 
 __all__ = [
-    "DurationWindow",
     "SurpriseRecord",
-    "update_window",
     "exponential_cdf",
-    "plugin_pvalue",
-    "predictive_density",
     "predictive_cdf",
     "fill_pvalue",
-    "score_fill",
     "ScoreColumns",
     "score_columns",
     "score_tape",
@@ -83,57 +79,6 @@ MIN_PVALUE = 1e-300
 _NS = 1e-9
 
 
-@dataclass(frozen=True)
-class DurationWindow:
-    """Rolling buffer of the last lit-print durations (seconds).
-
-    ``capacity`` bounds the buffer; ``n`` is the retained count; ``mean`` is
-    the arithmetic mean, the ML scale estimate (seconds per trade).
-    ``last_ts`` is the previous lit print's timestamp.
-    """
-
-    capacity: int = DEFAULT_WINDOW_SIZE
-    durations: tuple[float, ...] = ()
-    last_ts: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"window capacity must be >= 1, got {self.capacity}")
-
-    @property
-    def n(self) -> int:
-        return len(self.durations)
-
-    @property
-    def mean(self) -> float:
-        if not self.durations:
-            raise ValueError("empty window has no mean")
-        return math.fsum(self.durations) / len(self.durations)
-
-    def primed(self) -> bool:
-        return bool(self.durations)
-
-
-def update_window(window: DurationWindow, lit_event_ts: int) -> DurationWindow:
-    """Fold one lit print into the window; returns the updated window.
-
-    The first print only anchors the clock. Later prints append the duration
-    since the previous one (floored at the 1 ns tape floor), evicting the
-    oldest entry beyond capacity. Raises on a decreasing timestamp.
-    """
-    if window.last_ts is None:
-        return DurationWindow(window.capacity, window.durations, lit_event_ts)
-    if lit_event_ts < window.last_ts:
-        raise ValueError(
-            f"non-monotone lit timestamp: {lit_event_ts} < {window.last_ts}"
-        )
-    duration = max(lit_event_ts - window.last_ts, DURATION_FLOOR_NS) * _NS
-    durations = window.durations + (duration,)
-    if len(durations) > window.capacity:
-        durations = durations[-window.capacity :]
-    return DurationWindow(window.capacity, durations, lit_event_ts)
-
-
 def exponential_cdf(delta: float, lam: float) -> float:
     """P(duration <= delta) under Exponential with mean ``lam`` seconds."""
     if lam <= 0:
@@ -141,59 +86,6 @@ def exponential_cdf(delta: float, lam: float) -> float:
     if delta < 0:
         raise ValueError(f"duration must be >= 0, got {delta}")
     return -math.expm1(-delta / lam)
-
-
-def plugin_pvalue(delta: float, window: DurationWindow) -> float:
-    """Lower-tail probability of ``delta`` under the plug-in exponential.
-
-    Uses the window mean as the scale with no allowance for estimator noise;
-    kept for comparison against the predictive p-value.
-    """
-    _require_primed(window)
-    return exponential_cdf(delta, window.mean)
-
-
-def predictive_density(delta: float, window: DurationWindow) -> float:
-    """Predictive density (1/seconds) of the next duration at ``delta``."""
-    _require_primed(window)
-    if delta < 0:
-        raise ValueError(f"duration must be >= 0, got {delta}")
-    n = window.n
-    m = window.mean
-    # n^(n+1) m^n / (n m + d)^(n+1)  ==  (1/m) * (n m / (n m + d))^(n+1)
-    log_ratio = -math.log1p(delta / (n * m))
-    return math.exp((n + 1) * log_ratio) / m
-
-
-def predictive_cdf(delta: float, window: DurationWindow) -> float:
-    """P(next duration <= delta) with the scale integrated out.
-
-    1 - (n m / (n m + d))^n, computed in log space so it stays accurate for
-    tiny d/m and converges cleanly to the exponential CDF as n grows.
-    """
-    _require_primed(window)
-    if delta < 0:
-        raise ValueError(f"duration must be >= 0, got {delta}")
-    return _predictive_cdf(delta, window.n, window.mean)
-
-
-def _predictive_cdf(delta: float, n: int, mean: float) -> float:
-    return -math.expm1(-n * math.log1p(delta / (n * mean)))
-
-
-def fill_pvalue(delta: float, window: DurationWindow) -> float:
-    """Surprise p-value of a fill-to-print duration: small = suspiciously quick.
-
-    Lower-tail predictive probability, with the duration floored at the 1 ns
-    tape floor and the result clamped to [1e-300, 1] so log p is finite.
-    """
-    _require_primed(window)
-    return _fill_pvalue(delta, window.n, window.mean)
-
-
-def _fill_pvalue(delta: float, n: int, mean: float) -> float:
-    p = _predictive_cdf(max(delta, MIN_DURATION_S), n, mean)
-    return min(max(p, MIN_PVALUE), 1.0)
 
 
 @dataclass(frozen=True)
@@ -214,41 +106,6 @@ class SurpriseRecord:
     n_used: int
     mean_used: float
     next_lit_side: Side = Side.UNKNOWN
-
-
-def score_fill(
-    tape: Tape,
-    index: int,
-    window: DurationWindow,
-    horizon_s: float,
-) -> SurpriseRecord:
-    """Score the dark fill at row ``index`` of a sorted tape against ``window``.
-
-    Forward duration runs to the first lit print after the fill (sequence
-    order, so an equal-timestamp lit print counts as backward) and is
-    censored beyond ``horizon_s``. The window is read, never mutated.
-    """
-    row = range(len(tape))[index]
-    (fill,) = tape.rows([row])
-    if not fill.is_dark():
-        raise ValueError(f"event at index {index} is not a dark fill")
-    if not window.primed():
-        raise ValueError("window must hold at least one duration before scoring")
-    is_lit = tape.is_lit
-    prev = next((i for i in range(row - 1, -1, -1) if is_lit[i]), None)
-    nxt = next((i for i in range(row + 1, len(tape)) if is_lit[i]), None)
-    delta_fwd = p_fwd = delta_bwd = p_bwd = None
-    next_side = Side.UNKNOWN
-    if nxt is not None and int(tape.ts[nxt]) - fill.ts <= int(horizon_s * 1e9):
-        delta_fwd = max(int(tape.ts[nxt]) - fill.ts, DURATION_FLOOR_NS) * _NS
-        p_fwd = fill_pvalue(delta_fwd, window)
-        next_side = SIDE_OF_SIGN[int(tape.side[nxt])]
-    if prev is not None:
-        delta_bwd = max(fill.ts - int(tape.ts[prev]), DURATION_FLOOR_NS) * _NS
-        p_bwd = fill_pvalue(delta_bwd, window)
-    return SurpriseRecord(
-        fill, delta_fwd, delta_bwd, p_fwd, p_bwd, window.n, window.mean, next_side
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +139,51 @@ class ScoreColumns:
         return len(self) - int(np.count_nonzero(self.fwd))
 
 
-def _pvalues(delta: np.ndarray, n: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``_fill_pvalue`` over columns: numpy does the arithmetic in the scalar
-    order, ``math`` the transcendentals, so every value is bit-identical."""
-    x = np.maximum(delta, MIN_DURATION_S) / (n * mean)
+def _predictive_cdfs(delta: np.ndarray, n: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """1 - (n m / (n m + d))^n over columns, in log space so it stays accurate
+    for tiny d/m. Numpy does the arithmetic, ``math`` the transcendentals, so
+    each value is the scalar ``-expm1(-n * log1p(d / (n * m)))`` bit for bit."""
+    x = delta / (n * mean)
     y = -n * np.array(list(map(math.log1p, x.tolist())), dtype=np.float64)
-    p = -np.array(list(map(math.expm1, y.tolist())), dtype=np.float64)
+    return -np.array(list(map(math.expm1, y.tolist())), dtype=np.float64)
+
+
+def _pvalues(delta: np.ndarray, n: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Fill p-values: durations floored at the tape floor, p clamped to
+    [MIN_PVALUE, 1] so log p is finite."""
+    p = _predictive_cdfs(np.maximum(delta, MIN_DURATION_S), n, mean)
     return np.minimum(np.maximum(p, MIN_PVALUE), 1.0)
+
+
+def _one(delta: float, n: int, mean: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A window's (delta, n, mean) as one-element columns; rejects an empty
+    window and a mean that is not > 0."""
+    if n < 1:
+        raise ValueError(f"window must hold at least one duration, got n = {n}")
+    if not mean > 0:
+        raise ValueError(f"window mean must be > 0, got {mean}")
+    return np.array([delta], np.float64), np.array([n], np.int64), np.array([mean], np.float64)
+
+
+def predictive_cdf(delta: float, n: int, mean: float) -> float:
+    """P(next duration <= delta) with the scale integrated out, against a
+    window of n durations with mean ``mean`` seconds.
+
+    1 - (n m / (n m + d))^n; it converges to the exponential CDF as n grows.
+    """
+    if delta < 0:
+        raise ValueError(f"duration must be >= 0, got {delta}")
+    return float(_predictive_cdfs(*_one(delta, n, mean))[0])
+
+
+def fill_pvalue(delta: float, n: int, mean: float) -> float:
+    """Surprise p-value of a fill-to-print duration: small = suspiciously quick.
+
+    Lower-tail predictive probability against a window of n durations with
+    mean ``mean``, with the duration floored at the 1 ns tape floor and the
+    result clamped to [1e-300, 1] so log p is finite.
+    """
+    return float(_pvalues(*_one(delta, n, mean))[0])
 
 
 def score_columns(
@@ -315,7 +210,7 @@ def score_columns(
     if down.size:
         i = down[0]
         raise ValueError(f"non-monotone lit timestamp: {lit_ts[i + 1]} < {lit_ts[i]}")
-    # update_window's arithmetic: floored integer gap times 1e-9
+    # each duration is the integer gap, floored at the tape floor, times 1e-9
     durations = (np.maximum(gaps, DURATION_FLOOR_NS) * _NS).tolist()
     dark = np.flatnonzero(~tape.is_lit)
     before = np.searchsorted(lit_pos, dark)
@@ -393,40 +288,13 @@ def score_tape(
     ]
 
 
-def _require_primed(window: DurationWindow) -> None:
-    if not window.primed():
-        raise ValueError("window must hold at least one duration")
-
-
-def record_to_obj(record: SurpriseRecord) -> dict:
-    """Wire-format object for one scored fill (kind = "surprise")."""
-    fill = record.fill
-    obj = {
-        "kind": "surprise",
-        "ts": fill.ts,
-        "symbol": fill.symbol,
-        "venue": fill.venue,
-        "side": fill.side.value,
-        "size": fill.size,
-        "n": record.n_used,
-        "mean": record.mean_used,
-        "next_lit_side": record.next_lit_side.value,
-    }
-    if record.delta_fwd is not None:
-        obj["delta_fwd"] = record.delta_fwd
-        obj["p_fwd"] = record.p_fwd
-    if record.delta_bwd is not None:
-        obj["delta_bwd"] = record.delta_bwd
-        obj["p_bwd"] = record.p_bwd
-    return obj
-
-
 def serialize_scores(tape: Tape, cols: ScoreColumns) -> Iterator[str]:
     """Yield one wire line per scored fill, in ``cols`` order.
 
-    Each line equals ``json.dumps(record_to_obj(record))`` for that fill's
-    record: lines are formatted from the columns, with every string
-    JSON-encoded once.
+    Each line is ``json.dumps`` of that fill's "surprise" object (its row's
+    ts, symbol, venue, side and size, then n, mean and next_lit_side, then
+    delta_fwd and p_fwd unless censored, then delta_bwd and p_bwd), formatted
+    from the columns with every string JSON-encoded once.
     """
     row = cols.row
     symbol = json.dumps(tape.symbol)

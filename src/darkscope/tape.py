@@ -62,11 +62,6 @@ class EventKind(str, Enum):
     LIT = "lit"
     DARK = "dark"
 
-    @property
-    def sort_rank(self) -> int:
-        # Lit prints order before dark fills at equal timestamps.
-        return 0 if self is EventKind.LIT else 1
-
 
 class Side(str, Enum):
     BUY = "buy"
@@ -81,13 +76,6 @@ class Side(str, Enum):
         if self is Side.SELL:
             return -1
         return 0
-
-    def opposite(self) -> "Side":
-        if self is Side.BUY:
-            return Side.SELL
-        if self is Side.SELL:
-            return Side.BUY
-        return Side.UNKNOWN
 
 
 SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL, 0: Side.UNKNOWN}
@@ -120,10 +108,6 @@ class TapeEvent:
     mid: float | None = None
     own: bool | None = None
     truth: dict[str, Any] | None = None
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (self.ts, self.kind.sort_rank)
 
     def is_lit(self) -> bool:
         return self.kind is EventKind.LIT
@@ -545,27 +529,6 @@ def parse_tape(lines: Iterable[str]) -> Tape:
     return tape
 
 
-def event_to_obj(event: TapeEvent) -> dict[str, Any]:
-    """Flat key/value mapping for one event, omitting absent optionals."""
-    obj: dict[str, Any] = {
-        "kind": event.kind.value,
-        "ts": event.ts,
-        "symbol": event.symbol,
-        "price": event.price,
-        "size": event.size,
-        "side": event.side.value,
-    }
-    if event.venue is not None:
-        obj["venue"] = event.venue
-    if event.mid is not None:
-        obj["mid"] = event.mid
-    if event.own is not None:
-        obj["own"] = event.own
-    if event.truth is not None:
-        obj["truth"] = event.truth
-    return obj
-
-
 def json_floats(column: np.ndarray) -> list[str]:
     """JSON text of each float: repr, or json's spelling when not finite."""
     values = column.tolist()
@@ -583,8 +546,9 @@ _OWN_TEXT = ("", ', "own": false', ', "own": true')
 def serialize_tape(tape: Tape) -> Iterator[str]:
     """Yield tape lines (no trailing newline); inverse of parse_tape.
 
-    Each line equals ``json.dumps(event_to_obj(row))``: rows are formatted
-    from the columns, with every string JSON-encoded once.
+    Each line is ``json.dumps`` of the row's flat object (kind, ts, symbol,
+    price, size and side, then venue, mid, own and truth where present),
+    formatted from the columns with every string JSON-encoded once.
     """
     if tape.meta:
         yield json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)

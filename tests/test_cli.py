@@ -4,11 +4,11 @@ import os
 import pytest
 
 from darkscope.cli import main
-from darkscope.evidence import entry_to_obj, fold
 from darkscope.simulator import format_scenario, preset
 from darkscope.slippage import MAX_BUCKETS
 from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
 from darkscope.tape import parse_tape
+from oracle import entry_to_obj, fold
 
 
 def read(path):
@@ -48,6 +48,7 @@ class TestSimulate:
         [
             ("dark_fil_rate=0.9", "error: scenario line 2: unknown key 'dark_fil_rate'"),
             ("lit_schedule=0:1,5", "error: scenario line 2: lit_schedule=0:1,5: expected"),
+            ("duration=1e300", "error: scenario line 2: duration=1e300: scenario expects"),
         ],
     )
     def test_bad_scenario_line_exits_1(self, tmp_path, capsys, line, error):
@@ -238,6 +239,26 @@ class TestBacktest:
             text = (out / name).read_text()
             assert len(text.splitlines()) > 1
             assert "nan" not in text and "inf" not in text
+
+    def test_dark_prices_that_underflow_the_vwap_stay_finite(self, tmp_path, simulated, capsys):
+        objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
+        for obj in objs:
+            if obj["kind"] == "dark":
+                obj["price"], obj["size"] = 5e-324, 0.1  # price * size rounds to 0
+                obj.pop("mid", None)
+        tiny = tmp_path / "tiny.jsonl"
+        tiny.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        out = tmp_path / "bt"
+        code = run(["backtest", "--input", tiny, "--path", simulated / "path.jsonl", "--output", out])
+        assert code == 0
+        assert "error" not in capsys.readouterr().err
+        for name in ("cohorts.tsv", "summary.tsv"):
+            text = (out / name).read_text()
+            assert len(text.splitlines()) > 1
+            assert "inf" not in text
+        # equal prices: every order's VWAP is its arrival price
+        rows = [x.split("\t") for x in (out / "cohorts.tsv").read_text().splitlines()[1:]]
+        assert rows and all(float(row[5]) == 0.0 for row in rows)
 
 
 class TestPower:

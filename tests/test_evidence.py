@@ -12,13 +12,12 @@ from darkscope.evidence import (
     EvidenceLedger,
     chisq_survival_even,
     combine,
-    entry_to_obj,
     fisher_statistic,
-    fold,
     fold_columns,
     ledger_update,
     serialize_updates,
 )
+from oracle import entry_to_obj, fold
 
 
 def chi2_sf_quadrature(x: float, dof: int) -> float:
@@ -169,7 +168,7 @@ class TestLedger:
         ledger = EvidenceLedger("V1", k_max=5)
         for i, p in enumerate([0.01, 0.2, 0.3, 0.4, 0.5, 0.6]):
             ledger_update(ledger, i, p)
-        assert ledger.buffer == (0.2, 0.3, 0.4, 0.5, 0.6)
+        assert [e.p for e in ledger.history] == [0.2, 0.3, 0.4, 0.5, 0.6]
         assert ledger.current.k == 5
 
     def test_all_ones(self):
@@ -222,7 +221,6 @@ class TestLedger:
         history = ledger.history
         assert type(history) is tuple
         assert len(history) == ledger.k_max == 5
-        assert ledger.buffer == tuple(e.p for e in history)
         assert ledger.updates == 10_000
         assert [e.ts for e in history] == list(range(9_995, 10_000))
         assert ledger.current is history[-1].result

@@ -115,8 +115,7 @@ def crafted_toxic_tape(n_fills=8, fill_size=50_000.0):
         events.append(
             TapeEvent(EventKind.DARK, ts, "SYM", 100.0, fill_size, Side.BUY, venue="VX")
         )
-    events.sort(key=lambda e: e.sort_key)
-    return Tape.from_events("SYM", tuple(events))
+    return Tape.from_events("SYM", events).sorted()
 
 
 def flat_path(end_s=200):

