@@ -7,6 +7,10 @@ Commands:
   power      print the minimum-fills detectability bound and an empirical crossing
   report     emit slippage-by-pvalue and signalling-by-min-size plot tables
 
+simulate also writes tape.jsonl.cols and path.jsonl.cols, column caches (see
+``darkscope.tape``) that score, backtest and report read in place of the
+text when the cache holds that text; the results are the same.
+
 All randomness flows from --seed; identical inputs and seeds produce
 byte-identical outputs. DARKSCOPE_LOG=DEBUG|INFO|... controls verbosity.
 Exit codes: 0 success, 1 data error, 2 usage error.
@@ -46,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", choices=simulator.PRESET_NAMES)
     src.add_argument("--scenario", type=Path, help="flat key=value scenario file")
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--output", type=Path, required=True, help="output directory")
+    sim.add_argument("--output", type=Path, required=True, help="output directory for tape.jsonl, "
+                     "path.jsonl, their column caches tape.jsonl.cols and path.jsonl.cols, and scenario.txt")
 
     score = sub.add_parser("score", help="score dark fills on a tape")
     score.add_argument("--input", type=Path, required=True, help="tape file")
@@ -110,14 +115,34 @@ def _write_lines(path: Path, lines) -> None:
             fh.write("\n")
 
 
-def _read_tape(path: Path) -> tape.Tape:
+def _write_cached(path: Path, lines, columns) -> None:
+    """Write ``lines`` to ``path`` and ``columns`` as its column cache (none if None)."""
+    _write_lines(path, lines)
+    cache = path.with_name(path.name + tape.CACHE_SUFFIX)
+    if columns is None:
+        cache.unlink(missing_ok=True)
+    else:
+        tape.write_columns(cache, tape.file_digest(path), *columns)
+
+
+def _read(path: Path, read_cache, parse):
+    """``path`` from its column cache when that holds its text, else parsed."""
+    cache = path.with_name(path.name + tape.CACHE_SUFFIX)
+    if cache.is_file():
+        try:
+            return read_cache(cache, tape.file_digest(path))
+        except (OSError, ValueError, RecursionError) as exc:
+            log.debug("parsing %s: its column cache is not used: %s", path, exc)
     with open(path) as fh:
-        return tape.parse_tape(fh)
+        return parse(fh)
+
+
+def _read_tape(path: Path) -> tape.Tape:
+    return _read(path, tape.read_tape_cache, tape.parse_tape)
 
 
 def _read_path(path: Path) -> slippage.PricePath:
-    with open(path) as fh:
-        return slippage.path_from_lines(fh)
+    return _read(path, slippage.read_path_cache, slippage.path_from_lines)
 
 
 def _fmt(value) -> str:
@@ -145,8 +170,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
     tp, path = simulator.simulate_scenario(scenario)
-    _write_lines(out / "tape.jsonl", tape.serialize_tape(tp))
-    _write_lines(out / "path.jsonl", slippage.path_to_lines(path))
+    _write_cached(out / "tape.jsonl", tape.serialize_tape(tp), tape.cache_columns(tp))
+    _write_cached(out / "path.jsonl", slippage.path_to_lines(path), ({}, [path.ts, path.log_mid]))
     (out / "scenario.txt").write_text(simulator.format_scenario(scenario))
     n_lit = int(tp.is_lit.sum())
     log.info("simulated %s: %d lit prints, %d dark fills", scenario.name, n_lit, len(tp) - n_lit)

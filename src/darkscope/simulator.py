@@ -140,6 +140,7 @@ class Scenario:
     lit_size_log_mu: float = 9.0
     lit_size_log_sigma: float = 1.0
     name: str = "custom"
+    _event_cap = MAX_EVENTS  # not a field: unannotated
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -159,10 +160,16 @@ class Scenario:
             raise ValueError("fills_per_order must be >= 1")
         lit = self.duration / min(m for _, m in self.lit_schedule)
         events = lit + self.dark_fill_rate * self.duration * len(self.venues)
-        if not events <= MAX_EVENTS:
+        if not events <= self._event_cap:
             raise ValueError(
                 f"scenario expects {events:.3g} events, more than MAX_EVENTS = {MAX_EVENTS:.0e}"
             )
+
+
+class _Draft(Scenario):
+    """parse_scenario's Scenario before its last line: the event count is not checked."""
+
+    _event_cap = math.inf
 
 
 def _mean_duration_at(schedule: tuple[tuple[float, float], ...], t_s: float) -> float:
@@ -647,6 +654,8 @@ _SCENARIO_KEYS = {
     "name": str, "symbol": str, "seed": int, "fills_per_order": int, "lit_schedule": _pairs,
     **dict.fromkeys(("duration", "dark_fill_rate", "lit_size_log_mu", "lit_size_log_sigma"), _float),
 }
+# Scalar keys that enter the expected event count.
+_COUNT_KEYS = ("duration", "lit_schedule", "dark_fill_rate")
 _PRICE_KEYS = dict.fromkeys(("sigma_per_trade", "leak_impact", "competing_drift", "start_mid"), _float)
 _VENUE_KEYS = {
     "leak_latency_kind": str, "active": _pair,
@@ -659,16 +668,20 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
     """Parse the flat key=value scenario format.
 
     Each line is applied to the scenario as it is read, so an unknown key, a
-    malformed value and a value the dataclass rejects (the expected event
-    count above ``MAX_EVENTS`` included) all raise ValueError naming the
-    (1-based) line. Keys left out keep their defaults; with no
-    venue lines the scenario has one default venue, ``DARK1``.
+    malformed value and a value the dataclass rejects all raise ValueError
+    naming the (1-based) line. The expected event count is checked once the
+    whole file is applied, since a later line may lower it; a count above
+    ``MAX_EVENTS`` names the last line that entered it (``duration``,
+    ``lit_schedule``, ``dark_fill_rate`` or a new venue). Keys left out keep
+    their defaults; with no venue lines the scenario has one default venue,
+    ``DARK1``.
     """
     if isinstance(text, str):
         text = text.splitlines()
-    scenario = Scenario()
+    scenario = _Draft()
     price = PriceModel()
     venues: dict[str, VenueProfile] = {}
+    count_line = ""  # the last line that entered the expected event count
     for raw_no, raw in enumerate(text, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -687,18 +700,24 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
             table, attr = _SCENARIO_KEYS, key
         if attr not in table:
             raise ValueError(f"scenario line {raw_no}: unknown key {key!r}")
+        where = f"scenario line {raw_no}: {key}={value}"
         try:
             change = {attr: table[attr](value)}
             if table is _PRICE_KEYS:
                 price = replace(price, **change)
             elif table is _VENUE_KEYS:
-                if venue not in venues:  # a venue adds to the expected event count
-                    scenario = replace(scenario, venues=(*venues.values(), VenueProfile(venue)))
+                if venue not in venues:
+                    count_line = where
                 venues[venue] = replace(venues.get(venue) or VenueProfile(venue), **change)
             else:
                 scenario = replace(scenario, **change)
+                if attr in _COUNT_KEYS:
+                    count_line = where
         except ValueError as exc:
-            raise ValueError(f"scenario line {raw_no}: {key}={value}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     if venues:
         scenario = replace(scenario, venues=tuple(venues.values()))
-    return replace(scenario, price=price)
+    try:
+        return Scenario(**{**vars(scenario), "price": price})
+    except ValueError as exc:  # only the event count is left to fail
+        raise ValueError(f"{count_line}: {exc}") from None

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .surprise import SurpriseRecord
-from .tape import Tape, TapeEvent
+from .tape import Tape, TapeEvent, read_columns
 
 __all__ = [
     "PricePath",
@@ -39,6 +39,7 @@ __all__ = [
     "bucket_report",
     "size_threshold_report",
     "arrival_slippage",
+    "read_path_cache",
 ]
 
 BP = 1e4  # basis points per unit log return
@@ -368,6 +369,13 @@ def path_from_lines(lines) -> PricePath:
         ts.append(t)
         vals.append(v)
     return PricePath(np.array(ts, dtype=np.int64), np.array(vals))
+
+
+def read_path_cache(file, digest: str) -> PricePath:
+    """The price path in column cache ``file`` (see ``darkscope.tape``), keyed
+    by ``digest``; raises ValueError where read_columns or PricePath does."""
+    _, (ts, log_mid) = read_columns(file, digest, (np.int64, np.float64))
+    return PricePath(ts, log_mid)
 
 
 def bucket_row_to_obj(row: BucketRow) -> dict:

@@ -26,12 +26,22 @@ Wire format: one JSON object per line with fields
 ``side`` ("buy" | "sell" | "unknown"), and optional ``venue``, ``mid``,
 ``own``, ``truth``. An optional leading ``{"kind": "meta", ...}`` line
 carries tape provenance.
+
+Column cache: ``<file>.cols`` beside a text file holds what parsing that
+text returns. Line 1 is a JSON header: ``version``, ``sha256`` (the hex
+digest of the text file's bytes) and, for a tape, ``symbol``, ``venues``,
+``meta`` and ``truth`` as ``[[row, obj], ...]``. Then each column follows by
+``np.save``: a tape's ts, is_lit, price, size, side, venue, mid, own; a price
+path's ts, log_mid. A reader trusts the cache only when the digest matches
+the text, every column has its dtype and one length, and the columns pass
+parse_tape's domain checks; otherwise it parses the text.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, count
@@ -50,6 +60,11 @@ __all__ = [
     "parse_tape",
     "serialize_tape",
     "merge_streams",
+    "file_digest",
+    "write_columns",
+    "read_columns",
+    "cache_columns",
+    "read_tape_cache",
 ]
 
 # Duration floor, in nanoseconds: equal-timestamp events yield this instead of 0.
@@ -433,40 +448,41 @@ def _to_tape(cols: _Columns, meta: dict[str, Any]) -> Tape | None:
         mid = np.array(mids, dtype=np.float64)  # None -> NaN
     except OverflowError:
         return None
-    absent = np.isnan(mid)
-    present = mid[~absent]
-    if (
-        np.any(ts < 0)
-        or not np.all((price > 0) & np.isfinite(price))
-        or not np.all((size > 0) & np.isfinite(size))
-        or int(absent.sum()) != mids.count(None)
-        or not np.all((present > 0) & np.isfinite(present))
-    ):
+    if int(np.isnan(mid).sum()) != mids.count(None):  # a NaN mid, not an absent one
         return None
-    is_lit = np.fromiter(map("lit".__eq__, kinds), dtype=bool, count=n)
-    side = np.fromiter(map(_SIDE_CODE.__getitem__, sides), dtype=np.int8, count=n)
     names = {v: i for i, v in enumerate(v for v in dict.fromkeys(venues) if v is not None)}
-    names_empty = np.array([not v for v in names] + [True])  # [-1] is the absent venue
     names_code = {**names, None: -1}
-    venue = np.fromiter(map(names_code.__getitem__, venues), dtype=np.int32, count=n)
-    if np.any(~is_lit & (names_empty[venue] | (side == 0))):
-        return None
-    own = np.fromiter(map(_OWN_CODE.__getitem__, owns), dtype=np.int8, count=n)
-    truth = {i: t for i, t in enumerate(cols.truth) if t is not None}
-    return Tape(
+    tape = Tape(
         symbol=tape_symbol or "",
         ts=ts,
-        is_lit=is_lit,
+        is_lit=np.fromiter(map("lit".__eq__, kinds), dtype=bool, count=n),
         price=price,
         size=size,
-        side=side,
-        venue=venue,
+        side=np.fromiter(map(_SIDE_CODE.__getitem__, sides), dtype=np.int8, count=n),
+        venue=np.fromiter(map(names_code.__getitem__, venues), dtype=np.int32, count=n),
         venues=tuple(names),
         mid=mid,
-        own=own,
-        truth=truth,
+        own=np.fromiter(map(_OWN_CODE.__getitem__, owns), dtype=np.int8, count=n),
+        truth={i: t for i, t in enumerate(cols.truth) if t is not None},
         meta=meta,
-    ).sorted()
+    )
+    return tape.sorted() if _valid(tape) else None
+
+
+def _valid(tape: Tape) -> bool:
+    """The whole-column domain checks that every tape parse_tape returns passes."""
+    venue, side, own, mid = tape.venue, tape.side, tape.own, tape.mid[~np.isnan(tape.mid)]
+    names_empty = np.array([not v for v in tape.venues] + [True])  # [-1] is the absent venue
+    return not (
+        not all(isinstance(v, str) for v in tape.venues)
+        or np.any((venue < -1) | (venue >= len(tape.venues)))  # before names_empty[venue]
+        or np.any((side < -1) | (side > 1) | (own < -1) | (own > 1))
+        or np.any(tape.ts < 0)
+        or not np.all((tape.price > 0) & np.isfinite(tape.price))
+        or not np.all((tape.size > 0) & np.isfinite(tape.size))
+        or not np.all((mid > 0) & np.isfinite(mid))
+        or np.any(~tape.is_lit & (names_empty[venue] | (side == 0)))
+    )
 
 
 def parse_tape(lines: Iterable[str]) -> Tape:
@@ -622,3 +638,97 @@ def merge_streams(*parts: Tape) -> Tape:
         truth=truth,
         meta=meta,
     ).sorted()
+
+
+CACHE_SUFFIX = ".cols"
+_CACHE_VERSION = 1
+# A tape cache's columns in file order, with their dtypes.
+_CACHE_COLUMNS = {"ts": np.int64, "is_lit": np.bool_, "price": np.float64, "size": np.float64,
+                  "side": np.int8, "venue": np.int32, "mid": np.float64, "own": np.int8}
+
+
+def file_digest(path) -> str:
+    """Hex sha256 of the file's bytes, read in chunks."""
+    import hashlib  # here, not at module load: commands that meet no cache never hash
+
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def write_columns(file, digest: str, header: dict[str, Any], arrays: Sequence[np.ndarray]) -> None:
+    """Write a column cache keyed by ``digest``: the JSON header line, then
+    each array by ``np.save``, which stores no timestamp."""
+    with open(file, "wb") as fh:
+        fh.write(json.dumps({"version": _CACHE_VERSION, "sha256": digest, **header}).encode() + b"\n")
+        for column in arrays:
+            np.save(fh, column, allow_pickle=False)
+
+
+def read_columns(file, digest: str, dtypes: Sequence) -> tuple[dict[str, Any], list[np.ndarray]]:
+    """The header and columns of a column cache written by write_columns.
+
+    Raises ValueError unless the header is this version's and keyed by
+    ``digest`` and the columns are 1-d, of ``dtypes`` and one length, with
+    nothing after them. Each npy header is checked before any data is read,
+    so a bad dtype or shape loads (or unpickles) nothing."""
+    with open(file, "rb") as fh:
+        header = json.loads(fh.readline())
+        if not (isinstance(header, dict) and header.get("version") == _CACHE_VERSION
+                and header.get("sha256") == digest):
+            raise ValueError("the header is not this version's or not of this file")
+        size = os.fstat(fh.fileno()).st_size
+        columns = []
+        for dtype in map(np.dtype, dtypes):
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("column is not npy format 1.0")
+            shape, _, got = np.lib.format.read_array_header_1_0(fh)
+            if got != dtype or len(shape) != 1 or shape[0] * dtype.itemsize > size - fh.tell():
+                raise ValueError(f"column {len(columns)} is {got} of shape {shape}, expected {dtype}")
+            columns.append(np.fromfile(fh, dtype, count=shape[0]))
+        if fh.read(1) or len({c.size for c in columns}) > 1:
+            raise ValueError("columns differ in length or are followed by more data")
+    return header, columns
+
+
+def cache_columns(tape: Tape) -> tuple[dict[str, Any], list[np.ndarray]] | None:
+    """write_columns' header and arrays for the text ``serialize_tape(tape)``:
+    what parse_tape returns for that text, not ``tape`` (venues numbered by
+    first appearance, unused ones dropped; ``meta`` and ``truth`` as JSON
+    decodes them; rows sorted; symbol "" with no rows). None when parse_tape
+    would reject the columns, so that such a tape gets no cache."""
+    codes, first = np.unique(tape.venue[tape.venue >= 0], return_index=True)
+    names: dict[str, int] = {}
+    remap = np.full(len(tape.venues) + 1, -1, dtype=np.int32)  # [-1]: no venue
+    for code in codes[np.argsort(first)].tolist():
+        remap[code] = names.setdefault(tape.venues[code], len(names))
+    meta = json.loads(json.dumps(tape.meta, sort_keys=True))  # as its meta line decodes
+    symbol = tape.symbol if len(tape) else ""
+    parsed = replace(tape, symbol=symbol, venue=remap[tape.venue], venues=tuple(names), meta=meta)
+    if not _valid(parsed):
+        return None
+    parsed = parsed.sorted()
+    truth = [[row, parsed.truth[row]] for row in sorted(parsed.truth)]
+    header = {"symbol": parsed.symbol, "venues": list(parsed.venues), "meta": parsed.meta, "truth": truth}
+    return header, [getattr(parsed, name) for name in _CACHE_COLUMNS]
+
+
+def read_tape_cache(file, digest: str) -> Tape:
+    """The tape in column cache ``file``. Raises ValueError where read_columns
+    does, on a malformed header, and when the columns fail parse_tape's checks."""
+    header, columns = read_columns(file, digest, _CACHE_COLUMNS.values())
+    symbol, venues, meta, truth = map(header.get, ("symbol", "venues", "meta", "truth"))
+    rows = range(len(columns[0]))
+    if not (
+        isinstance(symbol, str) and isinstance(venues, list) and isinstance(meta, dict)
+        and isinstance(truth, list)
+        and all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int and p[0] in rows
+                and isinstance(p[1], dict) for p in truth)
+    ):
+        raise ValueError("malformed tape header")
+    tape = Tape(symbol, venues=venues, meta=meta, truth=dict(truth), **dict(zip(_CACHE_COLUMNS, columns)))
+    if not _valid(tape):
+        raise ValueError("columns fail the tape checks")
+    return tape.sorted()

@@ -53,11 +53,19 @@ class TestSimulate:
     )
     def test_bad_scenario_line_exits_1(self, tmp_path, capsys, line, error):
         scenario_file = tmp_path / "scn.txt"
-        scenario_file.write_text(f"name=x\n{line}\nduration=100.0\n")
+        scenario_file.write_text(f"name=x\n{line}\nseed=3\n")
         out = tmp_path / "sim"
         assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 1
         assert capsys.readouterr().err.startswith(error)
         assert not (out / "tape.jsonl").exists()
+
+    def test_later_line_can_bring_the_event_count_under_the_cap(self, tmp_path):
+        # the expected event count is checked on the whole file: the last duration wins
+        scenario_file = tmp_path / "scn.txt"
+        scenario_file.write_text("name=x\nduration=1e300\nduration=100.0\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 0
+        assert (out / "tape.jsonl").exists()
 
     def test_seed_required_in_test_mode(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DARKSCOPE_TEST", "1")

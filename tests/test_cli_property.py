@@ -4,7 +4,9 @@ Each command exits 0, 1 or 2, prints an ``error:`` line exactly when it exits
 non-zero, raises nothing and writes no ``nan``/``inf`` without a stderr
 ``warning:``. As the tapes are valid, a command may fail only for want of
 data: ``backtest`` on fewer than three dark fills, ``report`` when no fill
-has two lit prints ahead of it.
+has two lit prints ahead of it. With the column caches ``simulate`` would
+write beside the tape and path, each command gives the same exit code,
+stderr and output bytes as without them.
 """
 
 import contextlib
@@ -18,9 +20,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkscope.cli import main
+from darkscope.cli import _write_cached, main
 from darkscope.slippage import PricePath, path_to_lines
-from darkscope.tape import EventKind, Side, Tape, TapeEvent, serialize_tape
+from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_tape
 
 S = 1_000_000_000
 EXTREMES = [5e-324, 1e-300, 1.0, 100.0, 1e300, 1e308]
@@ -77,24 +79,40 @@ def test_cli_contract_on_extreme_tapes(evs, path, window_n):
         "report": not np.any(dark & (np.cumsum(tape.is_lit) >= 2)),
     }
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        write(tmp / "tape.jsonl", serialize_tape(tape))
-        write(tmp / "path.jsonl", path_to_lines(path))
-        inputs = ["--input", tmp / "tape.jsonl", "--window-n", window_n]
-        commands = {
-            "score": inputs,
-            "backtest": [*inputs, "--path", tmp / "path.jsonl"],
-            "report": [*inputs, "--path", tmp / "path.jsonl"],
-        }
-        for command, args in commands.items():
-            out = tmp / command
-            code, err = run([command, *args, "--output", out])
+        without = outcomes(Path(tmp) / "plain", tape, path, window_n, cached=False)
+        for command, (code, err, files) in without.items():
             lines = err.splitlines()
             assert code in (0, 1, 2), (command, code, err)
             assert (code != 0) == too_little[command], (command, code, err)
             assert any(x.startswith("error:") for x in lines) == (code != 0), (command, err)
             if any(x.startswith("warning:") for x in lines):
                 continue
-            for file in out.glob("*") if out.exists() else ():
-                text = file.read_text()
-                assert not NON_FINITE.search(text), (command, file.name, err)
+            for name, data in files.items():
+                assert not NON_FINITE.search(data.decode()), (command, name, err)
+        assert outcomes(Path(tmp) / "cached", tape, path, window_n, cached=True) == without
+
+
+def outcomes(tmp: Path, tape: Tape, path: PricePath, window_n: str, cached: bool) -> dict:
+    """Exit code, stderr and output files of each command on ``tape`` and
+    ``path`` written into ``tmp``, with simulate's column caches if ``cached``."""
+    tmp.mkdir()
+    if cached:
+        _write_cached(tmp / "tape.jsonl", serialize_tape(tape), cache_columns(tape))
+        _write_cached(tmp / "path.jsonl", path_to_lines(path), ({}, [path.ts, path.log_mid]))
+        assert (tmp / "tape.jsonl.cols").exists() and (tmp / "path.jsonl.cols").exists()
+    else:
+        write(tmp / "tape.jsonl", serialize_tape(tape))
+        write(tmp / "path.jsonl", path_to_lines(path))
+    inputs = ["--input", tmp / "tape.jsonl", "--window-n", window_n]
+    commands = {
+        "score": inputs,
+        "backtest": [*inputs, "--path", tmp / "path.jsonl"],
+        "report": [*inputs, "--path", tmp / "path.jsonl"],
+    }
+    results = {}
+    for command, args in commands.items():
+        out = tmp / command
+        code, err = run([command, *args, "--output", out])
+        files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))} if out.exists() else {}
+        results[command] = code, err, files
+    return results

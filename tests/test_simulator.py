@@ -330,6 +330,27 @@ class TestScenarioFiles:
                                              r"more than MAX_EVENTS"):
             parse_scenario(f"name=x\n{line}\nseed=1\n")
 
+    def test_event_count_is_checked_on_the_whole_file(self):
+        # 2e8 s at the default 1 s per lit print is over the cap until the
+        # later lines slow the tape to 2e6 events
+        text = "duration=2e8\nlit_schedule=0:100\ndark_fill_rate=0\n"
+        sc = parse_scenario(text)
+        assert (sc.duration, sc.lit_schedule, sc.dark_fill_rate) == (2e8, ((0.0, 100.0),), 0.0)
+        valid = Scenario(duration=2e8, lit_schedule=((0.0, 100.0),), dark_fill_rate=0.0)
+        assert parse_scenario(format_scenario(valid)) == valid
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("lit_schedule=0:1\nduration=2e8\nname=x\n", "2: duration=2e8"),
+            ("duration=2e8\nseed=3\nlit_schedule=0:1\n", "3: lit_schedule=0:1"),
+            ("duration=2e8\nlit_schedule=0:100\ndark_fill_rate=1\nseed=3\n", "3: dark_fill_rate=1"),
+        ],
+    )
+    def test_event_count_names_the_last_line_that_entered_it(self, text, line):
+        with pytest.raises(ValueError, match=rf"^scenario line {re.escape(line)}: scenario expects"):
+            parse_scenario(text)
+
     def test_venue_lines_count_towards_the_cap(self):
         # 2e5 s at 100 fills/s is 2e7 events per venue: the fifth venue crosses 1e8
         head = "duration=200000\nlit_schedule=0:1000\ndark_fill_rate=100\n"
