@@ -9,9 +9,11 @@ short, predicted from the last n observed lit durations with the unknown
 trade rate integrated out.
 """
 
+import math
+
 import numpy as np
 
-from darkscope import exponential_cdf, fill_pvalue, predictive_cdf
+from darkscope import fill_pvalue, predictive_cdf
 
 S = 1_000_000_000  # nanoseconds per second
 
@@ -39,7 +41,7 @@ for wait in (0.010, 0.100, 0.500, 2.0):
 # prices the estimator noise in and has heavier tails.
 
 print("\nplug-in vs predictive, duration = one mean duration:")
-print(f"  plug-in    {exponential_cdf(mean, mean):.4f}  (1 - 1/e)")
+print(f"  plug-in    {-math.expm1(-mean / mean):.4f}  (1 - 1/e)")
 print(f"  predictive {predictive_cdf(mean, n, mean):.4f}  (heavier tail)")
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .slippage import (
 )
 from .surprise import (
     SurpriseRecord,
-    exponential_cdf,
     fill_pvalue,
     predictive_cdf,
     score_tape,

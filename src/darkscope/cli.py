@@ -308,15 +308,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"bad --thresholds list: {args.thresholds!r}") from None
 
-    records = surprise.score_tape(tp, args.window_n, args.horizon_mult)
+    scores = surprise.score_columns(tp, args.window_n, args.horizon_mult)
     cfg = slippage.SlippageConfig(tau=args.tau)
-    fills = [r.fill for r in records]
-    values, covered = slippage.slippages(fills, path, cfg)
-    slip_pairs = [(r, float(v)) for r, v, ok in zip(records, values, covered) if ok]
-    size_pairs = [(r, r.fill.size) for r in records]
-
-    buckets = slippage.bucket_report(slip_pairs, args.buckets)
-    shares = slippage.size_threshold_report(size_pairs, thresholds, args.alpha)
+    row = scores.row
+    slip, covered = slippage.fill_slippages(tp.ts[row], tp.side[row], tp.mid[row], path, cfg)
+    keep = scores.fwd & covered
+    buckets = slippage.bucket_rows(scores.p_fwd[keep], slip[keep], args.buckets)
+    shares = slippage.threshold_rows(scores.p_fwd, scores.fwd, tp.size[row], thresholds, args.alpha)
 
     _tsv(
         out / "slippage_by_pvalue.tsv",

@@ -82,6 +82,8 @@ class VenueProfile:
     active: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
+        if not self.venue:  # a dark fill without a venue name fails parse_tape
+            raise ValueError("venue name must not be empty")
         for name in ("leak_prob", "leak_prob_large", "sweep_prob", "latent_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -2,16 +2,18 @@
 
 Slippage of a fill is the signed log-mid move over a short horizon,
 sign * (log mid(t + tau) - log mid(t)) * 1e4 basis points, positive when the
-price moved with the fill (adverse for the filler); ``slippages`` computes
+price moved with the fill (adverse for the filler); ``fill_slippages`` computes
 it for a batch of fills at once. Detecting a mean slippage mu against return
 noise sigma with a t-test (t = mean * sqrt(k) / std over k fills) needs at
 least (sigma/mu)^2 fills, the 1/Sharpe^2 bound; ``empirical_crossing`` finds
 the fill count where the seed-median running t-statistic reaches a target,
 to show the bound at work on simulated drift.
 
-Reports: mean slippage per p-value bucket (signalling fills should sit in
-the low-p buckets with visibly higher slippage) and the share of flagged
-fills above a minimum fill-size threshold.
+Reports, over the scorer's columns: mean slippage per p-value bucket
+(signalling fills should sit in the low-p buckets with visibly higher
+slippage) and the share of flagged fills above a minimum fill-size threshold.
+``slippages``, ``bucket_report`` and ``size_threshold_report`` are row-form
+views of the column functions, kept for callers outside ``src/``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,10 +36,13 @@ __all__ = [
     "BucketRow",
     "ThresholdRow",
     "CensoredFillError",
+    "fill_slippages",
     "slippages",
     "min_fills_bound",
     "empirical_crossing",
+    "bucket_rows",
     "bucket_report",
+    "threshold_rows",
     "size_threshold_report",
     "arrival_slippage",
     "read_path_cache",
@@ -45,7 +51,7 @@ __all__ = [
 BP = 1e4  # basis points per unit log return
 # Fills per block in empirical_crossing's early-stopping walk.
 _CROSSING_BLOCK = 512
-# Most p-value buckets bucket_report takes: it allocates every bucket.
+# Most p-value buckets bucket_rows takes: it allocates every bucket.
 MAX_BUCKETS = 10_000
 
 
@@ -106,49 +112,57 @@ class SlippageConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not math.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
+        if not self.tau * 1e9 < 2.0**63:
+            raise ValueError(f"tau must be below {2.0**63 * 1e-9:g} s, so that its ns fit in int64, got {self.tau}")
 
     @property
     def tau_ns(self) -> int:
         return int(round(self.tau * 1e9))
 
 
-def slippages(
-    fills: Sequence[TapeEvent], path: PricePath, cfg: SlippageConfig
+def fill_slippages(
+    ts: np.ndarray, side: np.ndarray, mid: np.ndarray, path: PricePath, cfg: SlippageConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-fill slippage.
+    """Per-fill slippage over fill columns: ``ts`` in ns, ``side`` as +1/-1
+    and ``mid`` with NaN where absent.
 
     Returns (values, covered) where ``covered`` marks fills whose horizon the
     path covers; values of censored fills are NaN.
     """
-    n = len(fills)
-    values = np.full(n, np.nan)
-    covered = np.zeros(n, dtype=bool)
-    if n == 0 or len(path) == 0:
+    values = np.full(len(ts), np.nan)
+    covered = np.zeros(len(ts), dtype=bool)
+    if len(ts) == 0 or len(path) == 0:
         return values, covered
-    ts = np.array([f.ts for f in fills], dtype=np.int64)
-    signs = np.array([f.side.sign for f in fills], dtype=np.float64)
-    if np.any(signs == 0):
+    if np.any(side == 0):
         raise ValueError("every fill side must be buy or sell")
     # ts + tau <= end_ts, compared without forming ts + tau, which can wrap
     covered = (ts >= path.start_ts) & (ts <= path.end_ts - cfg.tau_ns)
     if not np.any(covered):
         return values, covered
-    mids = np.array(
-        [math.log(f.mid) if f.mid is not None else np.nan for f in fills],
-        dtype=np.float64,
-    )
+    # math.log, not np.log, whose SIMD loop may differ from libm in the last bit
+    mids = np.array(list(map(math.log, mid.tolist())), dtype=np.float64)
     p0 = np.where(np.isnan(mids[covered]), path.log_mid_at(ts[covered]), mids[covered])
     p1 = path.log_mid_at(ts[covered] + cfg.tau_ns)
-    values[covered] = signs[covered] * (p1 - p0) * BP
+    values[covered] = side[covered] * (p1 - p0) * BP
     return values, covered
+
+
+def slippages(
+    fills: Sequence[TapeEvent], path: PricePath, cfg: SlippageConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fill_slippages`` over TapeEvent fills."""
+    ts = np.array([f.ts for f in fills], dtype=np.int64)
+    side = np.array([f.side.sign for f in fills], dtype=np.int8)
+    mid = np.array([np.nan if f.mid is None else f.mid for f in fills], dtype=np.float64)
+    return fill_slippages(ts, side, mid, path, cfg)
 
 
 def min_fills_bound(mu: float, sigma: float) -> float:
     """Minimum fills to detect mean slippage mu against noise sigma.
 
     (sigma/mu)^2, the 1/Sharpe^2 bound; infinite when mu = 0. Half the signal
-    costs four times the fills. Raises on a non-finite mu or sigma and on
-    sigma <= 0.
+    costs four times the fills. Raises on a non-finite mu or sigma, on
+    sigma <= 0 and on a bound too large for a float.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -158,7 +172,10 @@ def min_fills_bound(mu: float, sigma: float) -> float:
         raise ValueError(f"sigma must be finite, got {sigma}")
     if mu == 0:
         return math.inf
-    return (sigma / mu) ** 2
+    ratio = sigma / mu
+    if not abs(ratio) < math.sqrt(sys.float_info.max):
+        raise ValueError(f"the bound (sigma/mu)^2 overflows a float at mu = {mu}, sigma = {sigma}")
+    return ratio**2
 
 
 def empirical_crossing(
@@ -232,28 +249,22 @@ class BucketRow:
     n: int
 
 
-def bucket_report(
-    records: Sequence[tuple[SurpriseRecord, float]], buckets: int = 10
-) -> list[BucketRow]:
+def bucket_rows(p_fwd: np.ndarray, slip: np.ndarray, buckets: int = 10) -> list[BucketRow]:
     """Mean slippage per equal-width forward-p bucket over [0, 1].
 
-    Records with a censored forward duration are skipped. Sparse buckets are
-    reported with n = 0 and no mean. The last bucket is closed at 1.
+    ``p_fwd`` (in [0, 1]) and ``slip`` are columns of the fills to report.
+    Sparse buckets are reported with n = 0 and no mean. The last bucket is
+    closed at 1.
     """
     if buckets < 1:
         raise ValueError(f"buckets must be >= 1, got {buckets}")
     if buckets > MAX_BUCKETS:
         raise ValueError(f"buckets must be <= {MAX_BUCKETS}, got {buckets}")
-    sums = np.zeros(buckets)
-    sums2 = np.zeros(buckets)
-    counts = np.zeros(buckets, dtype=np.int64)
-    for record, slip in records:
-        if record.p_fwd is None:
-            continue
-        b = min(int(record.p_fwd * buckets), buckets - 1)
-        sums[b] += slip
-        sums2[b] += slip * slip
-        counts[b] += 1
+    # truncates as int() does; bincount adds each bucket's weights in input order
+    bucket = np.minimum((p_fwd * buckets).astype(np.int64), buckets - 1)
+    counts = np.bincount(bucket, minlength=buckets)
+    sums = np.bincount(bucket, weights=slip, minlength=buckets)
+    sums2 = np.bincount(bucket, weights=slip * slip, minlength=buckets)
     rows: list[BucketRow] = []
     for b in range(buckets):
         lo, hi = b / buckets, (b + 1) / buckets
@@ -271,6 +282,14 @@ def bucket_report(
     return rows
 
 
+def bucket_report(records: Sequence[tuple[SurpriseRecord, float]], buckets: int = 10) -> list[BucketRow]:
+    """``bucket_rows`` over (SurpriseRecord, slippage) pairs; records with a
+    censored forward duration are skipped."""
+    scored = [(r.p_fwd, slip) for r, slip in records if r.p_fwd is not None]
+    p_fwd, slip = np.array(scored, dtype=np.float64).reshape(-1, 2).T
+    return bucket_rows(p_fwd, slip, buckets)
+
+
 @dataclass(frozen=True)
 class ThresholdRow:
     """Share of flagged fills (p_fwd < alpha) among fills with size >= threshold."""
@@ -280,39 +299,40 @@ class ThresholdRow:
     n: int
 
 
-def size_threshold_report(
-    records: Sequence[tuple[SurpriseRecord, float]],
-    thresholds: Sequence[float],
-    alpha: float = 0.05,
+def threshold_rows(
+    p_fwd: np.ndarray, fwd: np.ndarray, size: np.ndarray, thresholds: Sequence[float], alpha: float = 0.05
 ) -> list[ThresholdRow]:
     """Signalling share as a function of a minimum fill-size threshold.
 
-    For each threshold the cohort is the fills at least that large with a
-    scored forward duration; empty cohorts report an absent share.
+    The columns hold every scored fill, with ``fwd`` marking a forward
+    p-value. For each threshold the cohort is the fills at least that large
+    with a scored forward duration; empty cohorts report an absent share.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     for threshold in thresholds:
         if not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {threshold}")
-    if not records:
+    if len(fwd) == 0:
         raise ValueError("no records to report on")
-    sizes = []
-    flagged = []
-    for record, size in records:
-        if record.p_fwd is None:
-            continue
-        sizes.append(size)
-        flagged.append(record.p_fwd < alpha)
-    sizes_arr = np.asarray(sizes, dtype=np.float64)
-    flagged_arr = np.asarray(flagged, dtype=bool)
+    sizes, flagged = size[fwd], p_fwd[fwd] < alpha
     rows: list[ThresholdRow] = []
     for threshold in thresholds:
-        mask = sizes_arr >= threshold
+        mask = sizes >= threshold
         n = int(mask.sum())
-        share = float(flagged_arr[mask].mean()) if n else None
+        share = float(flagged[mask].mean()) if n else None
         rows.append(ThresholdRow(float(threshold), share, n))
     return rows
+
+
+def size_threshold_report(
+    records: Sequence[tuple[SurpriseRecord, float]], thresholds: Sequence[float], alpha: float = 0.05
+) -> list[ThresholdRow]:
+    """``threshold_rows`` over (SurpriseRecord, size) pairs."""
+    fwd = np.array([r.p_fwd is not None for r, _ in records], dtype=bool)
+    p_fwd = np.array([0.0 if r.p_fwd is None else r.p_fwd for r, _ in records], dtype=np.float64)
+    size = np.array([size for _, size in records], dtype=np.float64)
+    return threshold_rows(p_fwd, fwd, size, thresholds, alpha)
 
 
 def path_to_lines(path: PricePath):
@@ -333,13 +353,37 @@ _MID_LINE = re.compile(
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+def _json_sample(line: str, line_no: int) -> tuple[int, float]:
+    """(ts, log_mid) of a path line in another layout, decoded as JSON."""
+    where = f"path line {line_no}"
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise ValueError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    if obj.get("kind") != "mid":
+        raise ValueError(f"{where}: expected kind 'mid', got {obj.get('kind')!r}")
+    t, v = obj.get("ts"), obj.get("log_mid")
+    if type(t) is not int:
+        raise ValueError(f"{where}: ts must be an integer, got {t!r}")
+    if type(v) not in (int, float):
+        raise ValueError(f"{where}: log_mid must be a number, got {v!r}")
+    try:
+        return t, float(v)
+    except OverflowError:  # an integer beyond the float range
+        return t, math.copysign(math.inf, v)
+
+
 def path_from_lines(lines) -> PricePath:
     """Inverse of path_to_lines.
 
     Lines in path_to_lines' own layout are read by one regular expression
-    that admits JSON numbers only; any other line is decoded as JSON. A
-    timestamp outside int64 or not above the previous one, or a non-finite
-    log mid, raises ValueError naming the (1-based) line.
+    that admits JSON numbers only; any other line is decoded as JSON, and
+    must be an object of kind "mid" with an integer ``ts`` and a numeric
+    ``log_mid``. Such a line that is not, a timestamp outside int64 or not
+    above the previous one, or a non-finite log mid raises ValueError naming
+    the (1-based) line.
     """
     ts: list[int] = []
     vals: list[float] = []
@@ -350,13 +394,7 @@ def path_from_lines(lines) -> PricePath:
         if not line:
             continue
         m = match(line)
-        if m is not None:
-            t, v = int(m[1]), float(m[2])
-        else:
-            obj = json.loads(line)
-            if obj.get("kind") != "mid":
-                raise ValueError(f"expected kind 'mid' in path line, got {obj.get('kind')!r}")
-            t, v = int(obj["ts"]), float(obj["log_mid"])
+        t, v = (int(m[1]), float(m[2])) if m is not None else _json_sample(line, line_no)
         if not (prev < t <= _INT64_MAX and math.isfinite(v)):
             if not _INT64_MIN <= t <= _INT64_MAX:
                 raise ValueError(f"path line {line_no}: ts {t} is outside int64")

@@ -25,12 +25,14 @@ straight off the lit column: with ``before`` lit prints ahead of a fill in
 sequence order, the previous print is lit print ``before - 1``, the next one
 is lit print ``before``, and the window is the last n of the ``before - 1``
 durations between them. A fill is scored once two lit prints precede it.
-It returns columns; ``score_tape`` views them as one ``SurpriseRecord`` per
-fill and ``serialize_scores`` formats them as wire lines. ``_predictive_cdfs``
-is the one implementation of the formula (``_pvalues`` adds the duration floor
-and the clamp); ``predictive_cdf`` and ``fill_pvalue`` are its one-element
-calls, for a window given by its count n and mean m. The scalar reference
-scorer that the tests compare against, value for value, lives with the tests.
+It returns columns, which every command reads, and ``serialize_scores``
+formats them as wire lines. ``score_tape`` views them as one
+``SurpriseRecord`` per fill, a row form kept for callers outside ``src/``.
+``_predictive_cdfs`` is the one implementation of the formula (``_pvalues``
+adds the duration floor and the clamp); ``predictive_cdf`` and
+``fill_pvalue`` are its one-element calls, for a window given by its count n
+and mean m. The scalar reference scorer that the tests compare against, value
+for value, lives with the tests.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .tape import (
 
 __all__ = [
     "SurpriseRecord",
-    "exponential_cdf",
     "predictive_cdf",
     "fill_pvalue",
     "ScoreColumns",
@@ -77,15 +78,6 @@ MIN_DURATION_S = DURATION_FLOOR_NS * 1e-9
 MIN_PVALUE = 1e-300
 
 _NS = 1e-9
-
-
-def exponential_cdf(delta: float, lam: float) -> float:
-    """P(duration <= delta) under Exponential with mean ``lam`` seconds."""
-    if lam <= 0:
-        raise ValueError(f"scale must be > 0, got {lam}")
-    if delta < 0:
-        raise ValueError(f"duration must be >= 0, got {delta}")
-    return -math.expm1(-delta / lam)
 
 
 @dataclass(frozen=True)
@@ -261,7 +253,10 @@ def score_tape(
     window_size: int = DEFAULT_WINDOW_SIZE,
     horizon_mult: float = DEFAULT_HORIZON_MULT,
 ) -> list[SurpriseRecord]:
-    """``score_columns`` as one SurpriseRecord row view per scored fill."""
+    """``score_columns`` as one SurpriseRecord row view per scored fill.
+
+    No command calls it: the row form is a view for callers outside ``src/``.
+    """
     cols = score_columns(tape, window_size, horizon_mult)
     return [
         SurpriseRecord(

@@ -18,8 +18,9 @@ event, held in that one form from parse (or simulation) to report:
 * ``symbol`` and ``meta`` once per tape: every row is of that symbol.
 
 ``TapeEvent`` is a row view: ``Tape.events``, ``Tape.rows(index)`` and
-iteration build them on demand for tests, demos and ``report``'s record-based
-``score_tape``; ``score`` and the policy replay read the columns only.
+iteration build them on demand, a row form kept for callers outside
+``src/`` (tests, demos, the benchmark). No command builds one: every command
+reads the columns, and the parser fills them without one.
 
 Wire format: one JSON object per line with fields
 ``kind`` ("lit" | "dark"), ``ts`` (int ns), ``symbol``, ``price``, ``size``,
@@ -146,7 +147,7 @@ class Tape:
 
     Columns left as None default to absent values; ``Tape(symbol)`` is an
     empty tape. Rows are kept in the order given: ``parse_tape`` and
-    ``merge_streams`` sort, ``from_events`` does not. Treat the columns as
+    ``merge_streams`` sort, the constructor does not. Treat the columns as
     read-only; derived tapes share them.
     """
 
@@ -178,37 +179,6 @@ class Tape:
         set_(self, "mid", _column(self.mid, np.float64, n, np.nan))
         set_(self, "own", _column(self.own, np.int8, n, -1))
         set_(self, "venues", tuple(self.venues))
-
-    @classmethod
-    def from_events(
-        cls, symbol: str, events: Iterable[TapeEvent], meta: dict[str, Any] | None = None
-    ) -> "Tape":
-        """Columns from TapeEvent rows, kept in the given order.
-
-        Raises ValueError on an event of another symbol; nothing else is checked.
-        """
-        events = list(events)
-        for e in events:
-            if e.symbol != symbol:
-                raise ValueError(f"event symbol '{e.symbol}' != tape symbol '{symbol}'")
-        names: dict[str, int] = {}
-        return cls(
-            symbol=symbol,
-            ts=np.array([e.ts for e in events], dtype=np.int64),
-            is_lit=np.array([e.kind is EventKind.LIT for e in events], dtype=bool),
-            price=np.array([e.price for e in events], dtype=np.float64),
-            size=np.array([e.size for e in events], dtype=np.float64),
-            side=np.array([e.side.sign for e in events], dtype=np.int8),
-            venue=np.array(
-                [-1 if e.venue is None else names.setdefault(e.venue, len(names)) for e in events],
-                dtype=np.int32,
-            ),
-            venues=tuple(names),
-            mid=np.array([np.nan if e.mid is None else e.mid for e in events], dtype=np.float64),
-            own=np.array([-1 if e.own is None else int(e.own) for e in events], dtype=np.int8),
-            truth={i: e.truth for i, e in enumerate(events) if e.truth is not None},
-            meta=dict(meta or {}),
-        )
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -278,21 +248,21 @@ class Tape:
 
 _REQUIRED_FIELDS = ("kind", "ts", "symbol", "price", "size")
 _required = itemgetter(*_REQUIRED_FIELDS)
-_SIDES = {s.value: s for s in Side}
-_KINDS = {k.value: k for k in EventKind}
 _SIDE_CODE = {"buy": 1, "sell": -1, "unknown": 0}
 _CONSTANT_STR = {s: s for s in ("lit", "dark", "buy", "sell", "unknown")}
 _OWN_CODE = {None: -1, False: 0, True: 1}
 
 
-def _event_from_obj(obj: dict[str, Any], line_no: int) -> TapeEvent:
-    """The per-record validator: one decoded line to an event, or the error."""
+def _row_from_obj(obj: dict[str, Any], line_no: int) -> tuple:
+    """The per-record validator: one decoded line to its normalised row, in
+    ``_Columns.FIELDS`` order (numbers as floats, ``kind``, ``side`` and
+    ``symbol`` as strings), or the error."""
     for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise TapeFormatError(line_no, f"missing field '{name}'")
-    kind = _KINDS.get(obj["kind"]) if isinstance(obj["kind"], str) else None
-    if kind is None:
-        raise TapeFormatError(line_no, f"unknown kind '{obj['kind']}'")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in ("lit", "dark"):
+        raise TapeFormatError(line_no, f"unknown kind '{kind}'")
     ts = obj["ts"]
     if not isinstance(ts, int) or isinstance(ts, bool):
         raise TapeFormatError(line_no, f"ts must be an integer, got {ts!r}")
@@ -313,17 +283,16 @@ def _event_from_obj(obj: dict[str, Any], line_no: int) -> TapeEvent:
         raise TapeFormatError(line_no, f"size must be > 0, got {size}")
     if not math.isfinite(size):
         raise TapeFormatError(line_no, f"size must be finite, got {size}")
-    side_raw = obj.get("side", "unknown")
-    side = _SIDES.get(side_raw) if isinstance(side_raw, str) else None
-    if side is None:
-        raise TapeFormatError(line_no, f"unknown side '{side_raw}'")
+    side = obj.get("side", "unknown")
+    if not isinstance(side, str) or side not in _SIDE_CODE:
+        raise TapeFormatError(line_no, f"unknown side '{side}'")
     venue = obj.get("venue")
     if venue is not None and not isinstance(venue, str):
         raise TapeFormatError(line_no, f"venue must be a string, got {venue!r}")
-    if kind is EventKind.DARK:
+    if kind == "dark":
         if not venue:
             raise TapeFormatError(line_no, "dark fill missing venue")
-        if side is Side.UNKNOWN:
+        if side == "unknown":
             raise TapeFormatError(line_no, "dark fill missing side")
     mid = obj.get("mid")
     if mid is not None:
@@ -341,18 +310,7 @@ def _event_from_obj(obj: dict[str, Any], line_no: int) -> TapeEvent:
     truth = obj.get("truth")
     if truth is not None and not isinstance(truth, dict):
         raise TapeFormatError(line_no, f"truth must be an object, got {truth!r}")
-    return TapeEvent(
-        kind=kind,
-        ts=ts,
-        symbol=str(obj["symbol"]),
-        price=price,
-        size=size,
-        side=side,
-        venue=venue,
-        mid=mid,
-        own=own,
-        truth=truth,
-    )
+    return kind, ts, str(obj["symbol"]), price, size, side, venue, mid, own, truth
 
 
 def _decoded(numbered_lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, Any]]:
@@ -367,8 +325,10 @@ def _decoded(numbered_lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, A
 
 
 def _parse_records(records: Iterable[tuple[int, Any]], meta: dict[str, Any]) -> Tape:
-    """Scalar parse of decoded (line number, record) pairs, one at a time."""
-    events: list[TapeEvent] = []
+    """Scalar parse of decoded (line number, record) pairs: each record is
+    validated on its own and appended to the columns."""
+    cols = _Columns()
+    columns = [getattr(cols, name) for name in cols.FIELDS]
     tape_symbol: str | None = None
     for line_no, obj in records:
         if not isinstance(obj, dict):
@@ -376,16 +336,18 @@ def _parse_records(records: Iterable[tuple[int, Any]], meta: dict[str, Any]) -> 
         if obj.get("kind") == "meta":
             meta.update({k: v for k, v in obj.items() if k != "kind"})
             continue
-        event = _event_from_obj(obj, line_no)
+        row = _row_from_obj(obj, line_no)
+        symbol = row[2]  # FIELDS order
         if tape_symbol is None:
-            tape_symbol = event.symbol
-        elif event.symbol != tape_symbol:
-            raise TapeFormatError(
-                line_no,
-                f"mixed symbols: expected '{tape_symbol}', got '{event.symbol}'",
-            )
-        events.append(event)
-    return Tape.from_events(tape_symbol or "", events, meta).sorted()
+            tape_symbol = symbol
+        elif symbol != tape_symbol:
+            raise TapeFormatError(line_no, f"mixed symbols: expected '{tape_symbol}', got '{symbol}'")
+        for column, value in zip(columns, row):
+            column.append(value)
+    tape = _to_tape(cols, meta)
+    if tape is None:  # not an assert, which -O would strip
+        raise RuntimeError("internal error: the column checks rejected rows the record validator accepted")
+    return tape
 
 
 def parse_tape_scalar(lines: Iterable[str]) -> Tape:
@@ -394,7 +356,7 @@ def parse_tape_scalar(lines: Iterable[str]) -> Tape:
 
 
 class _Columns:
-    """Decoded field values of well-formed records, one list per field."""
+    """Field values of decoded or validated records, one list per field."""
 
     FIELDS = ("kind", "ts", "symbol", "price", "size", "side", "venue", "mid", "own", "truth")
 

@@ -5,22 +5,55 @@ over the tape's columns. This module keeps the one-at-a-time form of each,
 written independently of the kernels, for the tests to compare with ``==``:
 the surprise scorer (one lit print folded in and one fill scored at a time,
 with its own copy of the p-value formula), the JSON objects that the
-``serialize_*`` functions format as text, the ledger ``fold`` and
-``post_fill_slippage``.
+``serialize_*`` functions format as text, the ledger ``fold``,
+``post_fill_slippage`` and the slippage-by-p-value loop. It also builds tapes
+from ``TapeEvent`` rows (``tape_from_events``) for the tests to write tapes
+row by row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from darkscope.evidence import POOLED_VENUE, EvidenceLedger, LedgerEntry, ledger_update
-from darkscope.slippage import BP, CensoredFillError, PricePath, SlippageConfig
+from darkscope.slippage import BP, BucketRow, CensoredFillError, PricePath, SlippageConfig
 from darkscope.surprise import DEFAULT_HORIZON_MULT, MIN_DURATION_S, MIN_PVALUE, SurpriseRecord
-from darkscope.tape import DURATION_FLOOR_NS, SIDE_OF_SIGN, Side, Tape, TapeEvent
+from darkscope.tape import DURATION_FLOOR_NS, SIDE_OF_SIGN, EventKind, Side, Tape, TapeEvent
 
 _NS = 1e-9
+
+
+def tape_from_events(symbol: str, events: Iterable[TapeEvent], meta: dict[str, Any] | None = None) -> Tape:
+    """Columns from TapeEvent rows, kept in the given order.
+
+    Raises ValueError on an event of another symbol; nothing else is checked.
+    """
+    events = list(events)
+    for e in events:
+        if e.symbol != symbol:
+            raise ValueError(f"event symbol '{e.symbol}' != tape symbol '{symbol}'")
+    names: dict[str, int] = {}
+    return Tape(
+        symbol=symbol,
+        ts=np.array([e.ts for e in events], dtype=np.int64),
+        is_lit=np.array([e.kind is EventKind.LIT for e in events], dtype=bool),
+        price=np.array([e.price for e in events], dtype=np.float64),
+        size=np.array([e.size for e in events], dtype=np.float64),
+        side=np.array([e.side.sign for e in events], dtype=np.int8),
+        venue=np.array(
+            [-1 if e.venue is None else names.setdefault(e.venue, len(names)) for e in events],
+            dtype=np.int32,
+        ),
+        venues=tuple(names),
+        mid=np.array([np.nan if e.mid is None else e.mid for e in events], dtype=np.float64),
+        own=np.array([-1 if e.own is None else int(e.own) for e in events], dtype=np.int8),
+        truth={i: e.truth for i, e in enumerate(events) if e.truth is not None},
+        meta=dict(meta or {}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +101,15 @@ def update_window(window: DurationWindow, lit_event_ts: int) -> DurationWindow:
     if len(durations) > window.capacity:
         durations = durations[-window.capacity :]
     return DurationWindow(window.capacity, durations, lit_event_ts)
+
+
+def exponential_cdf(delta: float, lam: float) -> float:
+    """P(duration <= delta) under Exponential with mean ``lam`` seconds."""
+    if lam <= 0:
+        raise ValueError(f"scale must be > 0, got {lam}")
+    if delta < 0:
+        raise ValueError(f"duration must be >= 0, got {delta}")
+    return -math.expm1(-delta / lam)
 
 
 def predictive_density(delta: float, window: DurationWindow) -> float:
@@ -233,3 +275,33 @@ def post_fill_slippage(fill: TapeEvent, path: PricePath, cfg: SlippageConfig) ->
     p0 = math.log(fill.mid) if fill.mid is not None else float(path.log_mid_at(fill.ts))
     p1 = float(path.log_mid_at(end_ts))
     return sign * (p1 - p0) * BP
+
+
+def bucket_report(records: Sequence[tuple[SurpriseRecord, float]], buckets: int = 10) -> list[BucketRow]:
+    """Mean slippage per equal-width forward-p bucket over [0, 1], one
+    (record, slippage) pair at a time; censored records are skipped."""
+    sums = np.zeros(buckets)
+    sums2 = np.zeros(buckets)
+    counts = np.zeros(buckets, dtype=np.int64)
+    for record, slip in records:
+        if record.p_fwd is None:
+            continue
+        b = min(int(record.p_fwd * buckets), buckets - 1)
+        sums[b] += slip
+        sums2[b] += slip * slip
+        counts[b] += 1
+    rows: list[BucketRow] = []
+    for b in range(buckets):
+        lo, hi = b / buckets, (b + 1) / buckets
+        n = int(counts[b])
+        if n == 0:
+            rows.append(BucketRow(lo, hi, None, None, 0))
+            continue
+        mean = sums[b] / n
+        if n > 1:
+            var = max(sums2[b] / n - mean * mean, 0.0) * n / (n - 1)
+            stderr = math.sqrt(var / n)
+        else:
+            stderr = None
+        rows.append(BucketRow(lo, hi, float(mean), stderr, n))
+    return rows

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from darkscope import cli, simulator, slippage, tape
 from darkscope.tape import Tape, cache_columns, serialize_tape
+from oracle import tape_from_events
 from test_wire import events, metas
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -107,7 +108,7 @@ def test_cache_loads_what_the_text_parses_to(tmp_path, text, seed):
 @given(evs=st.lists(events(), max_size=25), meta=metas, sort=st.booleans(), unused=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_cache_of_any_valid_tape_loads_what_the_text_parses_to(evs, meta, sort, unused):
-    tp = Tape.from_events("SYM", evs, meta)
+    tp = tape_from_events("SYM", evs, meta)
     tp = tp.sorted() if sort else tp
     if unused:  # a venue no row uses, numbered first: parse drops it and renumbers
         tp = replace(tp, venues=("unused", *tp.venues), venue=np.where(tp.venue >= 0, tp.venue + 1, -1))
@@ -270,11 +271,11 @@ def test_an_unusable_cache_gives_the_text_results(sim_dir, tmp_path, corrupt, ca
 
 
 def test_simulate_writes_no_cache_for_a_tape_the_parser_refuses(tmp_path):
-    # a venue named "" yields dark fills that parse_tape rejects for want of a venue
+    # a size_log_mu of 800 draws dark sizes of inf, which parse_tape rejects
     out = tmp_path / "run"
     (out / "sim").mkdir(parents=True)
     (out / "sim" / "tape.jsonl.cols").write_bytes(b"stale")
-    sim = simulate("duration=200\nvenue..leak_prob=0.5\n", 1, out)
+    sim = simulate("duration=200\nvenue.D.size_log_mu=800\n", 1, out)
     assert not (sim / "tape.jsonl.cols").exists() and (sim / "path.jsonl.cols").exists()
     code, err, _ = run_commands(sim, tmp_path / "out")["score"]
-    assert code == 1 and err.startswith("error: line ") and "dark fill missing venue" in err
+    assert code == 1 and err.startswith("error: line ") and "size must be finite" in err

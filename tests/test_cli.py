@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -58,6 +59,16 @@ class TestSimulate:
         assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 1
         assert capsys.readouterr().err.startswith(error)
         assert not (out / "tape.jsonl").exists()
+
+    def test_empty_venue_name_exits_1_before_writing(self, tmp_path, capsys):
+        scenario_file = tmp_path / "scn.txt"
+        scenario_file.write_text("duration=200\nvenue..leak_prob=0.5\n")
+        out = tmp_path / "sim"
+        assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: scenario line 2: venue..leak_prob=0.5: venue name must not be empty"
+        ]
+        assert not out.exists()
 
     def test_later_line_can_bring_the_event_count_under_the_cap(self, tmp_path):
         # the expected event count is checked on the whole file: the last duration wins
@@ -350,6 +361,32 @@ class TestExitCodes:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("error: path line 2: ")
 
+    @pytest.mark.parametrize("command", ["backtest", "report"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "expected a JSON object, got list"),
+            ('{"kind": "lit", "ts": 5, "log_mid": 4.6}', "expected kind 'mid', got 'lit'"),
+            ('{"kind": "mid", "log_mid": 4.6}', "ts must be an integer, got None"),
+            ('{"kind": "mid", "ts": 1.5, "log_mid": 4.6}', "ts must be an integer, got 1.5"),
+            ('{"kind": "mid", "ts": true, "log_mid": 4.6}', "ts must be an integer, got True"),
+            ('{"kind": "mid", "ts": 5, "log_mid": null}', "log_mid must be a number, got None"),
+            ('{"kind": "mid", "ts": 5, "log_mid": "4.6"}', "log_mid must be a number, got '4.6'"),
+            ('{"kind": "mid", "ts": 5, "log_mid": 1' + "0" * 400 + "}", "log_mid must be finite, got inf"),
+            ("nope", r"invalid JSON \(Expecting value\)"),
+            ("[" * 100_000 + "]" * 100_000, r"invalid JSON \(maximum recursion depth exceeded"),
+        ],
+        ids=["array", "kind", "no-ts", "float-ts", "bool-ts", "null-log-mid", "string-log-mid",
+             "huge-log-mid", "bad-json", "deep-json"],
+    )
+    def test_bad_json_path_line_exits_1_with_line(self, tmp_path, simulated, capsys, command, line, message):
+        path = tmp_path / "path.jsonl"
+        path.write_text('{"kind": "mid", "ts": 0, "log_mid": 4.6}\n' + line + "\n")
+        argv = [command, "--input", simulated / "tape.jsonl", "--path", path, "--output", tmp_path / "out"]
+        assert run(argv) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(f"error: path line 2: {message}.*", err), err
+
     def test_fill_within_tau_of_int64_limit_is_censored(self, tmp_path):
         def line(kind, ts, **extra):
             return json.dumps({"kind": kind, "ts": ts, "symbol": "SYM", "price": 100.0,
@@ -388,6 +425,15 @@ class TestExitCodes:
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: tau must be finite, got inf"]
 
+    @pytest.mark.parametrize("tau", ["1e300", "9.3e9"])
+    def test_tau_beyond_int64_ns_exits_1(self, tmp_path, simulated, capsys, tau):
+        argv = ["report", "--input", simulated / "tape.jsonl", "--path", simulated / "path.jsonl",
+                "--output", tmp_path / "out", "--tau", tau]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: tau must be below 9.22337e+09 s, so that its ns fit in int64, got {float(tau)}"
+        ]
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -395,6 +441,10 @@ class TestExitCodes:
             (["--mu", "nan"], "mu must be finite, got nan"),
             (["--sigma", "inf"], "sigma must be finite, got inf"),
             (["--t-target", "nan"], "t_target must be finite, got nan"),
+            (["--mu", "1e-300", "--sigma", "1"],
+             "the bound (sigma/mu)^2 overflows a float at mu = 1e-300, sigma = 1.0"),
+            (["--mu", "1e-300", "--sigma", "1e300"],
+             "the bound (sigma/mu)^2 overflows a float at mu = 1e-300, sigma = 1e+300"),
         ],
     )
     def test_degenerate_power_options_exit_1(self, capsys, args, message):

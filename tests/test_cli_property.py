@@ -6,7 +6,8 @@ non-zero, raises nothing and writes no ``nan``/``inf`` without a stderr
 data: ``backtest`` on fewer than three dark fills, ``report`` when no fill
 has two lit prints ahead of it. With the column caches ``simulate`` would
 write beside the tape and path, each command gives the same exit code,
-stderr and output bytes as without them.
+stderr and output bytes as without them. Extreme values of the float options
+exit 0 or 1, with exactly one ``error:`` line on exit 1.
 """
 
 import contextlib
@@ -17,12 +18,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope.cli import _write_cached, main
 from darkscope.slippage import PricePath, path_to_lines
 from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_tape
+from oracle import tape_from_events
 
 S = 1_000_000_000
 EXTREMES = [5e-324, 1e-300, 1.0, 100.0, 1e300, 1e308]
@@ -71,7 +74,7 @@ def run(argv):
 )
 @settings(max_examples=150, deadline=None)
 def test_cli_contract_on_extreme_tapes(evs, path, window_n):
-    tape = Tape.from_events("SYM", evs).sorted()
+    tape = tape_from_events("SYM", evs).sorted()
     dark = ~tape.is_lit
     too_little = {
         "score": False,
@@ -116,3 +119,32 @@ def outcomes(tmp: Path, tape: Tape, path: PricePath, window_n: str, cached: bool
         files = {f.name: f.read_bytes() for f in sorted(out.glob("*"))} if out.exists() else {}
         results[command] = code, err, files
     return results
+
+
+# The commands that take each float option, and the values drawn for it.
+FLOAT_OPTIONS = {
+    "--tau": ("report",),
+    "--horizon-mult": ("score", "backtest", "report"),
+    "--alpha": ("backtest", "report"),
+}
+FLOAT_VALUES = ["5e-324", "1e-300", "1e300", "1.7e308", "inf", "nan", "-1"]
+
+
+@pytest.mark.parametrize("value", FLOAT_VALUES)
+@pytest.mark.parametrize("option", list(FLOAT_OPTIONS))
+@given(evs=st.lists(events(), min_size=4, max_size=40), path=paths)
+@settings(max_examples=10, deadline=None)
+def test_extreme_float_options_exit_cleanly(option, value, evs, path):
+    tape = tape_from_events("SYM", evs).sorted()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write(tmp / "tape.jsonl", serialize_tape(tape))
+        write(tmp / "path.jsonl", path_to_lines(path))
+        for command in FLOAT_OPTIONS[option]:
+            argv = [command, "--input", tmp / "tape.jsonl", "--output", tmp / command, option, value]
+            if command != "score":
+                argv += ["--path", tmp / "path.jsonl"]
+            code, err = run(argv)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code in (0, 1), (command, code, err)
+            assert len(errors) == code, (command, err)

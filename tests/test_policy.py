@@ -18,6 +18,7 @@ from darkscope.simulator import PRESET_NAMES, fleet, preset, simulate_scenario
 from darkscope.slippage import PricePath
 from darkscope.surprise import SurpriseRecord
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
+from oracle import tape_from_events
 
 S = 1_000_000_000
 
@@ -115,7 +116,7 @@ def crafted_toxic_tape(n_fills=8, fill_size=50_000.0):
         events.append(
             TapeEvent(EventKind.DARK, ts, "SYM", 100.0, fill_size, Side.BUY, venue="VX")
         )
-    return Tape.from_events("SYM", events).sorted()
+    return tape_from_events("SYM", events).sorted()
 
 
 def flat_path(end_s=200):
@@ -157,7 +158,7 @@ class TestReplay:
             TapeEvent(EventKind.DARK, S, "SYM", 100.0, 1.0, Side.BUY, venue="V"),
         )
         with pytest.raises(ValueError, match="insufficient fills"):
-            replay(Tape.from_events("SYM", events), flat_path(), PolicyConfig())
+            replay(tape_from_events("SYM", events), flat_path(), PolicyConfig())
 
     def test_deterministic(self):
         sc = fleet(preset("leaky", seed=5), n_venues=10, venue_span_s=300.0, stagger_s=150.0)

@@ -359,6 +359,12 @@ class TestScenarioFiles:
             parse_scenario(head + venues)
         assert len(parse_scenario(head + venues[: venues.index("venue.V4")]).venues) == 4
 
+    def test_empty_venue_name_names_its_line(self):
+        with pytest.raises(ValueError, match="^venue name must not be empty$"):
+            VenueProfile("")
+        with pytest.raises(ValueError, match=r"^scenario line 2: venue\.\.leak_prob=0\.5: venue name must not be empty$"):
+            parse_scenario("duration=200\nvenue..leak_prob=0.5\n")
+
     @pytest.mark.parametrize("field", ["duration", "dark_fill_rate"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_size_rejected(self, field, value):

@@ -22,8 +22,8 @@ from darkscope.slippage import (
     slippages,
 )
 from darkscope.surprise import SurpriseRecord
-from darkscope.tape import EventKind, Side, Tape, TapeEvent
-from oracle import post_fill_slippage
+from darkscope.tape import EventKind, Side, TapeEvent
+from oracle import post_fill_slippage, tape_from_events
 
 S = 1_000_000_000
 
@@ -53,6 +53,16 @@ def record_with_p(p, size=1000.0, ts=0):
 
 
 CFG = SlippageConfig(tau=5.0)
+
+
+class TestSlippageConfig:
+    @pytest.mark.parametrize("tau", [9.3e9, 1e300, 1.7e308])
+    def test_tau_whose_ns_overflow_int64_rejected(self, tau):
+        with pytest.raises(ValueError, match="^tau must be below 9.22337e.09 s, so that its ns fit in int64"):
+            SlippageConfig(tau=tau)
+
+    def test_largest_tau_fits_int64(self):
+        assert SlippageConfig(tau=9.2e9).tau_ns == 9_200_000_000_000_000_000
 
 
 class TestPricePath:
@@ -245,6 +255,15 @@ class TestMinFillsBound:
         with pytest.raises(ValueError):
             min_fills_bound(1.0, 0.0)
 
+    @pytest.mark.parametrize("mu, sigma", [(1e-300, 1.0), (1e-300, 1e300), (-1e-300, 1e300), (1e-160, 1.0)])
+    def test_bound_beyond_the_float_range_raises(self, mu, sigma):
+        # infinite only at mu = 0: a finite mu whose bound overflows is an error
+        with pytest.raises(ValueError, match=r"^the bound \(sigma/mu\)\^2 overflows a float"):
+            min_fills_bound(mu, sigma)
+
+    def test_largest_bound_is_finite(self):
+        assert min_fills_bound(1e-154, 1.0) == pytest.approx(1e308, rel=1e-12)
+
     @given(mu=st.floats(0.01, 100.0), sigma=st.floats(0.01, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_bound_identity(self, mu, sigma):
@@ -383,7 +402,7 @@ class TestSizeThresholdReport:
 
 def arrival(fills):
     """arrival_slippage over an order given as TapeEvent fills."""
-    return arrival_slippage(Tape.from_events("SYM", fills), range(len(fills)))
+    return arrival_slippage(tape_from_events("SYM", fills), range(len(fills)))
 
 
 class TestArrivalSlippage:
@@ -445,11 +464,11 @@ class TestArrivalSlippage:
             fill(S, price=250.0, size=1000.0),
             fill(2 * S, price=100.04, size=2000.0),
         ]
-        tape = Tape.from_events("SYM", fills)
+        tape = tape_from_events("SYM", fills)
         assert arrival_slippage(tape, np.array([0, 2])) == arrival([fills[0], fills[2]])
 
     def test_empty_order_and_unknown_side_rejected(self):
-        tape = Tape.from_events("SYM", [fill(0, Side.UNKNOWN, price=100.0, mid=100.0)])
+        tape = tape_from_events("SYM", [fill(0, Side.UNKNOWN, price=100.0, mid=100.0)])
         with pytest.raises(ValueError, match="order has no fills"):
             arrival_slippage(tape, [])
         with pytest.raises(ValueError, match="order side must be buy or sell"):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from darkscope.simulator import PRESET_NAMES, preset, simulate_scenario
 from darkscope.surprise import (
     DEFAULT_HORIZON_MULT,
-    exponential_cdf,
     fill_pvalue,
     predictive_cdf,
     score_columns,
@@ -21,10 +20,12 @@ from darkscope.surprise import (
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
 from oracle import (
     DurationWindow,
+    exponential_cdf,
     oracle_score_tape,
     predictive_density,
     record_to_obj,
     score_fill,
+    tape_from_events,
     update_window,
     window_pvalue,
 )
@@ -213,7 +214,7 @@ class TestScoreFill:
             dark(int(2.5 * S)),
             lit(int(2.51 * S), side=Side.SELL),
         )
-        return Tape.from_events("SYM", events)
+        return tape_from_events("SYM", events)
 
     def primed_window(self):
         w = DurationWindow(capacity=2)
@@ -232,7 +233,7 @@ class TestScoreFill:
 
     def test_censoring_beyond_horizon(self):
         events = (lit(0), lit(1 * S), dark(2 * S), lit(500 * S))
-        record = score_fill(Tape.from_events("SYM", events), 2, window_of(1.0, last_ts=S), horizon_s=50.0)
+        record = score_fill(tape_from_events("SYM", events), 2, window_of(1.0, last_ts=S), horizon_s=50.0)
         assert record.p_fwd is None and record.delta_fwd is None
         assert record.p_bwd is not None  # record retained with backward score
 
@@ -240,14 +241,14 @@ class TestScoreFill:
         n = 10
         w = DurationWindow(n, (1.0,) * n, 0)
         events = (lit(0), dark(1), lit(2 * S))
-        record = score_fill(Tape.from_events("SYM", events), 1, w, horizon_s=50.0)
+        record = score_fill(tape_from_events("SYM", events), 1, w, horizon_s=50.0)
         assert record.delta_bwd == pytest.approx(1e-9)
         # first-order expansion: p ~ n * d / (n * m) = d / m
         assert record.p_bwd == pytest.approx(1e-9, rel=1e-6)
 
     def test_equal_ts_lit_counts_backward_not_forward(self):
         events = (lit(0), dark(5 * S), lit(5 * S))
-        tape = Tape.from_events("SYM", events).sorted()
+        tape = tape_from_events("SYM", events).sorted()
         record = score_fill(tape, 2, window_of(1.0, last_ts=0), horizon_s=50.0)
         assert record.delta_bwd == pytest.approx(1e-9)
 
@@ -293,7 +294,7 @@ def tie_tapes(draw):
         )
     )
     events = [lit(t, side) if is_lit else dark(t, side, venue) for is_lit, t, venue, side in rows]
-    return Tape.from_events("SYM", events).sorted()
+    return tape_from_events("SYM", events).sorted()
 
 
 # small multiples censor many fills; 50 is the default
@@ -317,7 +318,7 @@ class TestScoreTape:
     def test_decreasing_lit_timestamps_rejected(self):
         events = (lit(0), lit(2 * S), dark(int(2.5 * S)), lit(1 * S))
         with pytest.raises(ValueError, match="non-monotone lit timestamp: 1000000000 < 2000000000"):
-            score_tape(Tape.from_events("SYM", events))
+            score_tape(tape_from_events("SYM", events))
 
     def test_bad_window_size_rejected(self):
         with pytest.raises(ValueError, match="window capacity must be >= 1"):
@@ -329,7 +330,7 @@ class TestScoreTape:
         horizon_ns = int(2.0 * mean * 1e9)
         fill_ts = 2 * S + 7
         events = (lit(0), lit(S), lit(2 * S), dark(fill_ts), lit(fill_ts + horizon_ns + offset))
-        tape = Tape.from_events("SYM", events)
+        tape = tape_from_events("SYM", events)
         (record,) = score_tape(tape, window_size=2, horizon_mult=2.0)
         assert (record.p_fwd is None) is censored
         assert [record] == oracle_score_tape(tape, 2, horizon_mult=2.0)
@@ -340,7 +341,7 @@ class TestScoreTape:
     def test_long_horizons(self, horizon_mult, censored):
         # a lit print 3 000 s after the fill; 1e12 s is past the int64 range of ns
         events = (lit(0), lit(S), lit(2 * S), dark(2 * S + 7), lit(3_002 * S))
-        tape = Tape.from_events("SYM", events)
+        tape = tape_from_events("SYM", events)
         (record,) = score_tape(tape, window_size=2, horizon_mult=horizon_mult)
         assert (record.p_fwd is None) is censored
         assert [record] == oracle_score_tape(tape, 2, horizon_mult=horizon_mult)
@@ -349,12 +350,12 @@ class TestScoreTape:
         # 1e300 window means overflow to an infinite horizon (the scalar
         # oracle cannot take it: int(inf) raises)
         events = (lit(0), lit(S), lit(2 * S), dark(2 * S + 7), lit(3_002 * S))
-        (record,) = score_tape(Tape.from_events("SYM", events), 2, horizon_mult=1e300)
+        (record,) = score_tape(tape_from_events("SYM", events), 2, horizon_mult=1e300)
         assert record.p_fwd is not None
 
     @pytest.mark.parametrize("horizon_mult", [math.inf, math.nan, -1.0, 0.0])
     def test_bad_horizon_mult_rejected(self, horizon_mult):
-        tape = Tape.from_events("SYM", (lit(0), lit(S), dark(S + 1), lit(2 * S)))
+        tape = tape_from_events("SYM", (lit(0), lit(S), dark(S + 1), lit(2 * S)))
         with pytest.raises(ValueError, match=f"horizon_mult must be finite and > 0, got {horizon_mult}"):
             score_tape(tape, horizon_mult=horizon_mult)
 
@@ -394,7 +395,7 @@ class TestScoreTape:
             dark(int(2.4 * S)),
             lit(3 * S),
         )
-        tape = Tape.from_events("SYM", events).sorted()
+        tape = tape_from_events("SYM", events).sorted()
         records = score_tape(tape, window_size=5)
         assert len(records) == 2
         assert all(r.p_fwd is not None for r in records)
@@ -410,7 +411,7 @@ class TestScoreTape:
         fill_ts = np.sort(rng.uniform(lit_ts[0] + 50.0, horizon - 60.0, size=10_500))
         events = [lit(int(round(t * S))) for t in lit_ts]
         events += [dark(int(round(t * S))) for t in fill_ts]
-        tape = Tape.from_events("SYM", events).sorted()
+        tape = tape_from_events("SYM", events).sorted()
         records = score_tape(tape, window_size=10)
         ps = np.array([r.p_fwd for r in records if r.p_fwd is not None])[:10_000]
         assert ps.size == 10_000

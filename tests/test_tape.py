@@ -12,6 +12,7 @@ from darkscope.tape import (
     parse_tape,
     serialize_tape,
 )
+from oracle import tape_from_events
 
 
 def lit(ts, symbol="SYM", price=100.0, size=500.0, side=Side.BUY, **kw):
@@ -128,7 +129,7 @@ class TestSerialize:
                  truth={"fill": "V1:f0", "leaked": True}),
             lit(3, side=Side.UNKNOWN),
         )
-        tape = Tape.from_events("SYM", events, meta={"scenario": "unit", "seed": 7})
+        tape = tape_from_events("SYM", events, meta={"scenario": "unit", "seed": 7})
         text = list(serialize_tape(tape))
         back = parse_tape(text)
         assert back.events == tape.events
@@ -136,15 +137,15 @@ class TestSerialize:
 
     def test_floats_survive_bit_exact(self):
         e = lit(1, price=0.1 + 0.2, size=1e-15)
-        back = parse_tape(serialize_tape(Tape.from_events("SYM", (e,))))
+        back = parse_tape(serialize_tape(tape_from_events("SYM", (e,))))
         assert back.events[0].price == 0.30000000000000004
         assert back.events[0].size == 1e-15
 
 
 class TestMerge:
     def test_interleaves_by_ts(self):
-        a = Tape.from_events("SYM", (lit(1), lit(3)))
-        b = Tape.from_events("SYM", (dark(2),))
+        a = tape_from_events("SYM", (lit(1), lit(3)))
+        b = tape_from_events("SYM", (dark(2),))
         merged = merge_streams(a, b)
         assert [(e.ts, e.kind) for e in merged] == [
             (1, EventKind.LIT),
@@ -153,39 +154,39 @@ class TestMerge:
         ]
 
     def test_tie_break_lit_first(self):
-        merged = merge_streams(Tape.from_events("SYM", (lit(5),)), Tape.from_events("SYM", (dark(5),)))
+        merged = merge_streams(tape_from_events("SYM", (lit(5),)), tape_from_events("SYM", (dark(5),)))
         assert [e.kind for e in merged] == [EventKind.LIT, EventKind.DARK]
 
     def test_merge_with_empty_is_identity(self):
-        a = Tape.from_events("SYM", (lit(1), dark(2), lit(3)))
+        a = tape_from_events("SYM", (lit(1), dark(2), lit(3)))
         merged = merge_streams(a, Tape("SYM"))
         assert merged.events == a.events
 
     def test_symbol_mismatch(self):
         with pytest.raises(ValueError, match="symbol mismatch"):
-            merge_streams(Tape.from_events("A", (lit(1, symbol="A"),)), Tape.from_events("B", (dark(1, symbol="B"),)))
+            merge_streams(tape_from_events("A", (lit(1, symbol="A"),)), tape_from_events("B", (dark(1, symbol="B"),)))
 
     def test_preserves_event_multiset_and_count(self):
-        a = Tape.from_events("SYM", (lit(1), lit(2), lit(2)))
-        b = Tape.from_events("SYM", (dark(1), dark(4)))
+        a = tape_from_events("SYM", (lit(1), lit(2), lit(2)))
+        b = tape_from_events("SYM", (dark(1), dark(4)))
         merged = merge_streams(a, b)
         assert len(merged) == len(a) + len(b)
         assert sorted(e.ts for e in merged) == [1, 1, 2, 2, 4]
 
     def test_associative_up_to_tie_break(self):
-        a = Tape.from_events("SYM", (lit(1), lit(5)))
-        b = Tape.from_events("SYM", (dark(2),))
-        c = Tape.from_events("SYM", (dark(5), dark(9)))
+        a = tape_from_events("SYM", (lit(1), lit(5)))
+        b = tape_from_events("SYM", (dark(2),))
+        c = tape_from_events("SYM", (dark(5), dark(9)))
         left = merge_streams(merge_streams(a, b), c)
         right = merge_streams(a, merge_streams(Tape("SYM"), merge_streams(b, c)))
         assert left.events == right.events
 
     def test_three_parts_equal_two_nested_merges(self):
-        a = Tape.from_events("SYM", (lit(1), dark(4, venue="V2", truth={"fill": "V2:f0"})),
+        a = tape_from_events("SYM", (lit(1), dark(4, venue="V2", truth={"fill": "V2:f0"})),
                              meta={"scenario": "a", "seed": 1})
-        b = Tape.from_events("SYM", (dark(2), lit(4, truth={"injected_by": "V1:f0"})),
+        b = tape_from_events("SYM", (dark(2), lit(4, truth={"injected_by": "V1:f0"})),
                              meta={"seed": 2})
-        c = Tape.from_events("SYM", (dark(4, venue="V3"), dark(0, truth={"fill": "V1:f1"})),
+        c = tape_from_events("SYM", (dark(4, venue="V3"), dark(0, truth={"fill": "V1:f1"})),
                              meta={"part": "c"})
         flat = merge_streams(a, b, c)
         nested = merge_streams(merge_streams(a, b), c)
@@ -198,11 +199,11 @@ class TestMerge:
 class TestFromEvents:
     def test_foreign_symbol_raises(self):
         with pytest.raises(ValueError, match="event symbol 'SYM' != tape symbol 'OTHER'"):
-            Tape.from_events("OTHER", (lit(1),))
+            tape_from_events("OTHER", (lit(1),))
 
 
 def test_event_objects_are_flat_key_value(tmp_path):
-    tape = Tape.from_events("SYM", (dark(2, truth={"fill": "V:f0"}),))
+    tape = tape_from_events("SYM", (dark(2, truth={"fill": "V:f0"}),))
     line = list(serialize_tape(tape))[0]
     obj = json.loads(line)
     assert obj["kind"] == "dark"

@@ -16,14 +16,13 @@ from darkscope.slippage import path_to_lines
 from darkscope.tape import (
     EventKind,
     Side,
-    Tape,
     TapeEvent,
     TapeFormatError,
     parse_tape,
     parse_tape_scalar,
     serialize_tape,
 )
-from oracle import event_to_obj
+from oracle import event_to_obj, tape_from_events
 
 
 def digest(lines):
@@ -128,7 +127,7 @@ metas = st.dictionaries(st.sampled_from(["scenario", "seed", "note"]), st.intege
 
 
 def sorted_tape(evs, meta):
-    return Tape.from_events("SYM", evs, meta).sorted()
+    return tape_from_events("SYM", evs, meta).sorted()
 
 
 @given(evs=st.lists(events(), max_size=25), meta=metas)
@@ -159,7 +158,7 @@ def test_non_finite_values_serialize_as_json_spells_them():
         TapeEvent(EventKind.LIT, 1, "SYM", math.inf, math.nan, Side.BUY, mid=-math.inf),
         TapeEvent(EventKind.LIT, 2, "SYM", 1.0, 2.0, Side.BUY),
     ]
-    lines = list(serialize_tape(Tape.from_events("SYM", evs)))
+    lines = list(serialize_tape(tape_from_events("SYM", evs)))
     assert lines == [json.dumps(event_to_obj(e)) for e in evs]
 
 
