@@ -19,23 +19,28 @@ Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import math
 import os
 import sys
 import time
+from itertools import islice
 from pathlib import Path
-
-import numpy as np
-
-from . import evidence, policy, simulator, slippage, surprise, tape
 
 log = logging.getLogger("darkscope.cli")
 
 _USAGE_ERROR = 2
 _DATA_ERROR = 1
+
+# Each command imports the modules it runs, and no others, so the parser
+# imports none: it writes out simulator.PRESET_NAMES, surprise's
+# DEFAULT_WINDOW_SIZE and DEFAULT_HORIZON_MULT and evidence.DEFAULT_KMAX,
+# which tests/test_cli.py checks against those modules.
+_PRESETS = ("null", "leaky", "sweep", "latent", "competing", "size_knee")
+_WINDOW_N = 10
+_HORIZON_MULT = 50.0
+_KMAX = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="generate a synthetic tape and price path")
     src = sim.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=simulator.PRESET_NAMES)
+    src.add_argument("--preset", choices=_PRESETS)
     src.add_argument("--scenario", type=Path, help="flat key=value scenario file")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--output", type=Path, required=True, help="output directory for tape.jsonl, "
@@ -56,18 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="score dark fills on a tape")
     score.add_argument("--input", type=Path, required=True, help="tape file")
     score.add_argument("--output", type=Path, required=True, help="output directory")
-    score.add_argument("--window-n", type=int, default=surprise.DEFAULT_WINDOW_SIZE)
-    score.add_argument("--kmax", type=int, default=evidence.DEFAULT_KMAX)
-    score.add_argument("--horizon-mult", type=float, default=surprise.DEFAULT_HORIZON_MULT)
+    score.add_argument("--window-n", type=int, default=_WINDOW_N)
+    score.add_argument("--kmax", type=int, default=_KMAX)
+    score.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
 
     back = sub.add_parser("backtest", help="policy-on vs policy-off replay")
     back.add_argument("--input", type=Path, required=True, help="tape file")
     back.add_argument("--path", type=Path, required=True, help="price path file")
     back.add_argument("--output", type=Path, required=True, help="output directory")
-    back.add_argument("--window-n", type=int, default=surprise.DEFAULT_WINDOW_SIZE)
-    back.add_argument("--kmax", type=int, default=evidence.DEFAULT_KMAX)
+    back.add_argument("--window-n", type=int, default=_WINDOW_N)
+    back.add_argument("--kmax", type=int, default=_KMAX)
     back.add_argument("--alpha", type=float, default=0.05)
-    back.add_argument("--horizon-mult", type=float, default=surprise.DEFAULT_HORIZON_MULT)
+    back.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
 
     power = sub.add_parser("power", help="slippage detectability bound")
     power.add_argument("--mu", type=float, required=True, help="mean per-fill slippage, bp")
@@ -80,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--input", type=Path, required=True, help="tape file")
     report.add_argument("--path", type=Path, required=True, help="price path file")
     report.add_argument("--output", type=Path, required=True, help="output directory")
-    report.add_argument("--window-n", type=int, default=surprise.DEFAULT_WINDOW_SIZE)
-    report.add_argument("--horizon-mult", type=float, default=surprise.DEFAULT_HORIZON_MULT)
+    report.add_argument("--window-n", type=int, default=_WINDOW_N)
+    report.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
     report.add_argument("--alpha", type=float, default=0.05)
     report.add_argument("--tau", type=float, default=5.0)
     report.add_argument("--buckets", type=int, default=10)
@@ -108,25 +113,46 @@ class UsageError(Exception):
     pass
 
 
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+def _write_lines(path: Path, blocks) -> str:
+    """Write ``blocks``, non-empty lists of lines, to ``path`` one block at a
+    time, each line newline-terminated; return the hex sha256 of the bytes."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for block in blocks:
+            data = ("\n".join(block) + "\n").encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
-def _write_cached(path: Path, lines, columns) -> None:
-    """Write ``lines`` to ``path`` and ``columns`` as its column cache (none if None)."""
-    _write_lines(path, lines)
+def _blocks(lines):
+    """``lines`` in lists of at most ``tape.BLOCK_ROWS``, for _write_lines."""
+    from .tape import BLOCK_ROWS
+
+    lines = iter(lines)
+    while block := list(islice(lines, BLOCK_ROWS)):
+        yield block
+
+
+def _write_cached(path: Path, blocks, columns) -> None:
+    """Write ``blocks`` to ``path`` by _write_lines and ``columns`` as its
+    column cache, keyed by the digest of the bytes written (none if None)."""
+    from . import tape
+
+    digest = _write_lines(path, blocks)
     cache = path.with_name(path.name + tape.CACHE_SUFFIX)
     if columns is None:
         cache.unlink(missing_ok=True)
     else:
-        tape.write_columns(cache, tape.file_digest(path), *columns)
+        tape.write_columns(cache, digest, *columns)
 
 
 def _read(path: Path, read_cache, parse):
     """``path`` from its column cache when that holds its text, else parsed."""
+    from . import tape
+
     cache = path.with_name(path.name + tape.CACHE_SUFFIX)
     if cache.is_file():
         try:
@@ -137,11 +163,15 @@ def _read(path: Path, read_cache, parse):
         return parse(fh)
 
 
-def _read_tape(path: Path) -> tape.Tape:
+def _read_tape(path: Path):
+    from . import tape
+
     return _read(path, tape.read_tape_cache, tape.parse_tape)
 
 
-def _read_path(path: Path) -> slippage.PricePath:
+def _read_path(path: Path):
+    from . import slippage
+
     return _read(path, slippage.read_path_cache, slippage.path_from_lines)
 
 
@@ -161,6 +191,10 @@ def _tsv(path: Path, header: list[str], rows) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from . import simulator, slippage, tape
+
     if args.preset:
         scenario = simulator.preset(args.preset, seed=_resolve_seed(args.seed))
     else:
@@ -170,8 +204,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
     tp, path = simulator.simulate_scenario(scenario)
-    _write_cached(out / "tape.jsonl", tape.serialize_tape(tp), tape.cache_columns(tp))
-    _write_cached(out / "path.jsonl", slippage.path_to_lines(path), ({}, [path.ts, path.log_mid]))
+    _write_cached(out / "tape.jsonl", tape.serialize_blocks(tp), tape.cache_columns(tp))
+    _write_cached(out / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
     (out / "scenario.txt").write_text(simulator.format_scenario(scenario))
     n_lit = int(tp.is_lit.sum())
     log.info("simulated %s: %d lit prints, %d dark fills", scenario.name, n_lit, len(tp) - n_lit)
@@ -180,6 +214,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import evidence, surprise
+
     tp = _read_tape(args.input)
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +240,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         lines += evidence.serialize_updates(updates, name)
     # a stable sort by fill keeps block order, then update order, per fill
     order = np.argsort(np.concatenate(rows), kind="stable")
-    _write_lines(out / "scored.jsonl", map(lines.__getitem__, order.tolist()))
+    _write_lines(out / "scored.jsonl", _blocks(map(lines.__getitem__, order.tolist())))
     print(
         f"wrote {out / 'scored.jsonl'}: {len(scores)} fills scored, "
         f"{scores.skipped} skipped before the window filled, "
@@ -212,6 +250,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
+    from . import policy
+
     tp = _read_tape(args.input)
     path = _read_path(args.path)
     out: Path = args.output
@@ -223,7 +263,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         horizon_mult=args.horizon_mult,
     )
     report = policy.replay(tp, path, cfg)
-    _write_lines(out / "actions.jsonl", (json.dumps(policy.action_to_obj(a)) for a in report.actions))
+    _write_lines(out / "actions.jsonl", _blocks(json.dumps(policy.action_to_obj(a)) for a in report.actions))
     _tsv(
         out / "cohorts.tsv",
         ["venue", "order", "side", "fills_off", "fills_on", "slip_off_bp", "slip_on_bp"],
@@ -282,6 +322,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
+    from . import slippage
+
     bound = slippage.min_fills_bound(args.mu, args.sigma)
     if bound == float("inf"):
         print("minimum fills (t=1 bound): unbounded (mu = 0)")
@@ -299,6 +341,8 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import slippage, surprise
+
     tp = _read_tape(args.input)
     path = _read_path(args.path)
     out: Path = args.output
@@ -328,7 +372,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     report_lines = [json.dumps(slippage.bucket_row_to_obj(b)) for b in buckets]
     report_lines += [json.dumps(slippage.threshold_row_to_obj(t)) for t in shares]
-    _write_lines(out / "report.jsonl", report_lines)
+    _write_lines(out / "report.jsonl", _blocks(report_lines))
     print(f"wrote {out / 'slippage_by_pvalue.tsv'} and {out / 'signalling_by_min_size.tsv'}")
     return 0
 
@@ -355,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except (tape.TapeFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # tape.TapeFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _DATA_ERROR
 

@@ -47,6 +47,8 @@ __all__ = [
     "format_scenario",
     "PRESET_NAMES",
     "MAX_EVENTS",
+    "SIZE_LOG_MU_MAX",
+    "SIZE_LOG_SIGMA_MAX",
 ]
 
 _NS = 1_000_000_000
@@ -55,6 +57,19 @@ LATENT_OFFSET_NS = 1_000_000  # latent fills land ~1 ms after a lit print
 # Most events (lit prints plus dark fills) a Scenario may expect. The
 # generator allocates memory in proportion to this count.
 MAX_EVENTS = 10**8
+# Bounds on a lognormal size law's log mean and log std, so that no size
+# exp(mu + sigma * z) is inf or 0, which parse_tape rejects: a standard normal
+# drawn from double uniforms stays below 40 in magnitude, and 100 + 10 * 40
+# is far inside the exponents a float holds (about -745 to 709).
+SIZE_LOG_MU_MAX = 100.0
+SIZE_LOG_SIGMA_MAX = 10.0
+
+
+def _check_size_law(prefix: str, mu: float, sigma: float) -> None:
+    if not abs(mu) <= SIZE_LOG_MU_MAX:
+        raise ValueError(f"{prefix}size_log_mu must be in [-{SIZE_LOG_MU_MAX:g}, {SIZE_LOG_MU_MAX:g}], got {mu}")
+    if not 0 <= sigma <= SIZE_LOG_SIGMA_MAX:
+        raise ValueError(f"{prefix}size_log_sigma must be in [0, {SIZE_LOG_SIGMA_MAX:g}], got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,7 @@ class VenueProfile:
             raise ValueError("leak_latency_mean must be > 0")
         if self.leak_latency_kind not in ("exp", "fixed"):
             raise ValueError(f"leak_latency_kind must be 'exp' or 'fixed', got {self.leak_latency_kind!r}")
+        _check_size_law("", self.size_log_mu, self.size_log_sigma)
 
     def leak_prob_for(self, size: float) -> float:
         if self.size_leak_knee is not None and size > self.size_leak_knee:
@@ -128,7 +144,9 @@ class Scenario:
 
     The expected event count, ``duration`` over the shortest schedule mean
     plus ``dark_fill_rate * duration`` per venue, may not exceed
-    ``MAX_EVENTS``.
+    ``MAX_EVENTS``. Every lognormal size law, lit and per venue, has its log
+    mean within ``SIZE_LOG_MU_MAX`` of 0 and its log std in
+    [0, ``SIZE_LOG_SIGMA_MAX``].
     """
 
     symbol: str = "SYM"
@@ -160,6 +178,7 @@ class Scenario:
             raise ValueError("lit_schedule mean durations must be > 0")
         if self.fills_per_order is not None and self.fills_per_order < 1:
             raise ValueError("fills_per_order must be >= 1")
+        _check_size_law("lit_", self.lit_size_log_mu, self.lit_size_log_sigma)
         lit = self.duration / min(m for _, m in self.lit_schedule)
         events = lit + self.dark_fill_rate * self.duration * len(self.venues)
         if not events <= self._event_cap:

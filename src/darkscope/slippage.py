@@ -23,12 +23,15 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .surprise import SurpriseRecord
-from .tape import Tape, TapeEvent, read_columns
+from .tape import BLOCK_ROWS, Tape, TapeEvent, read_columns
+
+if TYPE_CHECKING:  # for annotations only: simulate and power never load the scorer
+    from .surprise import SurpriseRecord
 
 __all__ = [
     "PricePath",
@@ -51,6 +54,9 @@ __all__ = [
 BP = 1e4  # basis points per unit log return
 # Fills per block in empirical_crossing's early-stopping walk.
 _CROSSING_BLOCK = 512
+# The longest walk empirical_crossing takes, in fills per seed: 200 seeds
+# walk 10**6 fills in about 15 s on a 2-vCPU VM.
+MAX_CROSSING_FILLS = 10**6
 # Most p-value buckets bucket_rows takes: it allocates every bucket.
 MAX_BUCKETS = 10_000
 
@@ -194,7 +200,8 @@ def empirical_crossing(
     chance, and the pointwise mean is wrecked by the infinite-variance t
     values at tiny k; the median trajectory tracks mu * sqrt(k) / sigma and
     crosses near (t_target * sigma / mu)^2. Returns max_fills when it never
-    crosses.
+    crosses; max_fills defaults to 16 * t_target^2 * bound and may not exceed
+    ``MAX_CROSSING_FILLS``.
 
     The trajectories are built a block of fills at a time and the walk stops
     at the first crossing. Each seed's generator stays alive across blocks,
@@ -202,8 +209,8 @@ def empirical_crossing(
     the first term of the next block's cumsum; both are sequential, so the
     result equals that of one draw of max_fills per seed.
 
-    Raises on seeds < 1, a non-finite t_target, and what min_fills_bound
-    rejects.
+    Raises on seeds < 1, a non-finite t_target, a max_fills above the cap
+    (checked before any draw), and what min_fills_bound rejects.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -213,7 +220,17 @@ def empirical_crossing(
         raise ValueError("need sigma > 0 and mu != 0 for a finite crossing")
     bound = min_fills_bound(mu, sigma)
     if max_fills is None:
-        max_fills = int(16 * t_target**2 * bound)
+        fills = 16 * t_target * t_target * bound  # inf, not OverflowError, past the float range
+        if not fills <= MAX_CROSSING_FILLS:
+            raise ValueError(
+                f"the walk to t_target = {t_target:g} needs 16 * t_target^2 * (sigma/mu)^2 = "
+                f"{fills:g} fills, more than MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}"
+            )
+        max_fills = int(fills)
+    elif max_fills > MAX_CROSSING_FILLS:
+        raise ValueError(
+            f"max_fills must be at most MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}, got {max_fills}"
+        )
     rngs = [np.random.Generator(np.random.Philox(child))
             for child in np.random.SeedSequence(seed).spawn(seeds)]
     carry = np.zeros((seeds, 1))
@@ -336,13 +353,23 @@ def size_threshold_report(
 
 
 def path_to_lines(path: PricePath):
-    """Serialize a price path as wire lines (kind = "mid").
+    """Serialize a price path as wire lines (kind = "mid"): the lines of
+    ``path_blocks``, one at a time.
 
     Each line equals ``json.dumps({"kind": "mid", "ts": ts, "log_mid": v})``;
     log_mid is finite, so repr is json's float spelling.
     """
-    for t, v in zip(path.ts.tolist(), path.log_mid.tolist()):
-        yield f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
+    return chain.from_iterable(path_blocks(path))
+
+
+def path_blocks(path: PricePath):
+    """path_to_lines' lines in lists of at most ``BLOCK_ROWS``."""
+    for start in range(0, len(path), BLOCK_ROWS):
+        s = slice(start, start + BLOCK_ROWS)
+        yield [
+            f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
+            for t, v in zip(path.ts[s].tolist(), path.log_mid[s].tolist())
+        ]
 
 
 _JSON_INT = r"-?(?:0|[1-9][0-9]*)"

@@ -33,9 +33,10 @@ text returns. Line 1 is a JSON header: ``version``, ``sha256`` (the hex
 digest of the text file's bytes) and, for a tape, ``symbol``, ``venues``,
 ``meta`` and ``truth`` as ``[[row, obj], ...]``. Then each column follows by
 ``np.save``: a tape's ts, is_lit, price, size, side, venue, mid, own; a price
-path's ts, log_mid. A reader trusts the cache only when the digest matches
-the text, every column has its dtype and one length, and the columns pass
-parse_tape's domain checks; otherwise it parses the text.
+path's ts, log_mid. The writer takes the digest of the bytes as it writes
+them; a reader hashes the file again and trusts the cache only when that
+digest matches, every column has its dtype and one length, and the columns
+pass parse_tape's domain checks; otherwise it parses the text.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, count
@@ -60,6 +62,7 @@ __all__ = [
     "TapeFormatError",
     "parse_tape",
     "serialize_tape",
+    "serialize_blocks",
     "merge_streams",
     "file_digest",
     "write_columns",
@@ -322,6 +325,8 @@ def _decoded(numbered_lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, A
             yield line_no, json.loads(line)
         except json.JSONDecodeError as exc:
             raise TapeFormatError(line_no, f"invalid JSON ({exc.msg})") from None
+        except RecursionError as exc:  # nested past the interpreter's recursion limit
+            raise TapeFormatError(line_no, f"invalid JSON ({exc})") from None
 
 
 def _parse_records(records: Iterable[tuple[int, Any]], meta: dict[str, Any]) -> Tape:
@@ -488,7 +493,7 @@ def parse_tape(lines: Iterable[str]) -> Tape:
             kind, side, sym = constant(kind, kind), constant(side, side), intern(sym)
             if venue is not None:
                 venue = intern(venue)
-        except (ValueError, AttributeError, KeyError, TypeError):
+        except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
             rest = _decoded(chain([(line_no, line)], numbered))
             return _parse_records(chain(cols.records(), rest), meta)
         kinds.append(kind)
@@ -515,6 +520,11 @@ def json_floats(column: np.ndarray) -> list[str]:
     return list(map(json.dumps, values))
 
 
+# Rows the serializers format, join and write at a time: enough that the
+# per-block costs vanish, few enough that a block's text (about 0.2 MB of
+# tape) adds little to peak memory. Larger blocks are no faster and raise
+# the writers' peak RSS (by 2-3 MB at 4096 rows on a 29 k-event tape).
+BLOCK_ROWS = 1024
 _KIND_TEXT = ('"dark"', '"lit"')
 # JSON text of each side code.
 SIDE_JSON = {1: '"buy"', -1: '"sell"', 0: '"unknown"'}
@@ -525,41 +535,58 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
     """Yield tape lines (no trailing newline); inverse of parse_tape.
 
     Each line is ``json.dumps`` of the row's flat object (kind, ts, symbol,
-    price, size and side, then venue, mid, own and truth where present),
-    formatted from the columns with every string JSON-encoded once.
+    price, size and side, then venue, mid, own and truth where present).
+    The lines are those of ``serialize_blocks``, one at a time.
+    """
+    return chain.from_iterable(serialize_blocks(tape))
+
+
+def serialize_blocks(tape: Tape) -> Iterator[list[str]]:
+    """serialize_tape's lines in lists: the meta line (if any) alone, then
+    the rows in blocks of at most ``BLOCK_ROWS``.
+
+    Each block is formatted from slices of the columns with every string
+    JSON-encoded once. A row's mid reuses its price's text when the two are
+    bit-identical, as on every simulated row.
     """
     if tape.meta:
-        yield json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)
+        yield [json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)]
     symbol = json.dumps(tape.symbol)
     venues = [f', "venue": {json.dumps(v)}' for v in tape.venues] + [""]
-    mid_present = ~np.isnan(tape.mid)
-    mids = [
-        f', "mid": {m}' if ok else ""
-        for m, ok in zip(json_floats(np.where(mid_present, tape.mid, 0.0)), mid_present.tolist())
-    ]
     truth = tape.truth
-    for i, (lit, ts, price, size, side, venue, mid, own) in enumerate(
-        zip(
-            tape.is_lit.tolist(),
-            tape.ts.tolist(),
-            json_floats(tape.price),
-            json_floats(tape.size),
-            tape.side.tolist(),
-            tape.venue.tolist(),
-            mids,
-            (tape.own + 1).tolist(),
-        )
-    ):
-        line = (
+    truth_rows = sorted(truth)
+    t = bisect_left(truth_rows, 0)  # the next truth row: one pass serves every block
+    n = len(tape)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        s = slice(start, stop)
+        price, mid = tape.price[s], tape.mid[s]
+        prices = json_floats(price)
+        mids = [', "mid": ' + p for p in prices]
+        absent = np.isnan(mid)
+        for k in np.flatnonzero(absent | (mid.view(np.int64) != price.view(np.int64))).tolist():
+            mids[k] = "" if absent[k] else f', "mid": {json.dumps(float(mid[k]))}'
+        tails = ["}"] * (stop - start)
+        while t < len(truth_rows) and truth_rows[t] < stop:
+            row = truth_rows[t]
+            tails[row - start] = f', "truth": {json.dumps(truth[row])}}}'
+            t += 1
+        yield [
             f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbol}, '
-            f'"price": {price}, "size": {size}, "side": {SIDE_JSON[side]}'
-            f"{venues[venue]}{mid}{_OWN_TEXT[own]}"
-        )
-        if i in truth:
-            line += f', "truth": {json.dumps(truth[i])}}}'
-        else:
-            line += "}"
-        yield line
+            f'"price": {p}, "size": {size}, "side": {SIDE_JSON[side]}'
+            f"{venues[venue]}{m}{_OWN_TEXT[own]}{tail}"
+            for lit, ts, p, size, side, venue, m, own, tail in zip(
+                tape.is_lit[s].tolist(),
+                tape.ts[s].tolist(),
+                prices,
+                json_floats(tape.size[s]),
+                tape.side[s].tolist(),
+                tape.venue[s].tolist(),
+                mids,
+                (tape.own[s] + 1).tolist(),
+                tails,
+            )
+        ]
 
 
 def merge_streams(*parts: Tape) -> Tape:

@@ -5,7 +5,8 @@ over the tape's columns. This module keeps the one-at-a-time form of each,
 written independently of the kernels, for the tests to compare with ``==``:
 the surprise scorer (one lit print folded in and one fill scored at a time,
 with its own copy of the p-value formula), the JSON objects that the
-``serialize_*`` functions format as text, the ledger ``fold``,
+``serialize_*`` functions format as text, the tape and path lines a row at
+a time (the reference for the block serializers), the ledger ``fold``,
 ``post_fill_slippage`` and the slippage-by-p-value loop. It also builds tapes
 from ``TapeEvent`` rows (``tape_from_events``) for the tests to write tapes
 row by row.
@@ -13,16 +14,26 @@ row by row.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from darkscope.evidence import POOLED_VENUE, EvidenceLedger, LedgerEntry, ledger_update
 from darkscope.slippage import BP, BucketRow, CensoredFillError, PricePath, SlippageConfig
 from darkscope.surprise import DEFAULT_HORIZON_MULT, MIN_DURATION_S, MIN_PVALUE, SurpriseRecord
-from darkscope.tape import DURATION_FLOOR_NS, SIDE_OF_SIGN, EventKind, Side, Tape, TapeEvent
+from darkscope.tape import (
+    DURATION_FLOOR_NS,
+    SIDE_JSON,
+    SIDE_OF_SIGN,
+    EventKind,
+    Side,
+    Tape,
+    TapeEvent,
+    json_floats,
+)
 
 _NS = 1e-9
 
@@ -192,6 +203,53 @@ def event_to_obj(event: TapeEvent) -> dict[str, Any]:
     if event.truth is not None:
         obj["truth"] = event.truth
     return obj
+
+
+_KIND_TEXT = ('"dark"', '"lit"')
+_OWN_TEXT = ("", ', "own": false', ', "own": true')
+
+
+def serialize_tape(tape: Tape) -> Iterator[str]:
+    """``darkscope.tape.serialize_tape``'s lines, a row at a time: the
+    formatting that the block serializer replaced, kept as its reference."""
+    if tape.meta:
+        yield json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)
+    symbol = json.dumps(tape.symbol)
+    venues = [f', "venue": {json.dumps(v)}' for v in tape.venues] + [""]
+    mid_present = ~np.isnan(tape.mid)
+    mids = [
+        f', "mid": {m}' if ok else ""
+        for m, ok in zip(json_floats(np.where(mid_present, tape.mid, 0.0)), mid_present.tolist())
+    ]
+    truth = tape.truth
+    for i, (lit, ts, price, size, side, venue, mid, own) in enumerate(
+        zip(
+            tape.is_lit.tolist(),
+            tape.ts.tolist(),
+            json_floats(tape.price),
+            json_floats(tape.size),
+            tape.side.tolist(),
+            tape.venue.tolist(),
+            mids,
+            (tape.own + 1).tolist(),
+        )
+    ):
+        line = (
+            f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbol}, '
+            f'"price": {price}, "size": {size}, "side": {SIDE_JSON[side]}'
+            f"{venues[venue]}{mid}{_OWN_TEXT[own]}"
+        )
+        if i in truth:
+            line += f', "truth": {json.dumps(truth[i])}}}'
+        else:
+            line += "}"
+        yield line
+
+
+def path_to_lines(path: PricePath) -> Iterator[str]:
+    """``darkscope.slippage.path_to_lines``' lines, a sample at a time."""
+    for t, v in zip(path.ts.tolist(), path.log_mid.tolist()):
+        yield f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
 
 
 def record_to_obj(record: SurpriseRecord) -> dict:

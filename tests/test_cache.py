@@ -116,7 +116,7 @@ def test_cache_of_any_valid_tape_loads_what_the_text_parses_to(evs, meta, sort, 
     assert columns is not None
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "tape.jsonl"
-        cli._write_cached(file, serialize_tape(tp), columns)
+        cli._write_cached(file, tape.serialize_blocks(tp), columns)
         with open(file) as fh:
             want = tape.parse_tape(fh)
         with mock.patch.object(tape, "parse_tape", refuse):
@@ -271,11 +271,16 @@ def test_an_unusable_cache_gives_the_text_results(sim_dir, tmp_path, corrupt, ca
 
 
 def test_simulate_writes_no_cache_for_a_tape_the_parser_refuses(tmp_path):
-    # a size_log_mu of 800 draws dark sizes of inf, which parse_tape rejects
-    out = tmp_path / "run"
-    (out / "sim").mkdir(parents=True)
-    (out / "sim" / "tape.jsonl.cols").write_bytes(b"stale")
-    sim = simulate("duration=200\nvenue.D.size_log_mu=800\n", 1, out)
+    # dark sizes of inf, which parse_tape rejects; the scenario's size bounds
+    # keep simulate from drawing them, so the tape is built here
+    tp, path = simulator.simulate_scenario(simulator.Scenario(duration=200.0))
+    tp = replace(tp, size=np.where(tp.is_lit, tp.size, np.inf))
+    assert cache_columns(tp) is None
+    sim = tmp_path / "run" / "sim"
+    sim.mkdir(parents=True)
+    (sim / "tape.jsonl.cols").write_bytes(b"stale")
+    cli._write_cached(sim / "tape.jsonl", tape.serialize_blocks(tp), cache_columns(tp))
+    cli._write_cached(sim / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
     assert not (sim / "tape.jsonl.cols").exists() and (sim / "path.jsonl.cols").exists()
     code, err, _ = run_commands(sim, tmp_path / "out")["score"]
     assert code == 1 and err.startswith("error: line ") and "size must be finite" in err

@@ -4,8 +4,10 @@ import re
 
 import pytest
 
-from darkscope.cli import main
-from darkscope.simulator import format_scenario, preset
+from darkscope import cli
+from darkscope.cli import build_parser, main
+from darkscope.evidence import DEFAULT_KMAX
+from darkscope.simulator import PRESET_NAMES, format_scenario, preset
 from darkscope.slippage import MAX_BUCKETS
 from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
 from darkscope.tape import parse_tape
@@ -50,6 +52,15 @@ class TestSimulate:
             ("dark_fil_rate=0.9", "error: scenario line 2: unknown key 'dark_fil_rate'"),
             ("lit_schedule=0:1,5", "error: scenario line 2: lit_schedule=0:1,5: expected"),
             ("duration=1e300", "error: scenario line 2: duration=1e300: scenario expects"),
+            # each would draw sizes of inf, which parse_tape rejects
+            ("venue.D.size_log_mu=800",
+             "error: scenario line 2: venue.D.size_log_mu=800: size_log_mu must be in [-100, 100], got 800.0"),
+            ("lit_size_log_mu=800",
+             "error: scenario line 2: lit_size_log_mu=800: lit_size_log_mu must be in [-100, 100], got 800.0"),
+            ("venue.D.size_log_sigma=60",
+             "error: scenario line 2: venue.D.size_log_sigma=60: size_log_sigma must be in [0, 10], got 60.0"),
+            ("lit_size_log_sigma=-1",
+             "error: scenario line 2: lit_size_log_sigma=-1: lit_size_log_sigma must be in [0, 10], got -1.0"),
         ],
     )
     def test_bad_scenario_line_exits_1(self, tmp_path, capsys, line, error):
@@ -82,6 +93,17 @@ class TestSimulate:
         monkeypatch.setenv("DARKSCOPE_TEST", "1")
         code = run(["simulate", "--preset", "null", "--output", tmp_path / "x"])
         assert code == 2
+
+
+def test_parser_defaults_are_the_modules_defaults():
+    # the parser writes them out so that building it imports none of these modules
+    args = {c: build_parser().parse_args([c, "--input", "t", "--path", "p", "--output", "o"])
+            for c in ("backtest", "report")}
+    score = build_parser().parse_args(["score", "--input", "t", "--output", "o"])
+    assert cli._PRESETS == PRESET_NAMES
+    for parsed in (score, *args.values()):
+        assert (parsed.window_n, parsed.horizon_mult) == (DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
+    assert score.kmax == args["backtest"].kmax == DEFAULT_KMAX
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +371,21 @@ class TestExitCodes:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("error: line 4: ")
 
+    @pytest.mark.parametrize("command", ["score", "backtest", "report"])
+    @pytest.mark.parametrize("symbol", ["SYM", 7])
+    def test_deeply_nested_tape_line_exits_1_with_line(self, tmp_path, simulated, capsys, command, symbol):
+        # a numeric symbol sends the parse to the per-record validator from line 2
+        lines = (simulated / "tape.jsonl").read_text().splitlines()[:4]
+        lines[1:] = [json.dumps({**json.loads(line), "symbol": symbol}) for line in lines[1:]]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        argv = [command, "--input", bad, "--output", tmp_path / "out"]
+        if command != "score":
+            argv += ["--path", simulated / "path.jsonl"]
+        assert run(argv) == 1
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: line 5: invalid JSON (maximum recursion depth exceeded"), err
+
     @pytest.mark.parametrize("command", ["backtest", "report"])
     def test_path_ts_outside_int64_exits_1_with_line(self, tmp_path, simulated, capsys, command):
         path = tmp_path / "path.jsonl"
@@ -445,6 +482,9 @@ class TestExitCodes:
              "the bound (sigma/mu)^2 overflows a float at mu = 1e-300, sigma = 1.0"),
             (["--mu", "1e-300", "--sigma", "1e300"],
              "the bound (sigma/mu)^2 overflows a float at mu = 1e-300, sigma = 1e+300"),
+            (["--t-target", "1e300"],
+             "the walk to t_target = 1e+300 needs 16 * t_target^2 * (sigma/mu)^2 = inf fills, "
+             "more than MAX_CROSSING_FILLS = 1e+06"),
         ],
     )
     def test_degenerate_power_options_exit_1(self, capsys, args, message):

@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope.cli import _write_cached, main
-from darkscope.slippage import PricePath, path_to_lines
-from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_tape
+from darkscope.slippage import PricePath, path_blocks, path_to_lines
+from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_blocks, serialize_tape
 from oracle import tape_from_events
 
 S = 1_000_000_000
@@ -100,8 +100,8 @@ def outcomes(tmp: Path, tape: Tape, path: PricePath, window_n: str, cached: bool
     ``path`` written into ``tmp``, with simulate's column caches if ``cached``."""
     tmp.mkdir()
     if cached:
-        _write_cached(tmp / "tape.jsonl", serialize_tape(tape), cache_columns(tape))
-        _write_cached(tmp / "path.jsonl", path_to_lines(path), ({}, [path.ts, path.log_mid]))
+        _write_cached(tmp / "tape.jsonl", serialize_blocks(tape), cache_columns(tape))
+        _write_cached(tmp / "path.jsonl", path_blocks(path), ({}, [path.ts, path.log_mid]))
         assert (tmp / "tape.jsonl.cols").exists() and (tmp / "path.jsonl.cols").exists()
     else:
         write(tmp / "tape.jsonl", serialize_tape(tape))

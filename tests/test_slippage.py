@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from darkscope.slippage import (
     BP,
     MAX_BUCKETS,
+    MAX_CROSSING_FILLS,
     CensoredFillError,
     PricePath,
     SlippageConfig,
@@ -315,6 +316,29 @@ class TestEmpiricalCrossing:
     def test_early_stop_matches_whole_matrix(self, mu, sigma, seeds, seed, t_target, max_fills):
         args = (mu, sigma, seeds, seed, t_target, max_fills)
         assert empirical_crossing(*args) == crossing_oracle(*args)
+
+    @pytest.mark.parametrize(
+        "mu, t_target, max_fills, message",
+        [
+            (0.5, 1e300, None, "needs 16 * t_target^2 * (sigma/mu)^2 = inf fills"),
+            (0.5, 1e150, None, "needs 16 * t_target^2 * (sigma/mu)^2 = 9.216e+303 fills"),
+            (0.5, 50.0, None, "needs 16 * t_target^2 * (sigma/mu)^2 = 2.304e+07 fills"),
+            (1e-5, 2.0, None, "needs 16 * t_target^2 * (sigma/mu)^2 = 9.216e+13 fills"),
+            (0.5, 2.0, MAX_CROSSING_FILLS + 1, f"got {MAX_CROSSING_FILLS + 1}"),
+        ],
+    )
+    def test_a_walk_past_the_cap_raises_before_any_draw(self, monkeypatch, mu, t_target, max_fills, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        with pytest.raises(ValueError, match="MAX_CROSSING_FILLS") as info:
+            empirical_crossing(mu, 12.0, seeds=200, seed=1, t_target=t_target, max_fills=max_fills)
+        assert message in str(info.value)
+
+    def test_a_walk_at_the_cap_is_allowed(self):
+        # t is 0 at one fill, so a strong drift crosses at the second
+        assert empirical_crossing(10.0, 1.0, seeds=2, seed=1, max_fills=MAX_CROSSING_FILLS) == 2
 
 
 class TestBucketReport:
