@@ -35,12 +35,18 @@ _DATA_ERROR = 1
 
 # Each command imports the modules it runs, and no others, so the parser
 # imports none: it writes out simulator.PRESET_NAMES, surprise's
-# DEFAULT_WINDOW_SIZE and DEFAULT_HORIZON_MULT and evidence.DEFAULT_KMAX,
-# which tests/test_cli.py checks against those modules.
+# DEFAULT_WINDOW_SIZE, MAX_WINDOW and DEFAULT_HORIZON_MULT, evidence's
+# DEFAULT_KMAX and MAX_KMAX and slippage.MAX_CROSSING_SEEDS, which
+# tests/test_cli.py checks against those modules.
 _PRESETS = ("null", "leaky", "sweep", "latent", "competing", "size_knee")
 _WINDOW_N = 10
+_MAX_WINDOW = 10_000
 _HORIZON_MULT = 50.0
 _KMAX = 5
+_MAX_KMAX = 1_000
+_MAX_SEEDS = 1_000
+_WINDOW_HELP = f"lit durations in the scoring window, 1 to {_MAX_WINDOW}"
+_KMAX_HELP = f"p-values each venue's Fisher ledger combines, 1 to {_MAX_KMAX}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,23 +67,24 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="score dark fills on a tape")
     score.add_argument("--input", type=Path, required=True, help="tape file")
     score.add_argument("--output", type=Path, required=True, help="output directory")
-    score.add_argument("--window-n", type=int, default=_WINDOW_N)
-    score.add_argument("--kmax", type=int, default=_KMAX)
+    score.add_argument("--window-n", type=int, default=_WINDOW_N, help=_WINDOW_HELP)
+    score.add_argument("--kmax", type=int, default=_KMAX, help=_KMAX_HELP)
     score.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
 
     back = sub.add_parser("backtest", help="policy-on vs policy-off replay")
     back.add_argument("--input", type=Path, required=True, help="tape file")
     back.add_argument("--path", type=Path, required=True, help="price path file")
     back.add_argument("--output", type=Path, required=True, help="output directory")
-    back.add_argument("--window-n", type=int, default=_WINDOW_N)
-    back.add_argument("--kmax", type=int, default=_KMAX)
+    back.add_argument("--window-n", type=int, default=_WINDOW_N, help=_WINDOW_HELP)
+    back.add_argument("--kmax", type=int, default=_KMAX, help=_KMAX_HELP)
     back.add_argument("--alpha", type=float, default=0.05)
     back.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
 
     power = sub.add_parser("power", help="slippage detectability bound")
     power.add_argument("--mu", type=float, required=True, help="mean per-fill slippage, bp")
     power.add_argument("--sigma", type=float, required=True, help="per-fill return std, bp")
-    power.add_argument("--seeds", type=int, default=200)
+    power.add_argument("--seeds", type=int, default=200,
+                       help=f"independent walks the crossing is the median of, 1 to {_MAX_SEEDS}")
     power.add_argument("--seed", type=int, default=None)
     power.add_argument("--t-target", type=float, default=2.0)
 
@@ -85,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--input", type=Path, required=True, help="tape file")
     report.add_argument("--path", type=Path, required=True, help="price path file")
     report.add_argument("--output", type=Path, required=True, help="output directory")
-    report.add_argument("--window-n", type=int, default=_WINDOW_N)
+    report.add_argument("--window-n", type=int, default=_WINDOW_N, help=_WINDOW_HELP)
     report.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
     report.add_argument("--alpha", type=float, default=0.05)
     report.add_argument("--tau", type=float, default=5.0)

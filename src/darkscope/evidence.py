@@ -41,10 +41,15 @@ __all__ = [
     "fold_columns",
     "serialize_updates",
     "DEFAULT_KMAX",
+    "MAX_KMAX",
     "POOLED_VENUE",
 ]
 
 DEFAULT_KMAX = 5
+# Largest k_max a ledger takes: ledger_update combines the whole window on
+# each update (O(k_max) in Python), and fold_columns makes k_max passes over
+# the update stream.
+MAX_KMAX = 1_000
 
 # Key of the ledger that pools every venue's p-values.
 POOLED_VENUE = "*"
@@ -133,6 +138,8 @@ class EvidenceLedger:
     def __init__(self, venue: str, k_max: int = DEFAULT_KMAX):
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
+        if k_max > MAX_KMAX:
+            raise ValueError(f"k_max must be <= MAX_KMAX = {MAX_KMAX}, got {k_max}")
         self.venue = venue
         self.k_max = k_max
         self._window: deque[LedgerEntry] = deque(maxlen=k_max)
@@ -209,6 +216,8 @@ def fold_columns(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if k_max > MAX_KMAX:
+        raise ValueError(f"k_max must be <= MAX_KMAX = {MAX_KMAX}, got {k_max}")
     table: dict[str, int] = {}
     code = np.array([table.setdefault(name, len(table)) for name in names], dtype=np.intp)
     pool = table.setdefault(POOLED_VENUE, len(table))

@@ -57,6 +57,9 @@ _CROSSING_BLOCK = 512
 # The longest walk empirical_crossing takes, in fills per seed: 200 seeds
 # walk 10**6 fills in about 15 s on a 2-vCPU VM.
 MAX_CROSSING_FILLS = 10**6
+# Most seeds empirical_crossing walks: each keeps a generator and its block
+# of draws, about 48 kB per seed.
+MAX_CROSSING_SEEDS = 1_000
 # Most p-value buckets bucket_rows takes: it allocates every bucket.
 MAX_BUCKETS = 10_000
 
@@ -209,11 +212,14 @@ def empirical_crossing(
     the first term of the next block's cumsum; both are sequential, so the
     result equals that of one draw of max_fills per seed.
 
-    Raises on seeds < 1, a non-finite t_target, a max_fills above the cap
-    (checked before any draw), and what min_fills_bound rejects.
+    Raises on seeds outside [1, ``MAX_CROSSING_SEEDS``], a non-finite
+    t_target, a max_fills above the cap (checked before any draw), and what
+    min_fills_bound rejects.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if seeds > MAX_CROSSING_SEEDS:
+        raise ValueError(f"seeds must be <= MAX_CROSSING_SEEDS = {MAX_CROSSING_SEEDS}, got {seeds}")
     if not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite, got {t_target}")
     if sigma <= 0 or mu == 0:

@@ -63,12 +63,16 @@ __all__ = [
     "score_tape",
     "serialize_scores",
     "DEFAULT_WINDOW_SIZE",
+    "MAX_WINDOW",
     "DEFAULT_HORIZON_MULT",
     "MIN_DURATION_S",
     "MIN_PVALUE",
 ]
 
 DEFAULT_WINDOW_SIZE = 10
+# Largest window score_columns takes: each fill's window mean sums up to
+# window_size durations, so the work grows as fills x window_size.
+MAX_WINDOW = 10_000
 # Forward lookahead horizon, in units of the window mean. Censored mass under
 # the null is (n / (n + 50))^n: 2% at n = 1, 1.6e-8 at the default n = 10.
 DEFAULT_HORIZON_MULT = 50.0
@@ -193,6 +197,8 @@ def score_columns(
     """
     if window_size < 1:
         raise ValueError(f"window capacity must be >= 1, got {window_size}")
+    if window_size > MAX_WINDOW:
+        raise ValueError(f"window capacity must be <= MAX_WINDOW = {MAX_WINDOW}, got {window_size}")
     if not 0.0 < horizon_mult < math.inf:
         raise ValueError(f"horizon_mult must be finite and > 0, got {horizon_mult}")
     lit_pos = np.flatnonzero(tape.is_lit)

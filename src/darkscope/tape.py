@@ -28,6 +28,11 @@ Wire format: one JSON object per line with fields
 ``own``, ``truth``. An optional leading ``{"kind": "meta", ...}`` line
 carries tape provenance.
 
+Parsing: ``parse_tape`` reads the text in one pass. Each line is decoded as
+``json.loads`` would, and each record is checked once, field by field in a
+fixed order, so an error names the first bad line and its first failed
+check. The accepted rows become the columns once, at the end.
+
 Column cache: ``<file>.cols`` beside a text file holds what parsing that
 text returns. Line 1 is a JSON header: ``version``, ``sha256`` (the hex
 digest of the text file's bytes) and, for a tape, ``symbol``, ``venues``,
@@ -47,9 +52,8 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, count
+from itertools import chain
 from operator import itemgetter
-from sys import intern
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -252,188 +256,81 @@ class Tape:
 _REQUIRED_FIELDS = ("kind", "ts", "symbol", "price", "size")
 _required = itemgetter(*_REQUIRED_FIELDS)
 _SIDE_CODE = {"buy": 1, "sell": -1, "unknown": 0}
-_CONSTANT_STR = {s: s for s in ("lit", "dark", "buy", "sell", "unknown")}
 _OWN_CODE = {None: -1, False: 0, True: 1}
 
 
 def _row_from_obj(obj: dict[str, Any], line_no: int) -> tuple:
-    """The per-record validator: one decoded line to its normalised row, in
-    ``_Columns.FIELDS`` order (numbers as floats, ``kind``, ``side`` and
-    ``symbol`` as strings), or the error."""
-    for name in _REQUIRED_FIELDS:
-        if name not in obj:
-            raise TapeFormatError(line_no, f"missing field '{name}'")
-    kind = obj["kind"]
-    if not isinstance(kind, str) or kind not in ("lit", "dark"):
+    """One decoded record checked and normalised, or the TapeFormatError of
+    the first check it fails: the symbol as a string, and the row (is_lit,
+    ts, price, size, side code, venue, mid, own code, truth) with numbers as
+    floats and an absent mid as NaN. The checks run in a fixed order: the
+    required fields, kind, ts, price and size (both through ``float`` first),
+    side, venue, a dark fill's venue and side, mid, own, truth."""
+    try:
+        kind, ts, symbol, price, size = _required(obj)
+    except KeyError:
+        name = next(name for name in _REQUIRED_FIELDS if name not in obj)
+        raise TapeFormatError(line_no, f"missing field '{name}'") from None
+    is_lit = kind == "lit"
+    if not is_lit and kind != "dark":
         raise TapeFormatError(line_no, f"unknown kind '{kind}'")
-    ts = obj["ts"]
-    if not isinstance(ts, int) or isinstance(ts, bool):
-        raise TapeFormatError(line_no, f"ts must be an integer, got {ts!r}")
-    if ts < 0:
-        raise TapeFormatError(line_no, f"negative ts {ts}")
-    if ts > _INT64_MAX:
+    if type(ts) is not int or not 0 <= ts <= _INT64_MAX:
+        if not isinstance(ts, int) or isinstance(ts, bool):
+            raise TapeFormatError(line_no, f"ts must be an integer, got {ts!r}")
+        if ts < 0:
+            raise TapeFormatError(line_no, f"negative ts {ts}")
         raise TapeFormatError(line_no, f"ts {ts} exceeds the int64 range")
     try:
-        price = float(obj["price"])
-        size = float(obj["size"])
+        price = float(price)
+        size = float(size)
     except (TypeError, ValueError, OverflowError):
         raise TapeFormatError(line_no, "price/size must be numeric") from None
-    if not price > 0:
-        raise TapeFormatError(line_no, f"price must be > 0, got {price}")
-    if not math.isfinite(price):
-        raise TapeFormatError(line_no, f"price must be finite, got {price}")
-    if not size > 0:
-        raise TapeFormatError(line_no, f"size must be > 0, got {size}")
-    if not math.isfinite(size):
-        raise TapeFormatError(line_no, f"size must be finite, got {size}")
+    if not (0.0 < price < math.inf and 0.0 < size < math.inf):
+        for name, value in (("price", price), ("size", size)):
+            if not value > 0:
+                raise TapeFormatError(line_no, f"{name} must be > 0, got {value}")
+            if not math.isfinite(value):
+                raise TapeFormatError(line_no, f"{name} must be finite, got {value}")
     side = obj.get("side", "unknown")
-    if not isinstance(side, str) or side not in _SIDE_CODE:
+    if type(side) is not str or side not in _SIDE_CODE:
         raise TapeFormatError(line_no, f"unknown side '{side}'")
     venue = obj.get("venue")
-    if venue is not None and not isinstance(venue, str):
+    if venue is not None and type(venue) is not str:
         raise TapeFormatError(line_no, f"venue must be a string, got {venue!r}")
-    if kind == "dark":
+    if not is_lit:
         if not venue:
             raise TapeFormatError(line_no, "dark fill missing venue")
         if side == "unknown":
             raise TapeFormatError(line_no, "dark fill missing side")
     mid = obj.get("mid")
-    if mid is not None:
+    if mid is None:
+        mid = math.nan
+    else:
         try:
             mid = float(mid)
         except (TypeError, ValueError, OverflowError):
             raise TapeFormatError(line_no, f"mid must be numeric, got {mid!r}") from None
-        if not mid > 0:
-            raise TapeFormatError(line_no, f"mid must be > 0, got {mid}")
-        if not math.isfinite(mid):
+        if not 0.0 < mid < math.inf:
+            if not mid > 0:
+                raise TapeFormatError(line_no, f"mid must be > 0, got {mid}")
             raise TapeFormatError(line_no, f"mid must be finite, got {mid}")
     own = obj.get("own")
-    if own is not None and not isinstance(own, bool):
+    if own is not None and type(own) is not bool:
         raise TapeFormatError(line_no, f"own must be a boolean, got {own!r}")
     truth = obj.get("truth")
-    if truth is not None and not isinstance(truth, dict):
+    if truth is not None and type(truth) is not dict:
         raise TapeFormatError(line_no, f"truth must be an object, got {truth!r}")
-    return kind, ts, str(obj["symbol"]), price, size, side, venue, mid, own, truth
+    return str(symbol), (is_lit, ts, price, size, _SIDE_CODE[side], venue, mid, _OWN_CODE[own], truth)
 
 
-def _decoded(numbered_lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, Any]]:
-    for line_no, line in numbered_lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield line_no, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TapeFormatError(line_no, f"invalid JSON ({exc.msg})") from None
-        except RecursionError as exc:  # nested past the interpreter's recursion limit
-            raise TapeFormatError(line_no, f"invalid JSON ({exc})") from None
-
-
-def _parse_records(records: Iterable[tuple[int, Any]], meta: dict[str, Any]) -> Tape:
-    """Scalar parse of decoded (line number, record) pairs: each record is
-    validated on its own and appended to the columns."""
-    cols = _Columns()
-    columns = [getattr(cols, name) for name in cols.FIELDS]
-    tape_symbol: str | None = None
-    for line_no, obj in records:
-        if not isinstance(obj, dict):
-            raise TapeFormatError(line_no, "record must be a JSON object")
-        if obj.get("kind") == "meta":
-            meta.update({k: v for k, v in obj.items() if k != "kind"})
-            continue
-        row = _row_from_obj(obj, line_no)
-        symbol = row[2]  # FIELDS order
-        if tape_symbol is None:
-            tape_symbol = symbol
-        elif symbol != tape_symbol:
-            raise TapeFormatError(line_no, f"mixed symbols: expected '{tape_symbol}', got '{symbol}'")
-        for column, value in zip(columns, row):
-            column.append(value)
-    tape = _to_tape(cols, meta)
-    if tape is None:  # not an assert, which -O would strip
-        raise RuntimeError("internal error: the column checks rejected rows the record validator accepted")
-    return tape
-
-
-def parse_tape_scalar(lines: Iterable[str]) -> Tape:
-    """parse_tape through the per-record validator only (the reference path)."""
-    return _parse_records(_decoded(enumerate(lines, start=1)), {})
-
-
-class _Columns:
-    """Field values of decoded or validated records, one list per field."""
-
-    FIELDS = ("kind", "ts", "symbol", "price", "size", "side", "venue", "mid", "own", "truth")
-
-    def __init__(self) -> None:
-        for name in self.FIELDS:
-            setattr(self, name, [])
-        self.skipped: list[int] = []  # line numbers of blank and meta lines
-
-    def records(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """The rows as records again, for the per-record validator.
-
-        Absent optionals come back as None, which the validator treats as
-        absent, and an absent side as "unknown", its default.
-        """
-        skipped = set(self.skipped)
-        line_nos = (n for n in count(1) if n not in skipped)
-        columns = [getattr(self, name) for name in self.FIELDS]
-        for line_no, values in zip(line_nos, zip(*columns)):
-            yield line_no, dict(zip(self.FIELDS, values))
-
-
-def _only(values: list, *types: type) -> bool:
-    return set(map(type, values)) <= set(types)
-
-
-def _to_tape(cols: _Columns, meta: dict[str, Any]) -> Tape | None:
-    """Columns checked and converted as wholes; None when any row fails a check."""
-    n = len(cols.ts)
-    kinds, sides, mids, owns, venues = cols.kind, cols.side, cols.mid, cols.own, cols.venue
-    none = type(None)
-    if kinds.count("lit") + kinds.count("dark") != n:
-        return None
-    if sides.count("buy") + sides.count("sell") + sides.count("unknown") != n:
-        return None
-    if not (
-        _only(cols.ts, int)
-        and _only(cols.price, float, int)
-        and _only(cols.size, float, int)
-        and _only(mids, float, int, none)
-        and _only(owns, bool, none)
-        and _only(cols.truth, dict, none)
-    ):
-        return None
-    tape_symbol = cols.symbol[0] if n else None
-    if n and set(cols.symbol) != {tape_symbol}:
-        return None
+def _loads(line: str, line_no: int) -> Any:
+    """json.loads of one line, its errors as TapeFormatError."""
     try:
-        ts = np.array(cols.ts, dtype=np.int64)
-        price = np.array(cols.price, dtype=np.float64)
-        size = np.array(cols.size, dtype=np.float64)
-        mid = np.array(mids, dtype=np.float64)  # None -> NaN
-    except OverflowError:
-        return None
-    if int(np.isnan(mid).sum()) != mids.count(None):  # a NaN mid, not an absent one
-        return None
-    names = {v: i for i, v in enumerate(v for v in dict.fromkeys(venues) if v is not None)}
-    names_code = {**names, None: -1}
-    tape = Tape(
-        symbol=tape_symbol or "",
-        ts=ts,
-        is_lit=np.fromiter(map("lit".__eq__, kinds), dtype=bool, count=n),
-        price=price,
-        size=size,
-        side=np.fromiter(map(_SIDE_CODE.__getitem__, sides), dtype=np.int8, count=n),
-        venue=np.fromiter(map(names_code.__getitem__, venues), dtype=np.int32, count=n),
-        venues=tuple(names),
-        mid=mid,
-        own=np.fromiter(map(_OWN_CODE.__getitem__, owns), dtype=np.int8, count=n),
-        truth={i: t for i, t in enumerate(cols.truth) if t is not None},
-        meta=meta,
-    )
-    return tape.sorted() if _valid(tape) else None
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TapeFormatError(line_no, f"invalid JSON ({exc.msg})") from None
+    except RecursionError as exc:  # nested past the interpreter's recursion limit
+        raise TapeFormatError(line_no, f"invalid JSON ({exc})") from None
 
 
 def _valid(tape: Tape) -> bool:
@@ -455,61 +352,62 @@ def _valid(tape: Tape) -> bool:
 def parse_tape(lines: Iterable[str]) -> Tape:
     """Parse line-delimited tape text into a validated, sorted Tape.
 
-    Blank lines are skipped. Errors name the offending 1-based line number.
-    All fields round-trip bit-exactly through serialize_tape.
-
-    Each line is decoded straight into column lists and the domain checks run
-    once over whole columns. Input those checks do not pass (an error, or a
-    form they do not take, such as a numeric string) goes through the
-    per-record validator from the first line, so errors and accepted values
-    are exactly the scalar path's (``parse_tape_scalar``).
+    Each line is stripped and decoded as ``json.loads`` would (blank lines
+    are skipped); a meta record's fields fold into ``meta``; every other
+    record is checked by ``_row_from_obj`` and must carry the first record's
+    symbol. Errors name the offending 1-based line number: the first line
+    that fails a check, with the first check it fails. The columns are built
+    once at the end, venues numbered by first appearance, and the rows
+    sorted. All fields round-trip bit-exactly through serialize_tape.
     """
-    cols = _Columns()
     meta: dict[str, Any] = {}
+    rows: list[tuple] = []
+    symbol = None
     decode = json.JSONDecoder().raw_decode
-    kinds, tss, syms, prices, sizes = cols.kind, cols.ts, cols.symbol, cols.price, cols.size
-    sides, venues, mids, owns, truths = cols.side, cols.venue, cols.mid, cols.own, cols.truth
-    skipped = cols.skipped
-    # Repeated strings are kept once: the known kinds and sides as constants,
-    # symbols and venue names interned (a non-string one takes the scalar path).
-    constant = _CONSTANT_STR.get
-    numbered = enumerate(lines, start=1)
-    for line_no, line in numbered:
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
-            skipped.append(line_no)
             continue
         try:
             obj, end = decode(line)
-            if end != len(line):
-                raise ValueError("extra data")
-            if obj.get("kind") == "meta":
-                meta.update({k: v for k, v in obj.items() if k != "kind"})
-                skipped.append(line_no)
-                continue
-            kind, ts, sym, price, size = _required(obj)
-            side = obj.get("side", "unknown")
-            venue = obj.get("venue")
-            kind, side, sym = constant(kind, kind), constant(side, side), intern(sym)
-            if venue is not None:
-                venue = intern(venue)
-        except (ValueError, AttributeError, KeyError, TypeError, RecursionError):
-            rest = _decoded(chain([(line_no, line)], numbered))
-            return _parse_records(chain(cols.records(), rest), meta)
-        kinds.append(kind)
-        tss.append(ts)
-        syms.append(sym)
-        prices.append(price)
-        sizes.append(size)
-        sides.append(side)
-        venues.append(venue)
-        mids.append(obj.get("mid"))
-        owns.append(obj.get("own"))
-        truths.append(obj.get("truth"))
-    tape = _to_tape(cols, meta)
-    if tape is None:
-        return _parse_records(cols.records(), meta)
-    return tape
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line):  # json.loads raises its own error ("Extra data", ...)
+            obj = _loads(line, line_no)
+        if type(obj) is not dict:
+            raise TapeFormatError(line_no, "record must be a JSON object")
+        if obj.get("kind") == "meta":
+            meta.update({k: v for k, v in obj.items() if k != "kind"})
+            continue
+        row_symbol, row = _row_from_obj(obj, line_no)
+        if row_symbol != symbol:
+            if symbol is not None:
+                raise TapeFormatError(line_no, f"mixed symbols: expected '{symbol}', got '{row_symbol}'")
+            symbol = row_symbol
+        rows.append(row)
+    n = len(rows)
+
+    def field(i: int) -> Iterator:  # the rows' values at position i
+        return map(itemgetter(i), rows)
+
+    venues = dict.fromkeys(field(5))  # numbered by first appearance
+    venues.pop(None, None)
+    code = {name: i for i, name in enumerate(venues)}
+    code[None] = -1
+    return Tape(
+        symbol=symbol or "",
+        is_lit=np.fromiter(field(0), bool, n),
+        ts=np.fromiter(field(1), np.int64, n),
+        price=np.fromiter(field(2), np.float64, n),
+        size=np.fromiter(field(3), np.float64, n),
+        side=np.fromiter(field(4), np.int8, n),
+        venue=np.fromiter(map(code.__getitem__, field(5)), np.int32, n),
+        venues=tuple(venues),
+        mid=np.fromiter(field(6), np.float64, n),
+        own=np.fromiter(field(7), np.int8, n),
+        truth={i: t for i, t in enumerate(field(8)) if t is not None},
+        meta=meta,
+    ).sorted()
 
 
 def json_floats(column: np.ndarray) -> list[str]:

@@ -7,9 +7,10 @@ the surprise scorer (one lit print folded in and one fill scored at a time,
 with its own copy of the p-value formula), the JSON objects that the
 ``serialize_*`` functions format as text, the tape and path lines a row at
 a time (the reference for the block serializers), the ledger ``fold``,
-``post_fill_slippage`` and the slippage-by-p-value loop. It also builds tapes
-from ``TapeEvent`` rows (``tape_from_events``) for the tests to write tapes
-row by row.
+``post_fill_slippage``, the slippage-by-p-value loop and the tape parser (a
+record at a time: ``json.loads`` of each line, the per-record validator, one
+``TapeEvent`` per record). It also builds tapes from ``TapeEvent`` rows
+(``tape_from_events``) for the tests to write tapes row by row.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from darkscope.tape import (
     Side,
     Tape,
     TapeEvent,
+    TapeFormatError,
     json_floats,
 )
 
@@ -203,6 +205,102 @@ def event_to_obj(event: TapeEvent) -> dict[str, Any]:
     if event.truth is not None:
         obj["truth"] = event.truth
     return obj
+
+
+_REQUIRED_FIELDS = ("kind", "ts", "symbol", "price", "size")
+_SIDE_CODE = {"buy": 1, "sell": -1, "unknown": 0}
+_INT64_MAX = 2**63 - 1
+
+
+def _row_from_obj(obj: dict[str, Any], line_no: int) -> tuple:
+    """The per-record validator: one decoded line to its normalised row
+    (numbers as floats, ``kind``, ``side`` and ``symbol`` as strings), or
+    the error."""
+    for name in _REQUIRED_FIELDS:
+        if name not in obj:
+            raise TapeFormatError(line_no, f"missing field '{name}'")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in ("lit", "dark"):
+        raise TapeFormatError(line_no, f"unknown kind '{kind}'")
+    ts = obj["ts"]
+    if not isinstance(ts, int) or isinstance(ts, bool):
+        raise TapeFormatError(line_no, f"ts must be an integer, got {ts!r}")
+    if ts < 0:
+        raise TapeFormatError(line_no, f"negative ts {ts}")
+    if ts > _INT64_MAX:
+        raise TapeFormatError(line_no, f"ts {ts} exceeds the int64 range")
+    try:
+        price = float(obj["price"])
+        size = float(obj["size"])
+    except (TypeError, ValueError, OverflowError):
+        raise TapeFormatError(line_no, "price/size must be numeric") from None
+    if not price > 0:
+        raise TapeFormatError(line_no, f"price must be > 0, got {price}")
+    if not math.isfinite(price):
+        raise TapeFormatError(line_no, f"price must be finite, got {price}")
+    if not size > 0:
+        raise TapeFormatError(line_no, f"size must be > 0, got {size}")
+    if not math.isfinite(size):
+        raise TapeFormatError(line_no, f"size must be finite, got {size}")
+    side = obj.get("side", "unknown")
+    if not isinstance(side, str) or side not in _SIDE_CODE:
+        raise TapeFormatError(line_no, f"unknown side '{side}'")
+    venue = obj.get("venue")
+    if venue is not None and not isinstance(venue, str):
+        raise TapeFormatError(line_no, f"venue must be a string, got {venue!r}")
+    if kind == "dark":
+        if not venue:
+            raise TapeFormatError(line_no, "dark fill missing venue")
+        if side == "unknown":
+            raise TapeFormatError(line_no, "dark fill missing side")
+    mid = obj.get("mid")
+    if mid is not None:
+        try:
+            mid = float(mid)
+        except (TypeError, ValueError, OverflowError):
+            raise TapeFormatError(line_no, f"mid must be numeric, got {mid!r}") from None
+        if not mid > 0:
+            raise TapeFormatError(line_no, f"mid must be > 0, got {mid}")
+        if not math.isfinite(mid):
+            raise TapeFormatError(line_no, f"mid must be finite, got {mid}")
+    own = obj.get("own")
+    if own is not None and not isinstance(own, bool):
+        raise TapeFormatError(line_no, f"own must be a boolean, got {own!r}")
+    truth = obj.get("truth")
+    if truth is not None and not isinstance(truth, dict):
+        raise TapeFormatError(line_no, f"truth must be an object, got {truth!r}")
+    return kind, ts, str(obj["symbol"]), price, size, side, venue, mid, own, truth
+
+
+def parse_tape_scalar(lines: Iterable[str]) -> Tape:
+    """``darkscope.tape.parse_tape`` a record at a time: ``json.loads`` of
+    each line, the per-record validator, one TapeEvent per record, then
+    ``tape_from_events`` and a sort."""
+    meta: dict[str, Any] = {}
+    events: list[TapeEvent] = []
+    symbol: str | None = None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TapeFormatError(line_no, f"invalid JSON ({exc.msg})") from None
+        except RecursionError as exc:
+            raise TapeFormatError(line_no, f"invalid JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise TapeFormatError(line_no, "record must be a JSON object")
+        if obj.get("kind") == "meta":
+            meta.update({k: v for k, v in obj.items() if k != "kind"})
+            continue
+        kind, ts, sym, price, size, side, venue, mid, own, truth = _row_from_obj(obj, line_no)
+        if symbol is None:
+            symbol = sym
+        elif sym != symbol:
+            raise TapeFormatError(line_no, f"mixed symbols: expected '{symbol}', got '{sym}'")
+        events.append(TapeEvent(EventKind(kind), ts, sym, price, size, Side(side), venue, mid, own, truth))
+    return tape_from_events(symbol or "", events, meta).sorted()
 
 
 _KIND_TEXT = ('"dark"', '"lit"')

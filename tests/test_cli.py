@@ -6,10 +6,10 @@ import pytest
 
 from darkscope import cli
 from darkscope.cli import build_parser, main
-from darkscope.evidence import DEFAULT_KMAX
+from darkscope.evidence import DEFAULT_KMAX, MAX_KMAX
 from darkscope.simulator import PRESET_NAMES, format_scenario, preset
-from darkscope.slippage import MAX_BUCKETS
-from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
+from darkscope.slippage import MAX_BUCKETS, MAX_CROSSING_SEEDS
+from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, MAX_WINDOW, score_tape
 from darkscope.tape import parse_tape
 from oracle import entry_to_obj, fold
 
@@ -104,6 +104,7 @@ def test_parser_defaults_are_the_modules_defaults():
     for parsed in (score, *args.values()):
         assert (parsed.window_n, parsed.horizon_mult) == (DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
     assert score.kmax == args["backtest"].kmax == DEFAULT_KMAX
+    assert (cli._MAX_WINDOW, cli._MAX_KMAX, cli._MAX_SEEDS) == (MAX_WINDOW, MAX_KMAX, MAX_CROSSING_SEEDS)
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +375,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["score", "backtest", "report"])
     @pytest.mark.parametrize("symbol", ["SYM", 7])
     def test_deeply_nested_tape_line_exits_1_with_line(self, tmp_path, simulated, capsys, command, symbol):
-        # a numeric symbol sends the parse to the per-record validator from line 2
+        # the symbol as simulate writes it, and as a number, which the parser accepts as "7"
         lines = (simulated / "tape.jsonl").read_text().splitlines()[:4]
         lines[1:] = [json.dumps({**json.loads(line), "symbol": symbol}) for line in lines[1:]]
         bad = tmp_path / "bad.jsonl"
@@ -485,6 +486,7 @@ class TestExitCodes:
             (["--t-target", "1e300"],
              "the walk to t_target = 1e+300 needs 16 * t_target^2 * (sigma/mu)^2 = inf fills, "
              "more than MAX_CROSSING_FILLS = 1e+06"),
+            (["--seeds", "1001"], "seeds must be <= MAX_CROSSING_SEEDS = 1000, got 1001"),
         ],
     )
     def test_degenerate_power_options_exit_1(self, capsys, args, message):

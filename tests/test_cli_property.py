@@ -7,7 +7,8 @@ data: ``backtest`` on fewer than three dark fills, ``report`` when no fill
 has two lit prints ahead of it. With the column caches ``simulate`` would
 write beside the tape and path, each command gives the same exit code,
 stderr and output bytes as without them. Extreme values of the float options
-exit 0 or 1, with exactly one ``error:`` line on exit 1.
+exit 0 or 1, with exactly one ``error:`` line on exit 1; so do the integer
+options at, around and far beyond their bounds, exiting 1 outside them.
 """
 
 import contextlib
@@ -23,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope.cli import _write_cached, main
-from darkscope.slippage import PricePath, path_blocks, path_to_lines
+from darkscope.evidence import MAX_KMAX
+from darkscope.slippage import MAX_CROSSING_SEEDS, PricePath, path_blocks, path_to_lines
+from darkscope.surprise import MAX_WINDOW
 from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_blocks, serialize_tape
 from oracle import tape_from_events
 
@@ -148,3 +151,56 @@ def test_extreme_float_options_exit_cleanly(option, value, evs, path):
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert code in (0, 1), (command, code, err)
             assert len(errors) == code, (command, err)
+
+
+# The commands that take each integer option, its bound, and the power
+# arguments under which every walk crosses in its first block.
+INT_OPTIONS = {
+    "--window-n": (("score", "backtest", "report"), MAX_WINDOW),
+    "--kmax": (("score", "backtest"), MAX_KMAX),
+    "--seeds": (("power",), MAX_CROSSING_SEEDS),
+}
+QUICK_POWER = ["--mu", "5", "--sigma", "12", "--seed", "1"]
+
+
+class GuardedSeedSequence:
+    """np.random.SeedSequence that refuses to spawn more children than the
+    cap, so that no walk over more seeds than the cap starts."""
+
+    real = np.random.SeedSequence
+
+    def __init__(self, entropy):
+        self.seq = self.real(entropy)
+
+    def spawn(self, n):
+        assert n <= MAX_CROSSING_SEEDS, f"asked for {n} generators"
+        return self.seq.spawn(n)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [(option, value) for option, (_, cap) in INT_OPTIONS.items() for value in (-1, 0, 1, cap, cap + 1, 10**20)],
+)
+@given(evs=st.lists(events(), min_size=4, max_size=40), path=paths)
+@settings(max_examples=5, deadline=None)
+def test_extreme_int_options_exit_cleanly(option, value, evs, path):
+    commands, cap = INT_OPTIONS[option]
+    tape = tape_from_events("SYM", evs).sorted()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "SeedSequence", GuardedSeedSequence)
+        tmp = Path(tmp)
+        write(tmp / "tape.jsonl", serialize_tape(tape))
+        write(tmp / "path.jsonl", path_to_lines(path))
+        for command in commands:
+            if command == "power":
+                argv = ["power", *QUICK_POWER]
+            else:
+                argv = [command, "--input", tmp / "tape.jsonl", "--output", tmp / command]
+                if command != "score":
+                    argv += ["--path", tmp / "path.jsonl"]
+            code, err = run([*argv, option, value])
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code in (0, 1), (command, code, err)
+            assert len(errors) == code, (command, err)
+            if not 1 <= value <= cap:
+                assert code == 1, (command, err)

@@ -1,8 +1,9 @@
 """Every command works on the tape's columns.
 
 No command path builds a ``TapeEvent`` or a ``SurpriseRecord``, whether the
-tape comes from its column cache, from the text or through the parser's
-per-record fallback. The report's column functions equal their scalar
+tape comes from its column cache or from the text (``fallback``: text with a
+price written as a numeric string, which the parser converts); the parser
+runs exactly when no cache holds the text. The report's column functions equal their scalar
 oracles and their row-form adapters with ``==``.
 """
 
@@ -107,9 +108,9 @@ def test_commands_build_no_row_objects(inputs, tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(tape, "TapeEvent", refuse)
     monkeypatch.setattr(surprise, "SurpriseRecord", refuse)
-    with mock.patch.object(tape, "_parse_records", wraps=tape._parse_records) as fallback:
+    with mock.patch.object(tape, "parse_tape", wraps=tape.parse_tape) as parse:
         assert outcomes(inputs[name], tmp_path / "work") == want
-    assert fallback.called == (name == "fallback")
+    assert parse.call_count == (0 if name == "cached" else 3)  # score, backtest, report
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope.evidence import (
+    MAX_KMAX,
     EvidenceLedger,
     chisq_survival_even,
     combine,
@@ -339,6 +340,8 @@ class TestFoldColumns:
             ([("A", 5, 0.5), ("B", 3, 0.5)], 5, "timestamp regression: 3 < 5"),  # pooled
             ([("A", 5, 0.5), ("A", 3, 1.5)], 5, r"p-value outside \(0, 1\]: 1.5"),
             ([("A", 1, 0.5)], 0, "k_max must be >= 1, got 0"),
+            ([("A", 1, 0.5)], MAX_KMAX + 1, "k_max must be <= MAX_KMAX = 1000, got 1001"),
+            ([("A", 1, 0.5)], 10**20, "k_max must be <= MAX_KMAX = 1000, got 100000000000000000000"),
         ],
     )
     def test_errors_match_sequential_fold(self, triples, k_max, message):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from darkscope.simulator import PRESET_NAMES, preset, simulate_scenario
 from darkscope.surprise import (
     DEFAULT_HORIZON_MULT,
+    MAX_WINDOW,
     fill_pvalue,
     predictive_cdf,
     score_columns,
@@ -323,6 +324,11 @@ class TestScoreTape:
     def test_bad_window_size_rejected(self):
         with pytest.raises(ValueError, match="window capacity must be >= 1"):
             score_tape(Tape("SYM"), window_size=0)
+
+    @pytest.mark.parametrize("window_size", [MAX_WINDOW + 1, 10**20])
+    def test_window_size_above_the_cap_rejected(self, window_size):
+        with pytest.raises(ValueError, match=f"window capacity must be <= MAX_WINDOW = 10000, got {window_size}"):
+            score_columns(Tape("SYM"), window_size=window_size)
 
     @pytest.mark.parametrize("offset, censored", [(0, False), (1, True)])
     def test_lit_print_exactly_at_the_horizon_is_not_censored(self, offset, censored):

@@ -12,7 +12,7 @@ from darkscope.tape import (
     parse_tape,
     serialize_tape,
 )
-from oracle import tape_from_events
+from oracle import parse_tape_scalar, tape_from_events
 
 
 def lit(ts, symbol="SYM", price=100.0, size=500.0, side=Side.BUY, **kw):
@@ -95,6 +95,22 @@ def record(**fields):
     return json.dumps(obj)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (record() + " x", "Extra data"),
+        (record() + "{}", "Extra data"),
+        ("\ufeff" + record(), "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("{nope", "Expecting property name enclosed in double quotes"),
+    ],
+    ids=["trailing-text", "two-objects", "bom", "bad-json"],
+)
+def test_undecodable_line_names_json_loads_message(line, message):
+    with pytest.raises(TapeFormatError) as raised:
+        parse_tape([record(), line])
+    assert str(raised.value) == f"line 2: invalid JSON ({message})"
+
+
 class TestParseRejectsBadNumbers:
     @pytest.mark.parametrize("name", ["price", "size", "mid"])
     def test_infinite_value_names_line(self, name):
@@ -115,6 +131,30 @@ class TestParseRejectsBadNumbers:
 
     def test_ts_at_int64_max_accepted(self):
         assert parse_tape([record(ts=2**63 - 1)]).ts[0] == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"price": 0, "size": 0}, "price must be > 0, got 0.0"),
+            ({"price": float("inf"), "size": 0}, "price must be finite, got inf"),
+            ({"price": 0, "size": "x"}, "price/size must be numeric"),
+            ({"ts": -1, "price": 0}, "negative ts -1"),
+            ({"kind": "x", "ts": -1}, "unknown kind 'x'"),
+            ({"side": "up", "venue": 5}, "unknown side 'up'"),
+            ({"kind": "dark", "venue": "", "side": "unknown"}, "dark fill missing venue"),
+            ({"mid": "x", "own": "yes"}, "mid must be numeric, got 'x'"),
+            ({"own": "yes", "truth": [1]}, "own must be a boolean, got 'yes'"),
+            ({"ts": None, "price": None}, "missing field 'ts'"),
+        ],
+    )
+    def test_first_failed_check_names_the_error(self, fields, message):
+        obj = json.loads(record())
+        obj.update(fields)
+        line = json.dumps({k: v for k, v in obj.items() if v is not None})
+        for parse in (parse_tape, parse_tape_scalar):
+            with pytest.raises(TapeFormatError) as raised:
+                parse([line])
+            assert str(raised.value) == f"line 1: {message}"
 
     def test_numeric_strings_and_booleans_accepted_as_before(self):
         tape = parse_tape([record(price="2.5", size=True, mid=3)])

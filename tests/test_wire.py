@@ -1,5 +1,5 @@
 """Wire-format pins: exact bytes of simulated tapes and paths, the parse /
-serialize round trip, and parse errors against the per-record validator."""
+serialize round trip, and parse errors against the per-record reference parser."""
 
 import hashlib
 import json
@@ -19,10 +19,9 @@ from darkscope.tape import (
     TapeEvent,
     TapeFormatError,
     parse_tape,
-    parse_tape_scalar,
     serialize_tape,
 )
-from oracle import event_to_obj, tape_from_events
+from oracle import event_to_obj, parse_tape_scalar, tape_from_events
 
 
 def digest(lines):
@@ -174,7 +173,7 @@ def test_equal_timestamp_ties_sort_lit_first_stably():
 
 
 # ---------------------------------------------------------------------------
-# Errors: the column checks against the per-record validator
+# Errors: parse_tape against the per-record reference parser (oracle.parse_tape_scalar)
 
 BAD_VALUES = {
     "kind": ["meta-ish", "", None, 3, ["lit"]],
