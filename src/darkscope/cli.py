@@ -14,6 +14,17 @@ text when the cache holds that text; the results are the same.
 All randomness flows from --seed; identical inputs and seeds produce
 byte-identical outputs. DARKSCOPE_LOG=DEBUG|INFO|... controls verbosity.
 Exit codes: 0 success, 1 data error, 2 usage error.
+
+How a command ends: ``python -m darkscope.cli`` and the ``darkscope``
+script call ``run()``: ``main()`` (what the tests call), then
+``logging.shutdown()``, a flush of stdout and stderr and ``os._exit``, which
+skips the interpreter's teardown of numpy and every other module; no atexit
+handler runs after ``main()``. ``run()`` leaves by ``sys.exit`` instead when
+a flush raises (a closed stdout pipe still exits 120 with the interpreter's
+``Exception ignored`` line), when it is not called from the top-level code
+of the process's ``__main__`` (as under ``python -m cProfile -m
+darkscope.cli``), or when a trace or profile hook is set (coverage, a
+debugger). An uncaught exception propagates as from ``main()``.
 """
 
 from __future__ import annotations
@@ -317,7 +328,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         why = "every order's policy-off arrival slippage is 0"
         if not any("order" in t for i, t in tp.truth.items() if not tp.is_lit[i]):
             why += " (no fill carries truth.order, so each fill is its own order)"
-        print(f"warning: ratio nan: {why}", file=sys.stderr)
+        print(f"warning: abs_ratio nan: {why}", file=sys.stderr)
     for arm, stderr, n in (
         ("off", report.stderr_abs_off, report.n_off),
         ("on", report.stderr_abs_on, report.n_on),
@@ -411,5 +422,31 @@ def main(argv: list[str] | None = None) -> int:
         return _DATA_ERROR
 
 
+def _top_level(frame) -> bool:
+    """Whether ``frame`` runs the process's ``__main__`` code, called by
+    nothing but runpy (as under ``python -m``)."""
+    if frame.f_globals is not getattr(sys.modules.get("__main__"), "__dict__", None):
+        return False
+    while (frame := frame.f_back) is not None:
+        if frame.f_globals.get("__name__") != "runpy":
+            return False
+    return True
+
+
+def run() -> None:
+    """Run ``main()`` and end the process; the module docstring says how."""
+    code = main()
+    if _top_level(sys._getframe(1)) and not (sys.gettrace() or sys.getprofile()):
+        logging.shutdown()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:  # the interpreter reports it at exit, as without run()
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -242,6 +242,7 @@ class TestBacktest:
         assert "ratio nan" in captured.out
         warnings = [x for x in captured.err.splitlines() if x.startswith("warning:")]
         assert len(warnings) == 1 and "no fill carries truth.order" in warnings[0]
+        assert warnings[0].startswith("warning: abs_ratio nan: ")  # the summary.tsv column
 
     def test_dark_sizes_near_the_float_limit_write_no_nan(self, tmp_path, simulated, capsys):
         objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]

@@ -1,17 +1,21 @@
 """The CLI contract, run in-process on small tapes of extreme but valid values.
 
 Each command exits 0, 1 or 2, prints an ``error:`` line exactly when it exits
-non-zero, raises nothing and writes no ``nan``/``inf`` without a stderr
-``warning:``. As the tapes are valid, a command may fail only for want of
-data: ``backtest`` on fewer than three dark fills, ``report`` when no fill
-has two lit prints ahead of it. With the column caches ``simulate`` would
-write beside the tape and path, each command gives the same exit code,
-stderr and output bytes as without them. Extreme values of the float options
-exit 0 or 1, with exactly one ``error:`` line on exit 1; so do the integer
-options at, around and far beyond their bounds, exiting 1 outside them.
+non-zero, raises nothing and writes no ``nan``/``inf``, except a ``nan`` in a
+``summary.tsv`` column that a stderr ``warning: <column> nan:`` line names.
+As the tapes are valid, a command may fail only for want of data:
+``backtest`` on fewer than three dark fills, ``report`` when no fill has two
+lit prints ahead of it. With the column caches ``simulate`` would write
+beside the tape and path, each command gives the same exit code, stderr and
+output bytes as without them. Shifted so that the last timestamp is
+2**63 - 1, the same tapes exit 0 or 1, with exactly one ``error:`` line on
+exit 1. Extreme values of the float options exit 0 or 1, with exactly one
+``error:`` line on exit 1; so do the integer options at, around and far
+beyond their bounds, exiting 1 outside them.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import re
@@ -33,6 +37,8 @@ from oracle import tape_from_events
 S = 1_000_000_000
 EXTREMES = [5e-324, 1e-300, 1.0, 100.0, 1e300, 1e308]
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+WARNED_NAN = re.compile(r"^warning: (\S+) nan:", re.MULTILINE)
+INT64_MAX = 2**63 - 1
 
 values = st.sampled_from(EXTREMES)
 
@@ -91,11 +97,46 @@ def test_cli_contract_on_extreme_tapes(evs, path, window_n):
             assert code in (0, 1, 2), (command, code, err)
             assert (code != 0) == too_little[command], (command, code, err)
             assert any(x.startswith("error:") for x in lines) == (code != 0), (command, err)
-            if any(x.startswith("warning:") for x in lines):
-                continue
-            for name, data in files.items():
-                assert not NON_FINITE.search(data.decode()), (command, name, err)
+            assert_nan_only_where_warned(command, files, err)
         assert outcomes(Path(tmp) / "cached", tape, path, window_n, cached=True) == without
+
+
+def assert_nan_only_where_warned(command: str, files: dict, err: str) -> None:
+    """No output file holds a nan or inf, but for a nan in a ``summary.tsv``
+    column that a ``warning: <column> nan:`` line on stderr names."""
+    warned = set(WARNED_NAN.findall(err))
+    for name, data in files.items():
+        text = data.decode()
+        if name == "summary.tsv":
+            header, *rows = (line.split("\t") for line in text.splitlines())
+            assert warned <= set(header), (command, warned, header)
+            for row in rows:
+                for column, value in zip(header, row, strict=True):
+                    if value != "nan" or column not in warned:
+                        assert not NON_FINITE.search(value), (command, name, column, err)
+        else:
+            assert not NON_FINITE.search(text), (command, name, err)
+
+
+@given(
+    evs=st.lists(events(), min_size=4, max_size=60),
+    path=paths,
+    window_n=st.sampled_from(["1", "10"]),
+)
+@settings(max_examples=50, deadline=None)
+def test_cli_contract_near_the_int64_limit(evs, path, window_n):
+    tape = tape_from_events("SYM", evs).sorted()
+    shift = INT64_MAX - max(int(tape.ts[-1]), int(path.ts[-1]))
+    tape = dataclasses.replace(tape, ts=tape.ts + shift)
+    path = PricePath(path.ts + shift, path.log_mid)
+    with tempfile.TemporaryDirectory() as tmp:
+        for cached in (False, True):
+            results = outcomes(Path(tmp) / str(cached), tape, path, window_n, cached=cached)
+            for command, (code, err, _) in results.items():
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                assert code in (0, 1), (command, cached, code, err)
+                assert len(errors) == code, (command, cached, err)
+                assert "Traceback" not in err, (command, cached, err)
 
 
 def outcomes(tmp: Path, tape: Tape, path: PricePath, window_n: str, cached: bool) -> dict:
