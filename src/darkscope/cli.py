@@ -39,25 +39,18 @@ import time
 from itertools import islice
 from pathlib import Path
 
+from . import options
+
 log = logging.getLogger("darkscope.cli")
 
 _USAGE_ERROR = 2
 _DATA_ERROR = 1
 
-# Each command imports the modules it runs, and no others, so the parser
-# imports none: it writes out simulator.PRESET_NAMES, surprise's
-# DEFAULT_WINDOW_SIZE, MAX_WINDOW and DEFAULT_HORIZON_MULT, evidence's
-# DEFAULT_KMAX and MAX_KMAX and slippage.MAX_CROSSING_SEEDS, which
-# tests/test_cli.py checks against those modules.
-_PRESETS = ("null", "leaky", "sweep", "latent", "competing", "size_knee")
-_WINDOW_N = 10
-_MAX_WINDOW = 10_000
-_HORIZON_MULT = 50.0
-_KMAX = 5
-_MAX_KMAX = 1_000
-_MAX_SEEDS = 1_000
-_WINDOW_HELP = f"lit durations in the scoring window, 1 to {_MAX_WINDOW}"
-_KMAX_HELP = f"p-values each venue's Fisher ledger combines, 1 to {_MAX_KMAX}"
+# Each command imports the modules it runs, and no others. The parser reads
+# its defaults, caps and preset names from ``options``, which imports nothing,
+# so building it (``--help``) loads no numpy.
+_WINDOW_HELP = f"lit durations in the scoring window, 1 to {options.MAX_WINDOW}"
+_KMAX_HELP = f"p-values each venue's Fisher ledger combines, 1 to {options.MAX_KMAX}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="generate a synthetic tape and price path")
     src = sim.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=_PRESETS)
+    src.add_argument("--preset", choices=tuple(options.PRESETS))
     src.add_argument("--scenario", type=Path, help="flat key=value scenario file")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--output", type=Path, required=True, help="output directory for tape.jsonl, "
@@ -78,42 +71,39 @@ def build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", help="score dark fills on a tape")
     score.add_argument("--input", type=Path, required=True, help="tape file")
     score.add_argument("--output", type=Path, required=True, help="output directory")
-    score.add_argument("--window-n", type=int, default=_WINDOW_N, help=_WINDOW_HELP)
-    score.add_argument("--kmax", type=int, default=_KMAX, help=_KMAX_HELP)
-    score.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
+    score.add_argument("--window-n", type=int, default=options.DEFAULT_WINDOW_SIZE, help=_WINDOW_HELP)
+    score.add_argument("--kmax", type=int, default=options.DEFAULT_KMAX, help=_KMAX_HELP)
+    score.add_argument("--horizon-mult", type=float, default=options.DEFAULT_HORIZON_MULT)
 
     back = sub.add_parser("backtest", help="policy-on vs policy-off replay")
     back.add_argument("--input", type=Path, required=True, help="tape file")
     back.add_argument("--path", type=Path, required=True, help="price path file")
     back.add_argument("--output", type=Path, required=True, help="output directory")
-    back.add_argument("--window-n", type=int, default=_WINDOW_N, help=_WINDOW_HELP)
-    back.add_argument("--kmax", type=int, default=_KMAX, help=_KMAX_HELP)
-    back.add_argument("--alpha", type=float, default=0.05)
-    back.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
+    back.add_argument("--window-n", type=int, default=options.DEFAULT_WINDOW_SIZE, help=_WINDOW_HELP)
+    back.add_argument("--kmax", type=int, default=options.DEFAULT_KMAX, help=_KMAX_HELP)
+    back.add_argument("--alpha", type=float, default=options.DEFAULT_ALPHA)
+    back.add_argument("--horizon-mult", type=float, default=options.DEFAULT_HORIZON_MULT)
 
     power = sub.add_parser("power", help="slippage detectability bound")
     power.add_argument("--mu", type=float, required=True, help="mean per-fill slippage, bp")
     power.add_argument("--sigma", type=float, required=True, help="per-fill return std, bp")
-    power.add_argument("--seeds", type=int, default=200,
-                       help=f"independent walks the crossing is the median of, 1 to {_MAX_SEEDS}")
+    power.add_argument("--seeds", type=int, default=options.DEFAULT_CROSSING_SEEDS,
+                       help=f"independent walks the crossing is the median of, 1 to {options.MAX_CROSSING_SEEDS}")
     power.add_argument("--seed", type=int, default=None)
-    power.add_argument("--t-target", type=float, default=2.0)
+    power.add_argument("--t-target", type=float, default=options.DEFAULT_T_TARGET)
 
     report = sub.add_parser("report", help="plot-ready bucket and threshold tables")
     report.add_argument("--input", type=Path, required=True, help="tape file")
     report.add_argument("--path", type=Path, required=True, help="price path file")
     report.add_argument("--output", type=Path, required=True, help="output directory")
-    report.add_argument("--window-n", type=int, default=_WINDOW_N, help=_WINDOW_HELP)
-    report.add_argument("--horizon-mult", type=float, default=_HORIZON_MULT)
-    report.add_argument("--alpha", type=float, default=0.05)
-    report.add_argument("--tau", type=float, default=5.0)
-    report.add_argument("--buckets", type=int, default=10)
-    report.add_argument(
-        "--thresholds",
-        type=str,
-        default="0,5000,10000,15000,20000,25000,30000,35000,40000,45000",
-        help="comma-separated minimum-size notionals",
-    )
+    report.add_argument("--window-n", type=int, default=options.DEFAULT_WINDOW_SIZE, help=_WINDOW_HELP)
+    report.add_argument("--horizon-mult", type=float, default=options.DEFAULT_HORIZON_MULT)
+    report.add_argument("--alpha", type=float, default=options.DEFAULT_ALPHA)
+    report.add_argument("--tau", type=float, default=options.DEFAULT_TAU)
+    report.add_argument("--buckets", type=int, default=options.DEFAULT_BUCKETS,
+                        help=f"p-value buckets, 1 to {options.MAX_BUCKETS}")
+    report.add_argument("--thresholds", type=str, default=options.DEFAULT_THRESHOLDS,
+                        help="comma-separated minimum-size notionals")
     return parser
 
 
@@ -156,15 +146,11 @@ def _blocks(lines):
 
 def _write_cached(path: Path, blocks, columns) -> None:
     """Write ``blocks`` to ``path`` by _write_lines and ``columns`` as its
-    column cache, keyed by the digest of the bytes written (none if None)."""
+    column cache, keyed by the digest of the bytes written."""
     from . import tape
 
     digest = _write_lines(path, blocks)
-    cache = path.with_name(path.name + tape.CACHE_SUFFIX)
-    if columns is None:
-        cache.unlink(missing_ok=True)
-    else:
-        tape.write_columns(cache, digest, *columns)
+    tape.write_columns(path.with_name(path.name + tape.CACHE_SUFFIX), digest, *columns)
 
 
 def _read(path: Path, read_cache, parse):
@@ -219,10 +205,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = simulator.parse_scenario(args.scenario.read_text())
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
+    tp, path = simulator.simulate_scenario(scenario)
+    columns = tape.cache_columns(tp)  # raises on a tape that parse_tape would refuse
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
-    tp, path = simulator.simulate_scenario(scenario)
-    _write_cached(out / "tape.jsonl", tape.serialize_blocks(tp), tape.cache_columns(tp))
+    _write_cached(out / "tape.jsonl", tape.serialize_blocks(tp), columns)
     _write_cached(out / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
     (out / "scenario.txt").write_text(simulator.format_scenario(scenario))
     n_lit = int(tp.is_lit.sum())

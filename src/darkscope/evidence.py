@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .options import DEFAULT_KMAX, MAX_KMAX, check_count
 from .tape import json_floats
 
 __all__ = [
@@ -44,12 +45,6 @@ __all__ = [
     "MAX_KMAX",
     "POOLED_VENUE",
 ]
-
-DEFAULT_KMAX = 5
-# Largest k_max a ledger takes: ledger_update combines the whole window on
-# each update (O(k_max) in Python), and fold_columns makes k_max passes over
-# the update stream.
-MAX_KMAX = 1_000
 
 # Key of the ledger that pools every venue's p-values.
 POOLED_VENUE = "*"
@@ -136,10 +131,7 @@ class EvidenceLedger:
     """
 
     def __init__(self, venue: str, k_max: int = DEFAULT_KMAX):
-        if k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {k_max}")
-        if k_max > MAX_KMAX:
-            raise ValueError(f"k_max must be <= MAX_KMAX = {MAX_KMAX}, got {k_max}")
+        check_count("k_max", k_max, "MAX_KMAX")
         self.venue = venue
         self.k_max = k_max
         self._window: deque[LedgerEntry] = deque(maxlen=k_max)
@@ -214,10 +206,7 @@ def fold_columns(
     same inputs raise the same ``ValueError``: a p outside (0, 1], a
     timestamp earlier than the ledger's last one, or ``k_max`` below 1.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if k_max > MAX_KMAX:
-        raise ValueError(f"k_max must be <= MAX_KMAX = {MAX_KMAX}, got {k_max}")
+    check_count("k_max", k_max, "MAX_KMAX")
     table: dict[str, int] = {}
     code = np.array([table.setdefault(name, len(table)) for name in names], dtype=np.intp)
     pool = table.setdefault(POOLED_VENUE, len(table))

@@ -20,9 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .evidence import DEFAULT_KMAX, EvidenceLedger, FisherResult, ledger_update
+from .evidence import EvidenceLedger, FisherResult, ledger_update
+from .options import DEFAULT_ALPHA, DEFAULT_HORIZON_MULT, DEFAULT_KMAX, DEFAULT_WINDOW_SIZE
 from .slippage import PricePath, arrival_slippage
-from .surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_columns
+from .surprise import score_columns
 from .tape import SIDE_OF_SIGN, Side, Tape
 
 __all__ = [
@@ -60,7 +61,7 @@ class DirectionFilter(str, Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    alpha: float = 0.05
+    alpha: float = DEFAULT_ALPHA
     k_min: int = 3
     min_fill_ladder: tuple[float, ...] = DEFAULT_LADDER
     pause_after: int = 2

@@ -28,6 +28,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from .options import PRESETS
 from .slippage import PricePath
 from .tape import Tape, merge_streams
 
@@ -47,6 +48,8 @@ __all__ = [
     "format_scenario",
     "PRESET_NAMES",
     "MAX_EVENTS",
+    "MAX_DURATION_S",
+    "MAX_LEAK_LATENCY_S",
     "SIZE_LOG_MU_MAX",
     "SIZE_LOG_SIGMA_MAX",
 ]
@@ -57,6 +60,14 @@ LATENT_OFFSET_NS = 1_000_000  # latent fills land ~1 ms after a lit print
 # Most events (lit prints plus dark fills) a Scenario may expect. The
 # generator allocates memory in proportion to this count.
 MAX_EVENTS = 10**8
+# Bounds on a scenario's duration and a venue's mean leak latency, in seconds,
+# so that every timestamp the generator makes fits in int64 nanoseconds (about
+# 9.2e9 s): fills and the path's end come before the duration, latent fills
+# 1 ms after a lit print, sweeps 1 ms after their fill, and a leak print at most
+# about 37 x the mean latency after its fill (-log of the smallest 1 - u a double
+# uniform gives), so no timestamp passes 1e9 + 37 * 1e8 + 0.002 s.
+MAX_DURATION_S = 1e9
+MAX_LEAK_LATENCY_S = 1e8
 # Bounds on a lognormal size law's log mean and log std, so that no size
 # exp(mu + sigma * z) is inf or 0, which parse_tape rejects: a standard normal
 # drawn from double uniforms stays below 40 in magnitude, and 100 + 10 * 40
@@ -105,6 +116,9 @@ class VenueProfile:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.leak_latency_mean <= 0:
             raise ValueError("leak_latency_mean must be > 0")
+        if not self.leak_latency_mean <= MAX_LEAK_LATENCY_S:
+            raise ValueError(f"leak_latency_mean must be <= MAX_LEAK_LATENCY_S = {MAX_LEAK_LATENCY_S:g}, "
+                             f"got {self.leak_latency_mean}")
         if self.leak_latency_kind not in ("exp", "fixed"):
             raise ValueError(f"leak_latency_kind must be 'exp' or 'fixed', got {self.leak_latency_kind!r}")
         _check_size_law("", self.size_log_mu, self.size_log_sigma)
@@ -144,9 +158,9 @@ class Scenario:
 
     The expected event count, ``duration`` over the shortest schedule mean
     plus ``dark_fill_rate * duration`` per venue, may not exceed
-    ``MAX_EVENTS``. Every lognormal size law, lit and per venue, has its log
-    mean within ``SIZE_LOG_MU_MAX`` of 0 and its log std in
-    [0, ``SIZE_LOG_SIGMA_MAX``].
+    ``MAX_EVENTS``, nor the duration ``MAX_DURATION_S``. Every lognormal size
+    law, lit and per venue, has its log mean within ``SIZE_LOG_MU_MAX`` of 0
+    and its log std in [0, ``SIZE_LOG_SIGMA_MAX``].
     """
 
     symbol: str = "SYM"
@@ -160,7 +174,7 @@ class Scenario:
     lit_size_log_mu: float = 9.0
     lit_size_log_sigma: float = 1.0
     name: str = "custom"
-    _event_cap = MAX_EVENTS  # not a field: unannotated
+    _event_cap, _duration_cap = MAX_EVENTS, MAX_DURATION_S  # not fields: unannotated
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -185,12 +199,15 @@ class Scenario:
             raise ValueError(
                 f"scenario expects {events:.3g} events, more than MAX_EVENTS = {MAX_EVENTS:.0e}"
             )
+        if not self.duration <= self._duration_cap:
+            raise ValueError(f"duration must be <= MAX_DURATION_S = {MAX_DURATION_S:g}, got {self.duration}")
 
 
 class _Draft(Scenario):
-    """parse_scenario's Scenario before its last line: the event count is not checked."""
+    """parse_scenario's Scenario before its last line: the event count and the
+    duration cap are not checked."""
 
-    _event_cap = math.inf
+    _event_cap = _duration_cap = math.inf
 
 
 def _mean_duration_at(schedule: tuple[tuple[float, float], ...], t_s: float) -> float:
@@ -454,7 +471,8 @@ def gen_price_path(
 
 def reprice(tape: Tape, path: PricePath) -> Tape:
     """Set every event's price and mid from the path (LOCF at event time)."""
-    mids = np.exp(path.log_mid_at(tape.ts))
+    with np.errstate(over="ignore"):  # an inf mid fails tape.cache_columns' checks
+        mids = np.exp(path.log_mid_at(tape.ts))
     return replace(tape, price=mids, mid=mids)
 
 
@@ -475,105 +493,16 @@ def simulate_scenario(scenario: Scenario) -> tuple[Tape, PricePath]:
     return replace(reprice(merged, path), meta=meta), path
 
 
-PRESET_NAMES = ("null", "leaky", "sweep", "latent", "competing", "size_knee")
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str, seed: int = 0, **overrides: Any) -> Scenario:
-    """Canonical scenarios with documented parameters.
-
-    null       clean tape: no leakage, no sweeps, no latency, no drift.
-    leaky      leak_prob 0.5 with ~10 ms latency against a 1 s lit stream
-               (mean lit duration / 100) and 1.5 bp impact per leaked print;
-               clip sizes cluster small (log sigma 0.6) so a raised fill
-               floor acts as an effective stop.
-    sweep      sweep_prob 0.4, prints at a fixed 1 ms.
-    latent     latent_prob 0.4, fills re-timed to 1 ms after a lit print.
-    competing  no leakage, 0.05 bp/s drift: slippage without causation.
-    size_knee  leak_prob 0.5 up to a £30,000 notional knee, 0.16 above it;
-               lognormal sizes (median ≈ £6,800) put ~7% of fills past the
-               knee, so the unrestricted signalling share sits near 50% and
-               the above-knee share near 20%.
-
-    Scenario-level fields (duration, dark_fill_rate, venues, ...) can be
-    overridden by keyword.
-    """
-    base_price = PriceModel(sigma_per_trade=3.0)
-    if name == "null":
-        scenario = Scenario(
-            seed=seed,
-            duration=12_000.0,
-            dark_fill_rate=1.0,
-            venues=(VenueProfile("DARK1"),),
-            price=base_price,
-            name=name,
-        )
-    elif name == "leaky":
-        scenario = Scenario(
-            seed=seed,
-            duration=4_000.0,
-            dark_fill_rate=0.05,
-            venues=(
-                VenueProfile(
-                    "DARK1", leak_prob=0.5, leak_latency_mean=0.01, size_log_sigma=0.6
-                ),
-            ),
-            price=replace(base_price, leak_impact=1.5),
-            fills_per_order=15,
-            name=name,
-        )
-    elif name == "sweep":
-        scenario = Scenario(
-            seed=seed,
-            duration=4_000.0,
-            dark_fill_rate=0.05,
-            venues=(VenueProfile("DARK1", sweep_prob=0.4),),
-            price=replace(base_price, leak_impact=1.5),
-            fills_per_order=15,
-            name=name,
-        )
-    elif name == "latent":
-        scenario = Scenario(
-            seed=seed,
-            duration=4_000.0,
-            dark_fill_rate=0.05,
-            venues=(VenueProfile("DARK1", latent_prob=0.4),),
-            price=base_price,
-            name=name,
-        )
-    elif name == "competing":
-        scenario = Scenario(
-            seed=seed,
-            duration=4_000.0,
-            dark_fill_rate=0.05,
-            venues=(VenueProfile("DARK1", size_log_sigma=0.6),),
-            price=replace(base_price, competing_drift=0.05),
-            fills_per_order=15,
-            name=name,
-        )
-    elif name == "size_knee":
-        scenario = Scenario(
-            seed=seed,
-            duration=20_000.0,
-            dark_fill_rate=0.1,
-            venues=(
-                VenueProfile(
-                    "DARK1",
-                    leak_prob=0.5,
-                    leak_latency_mean=0.01,
-                    size_log_mu=8.82,
-                    size_log_sigma=1.0,
-                    size_leak_knee=30_000.0,
-                    leak_prob_large=0.16,
-                ),
-            ),
-            price=replace(base_price, leak_impact=1.5),
-            name=name,
-        )
-    else:
+    """The canonical scenario ``name`` (its text and notes are in
+    ``options.PRESETS``) with ``seed``; Scenario fields (duration,
+    dark_fill_rate, venues, ...) can be overridden by keyword."""
+    if name not in PRESETS:
         raise ValueError(f"unknown preset '{name}' (known: {', '.join(PRESET_NAMES)})")
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return scenario
+    return replace(parse_scenario(f"name={name}\n" + PRESETS[name]), seed=seed, **overrides)
 
 
 def fleet(
@@ -693,16 +622,17 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
     naming the (1-based) line. The expected event count is checked once the
     whole file is applied, since a later line may lower it; a count above
     ``MAX_EVENTS`` names the last line that entered it (``duration``,
-    ``lit_schedule``, ``dark_fill_rate`` or a new venue). Keys left out keep
-    their defaults; with no venue lines the scenario has one default venue,
-    ``DARK1``.
+    ``lit_schedule``, ``dark_fill_rate`` or a new venue); when the count holds,
+    a duration above ``MAX_DURATION_S`` names the last duration line. Keys
+    left out keep their defaults; with no venue lines the scenario has one
+    default venue, ``DARK1``.
     """
     if isinstance(text, str):
         text = text.splitlines()
     scenario = _Draft()
     price = PriceModel()
     venues: dict[str, VenueProfile] = {}
-    count_line = ""  # the last line that entered the expected event count
+    count_line = duration_line = ""  # the last line that entered the event count, the duration
     for raw_no, raw in enumerate(text, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -734,11 +664,13 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
                 scenario = replace(scenario, **change)
                 if attr in _COUNT_KEYS:
                     count_line = where
+                if attr == "duration":
+                    duration_line = where
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     if venues:
         scenario = replace(scenario, venues=tuple(venues.values()))
     try:
         return Scenario(**{**vars(scenario), "price": price})
-    except ValueError as exc:  # only the event count is left to fail
-        raise ValueError(f"{count_line}: {exc}") from None
+    except ValueError as exc:  # only the event count is left to fail, then the duration cap
+        raise ValueError(f"{count_line if 'events' in str(exc) else duration_line}: {exc}") from None

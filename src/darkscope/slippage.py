@@ -28,6 +28,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .options import (
+    DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_CROSSING_SEEDS, DEFAULT_T_TARGET, DEFAULT_TAU,
+    MAX_BUCKETS, MAX_CROSSING_SEEDS, check_count,
+)
 from .tape import BLOCK_ROWS, Tape, TapeEvent, read_columns
 
 if TYPE_CHECKING:  # for annotations only: simulate and power never load the scorer
@@ -49,6 +53,8 @@ __all__ = [
     "size_threshold_report",
     "arrival_slippage",
     "read_path_cache",
+    "MAX_CROSSING_SEEDS",
+    "MAX_BUCKETS",
 ]
 
 BP = 1e4  # basis points per unit log return
@@ -57,11 +63,6 @@ _CROSSING_BLOCK = 512
 # The longest walk empirical_crossing takes, in fills per seed: 200 seeds
 # walk 10**6 fills in about 15 s on a 2-vCPU VM.
 MAX_CROSSING_FILLS = 10**6
-# Most seeds empirical_crossing walks: each keeps a generator and its block
-# of draws, about 48 kB per seed.
-MAX_CROSSING_SEEDS = 1_000
-# Most p-value buckets bucket_rows takes: it allocates every bucket.
-MAX_BUCKETS = 10_000
 
 
 class CensoredFillError(ValueError):
@@ -114,7 +115,7 @@ class PricePath:
 class SlippageConfig:
     """Horizon for post-fill slippage; prices interpolate LOCF."""
 
-    tau: float = 5.0  # seconds
+    tau: float = DEFAULT_TAU  # seconds
 
     def __post_init__(self) -> None:
         if not self.tau > 0:
@@ -190,9 +191,9 @@ def min_fills_bound(mu: float, sigma: float) -> float:
 def empirical_crossing(
     mu: float,
     sigma: float,
-    seeds: int = 200,
+    seeds: int = DEFAULT_CROSSING_SEEDS,
     seed: int = 0,
-    t_target: float = 2.0,
+    t_target: float = DEFAULT_T_TARGET,
     max_fills: int | None = None,
 ) -> int:
     """Fill count where the seed-median running t-statistic reaches t_target.
@@ -216,10 +217,7 @@ def empirical_crossing(
     t_target, a max_fills above the cap (checked before any draw), and what
     min_fills_bound rejects.
     """
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    if seeds > MAX_CROSSING_SEEDS:
-        raise ValueError(f"seeds must be <= MAX_CROSSING_SEEDS = {MAX_CROSSING_SEEDS}, got {seeds}")
+    check_count("seeds", seeds, "MAX_CROSSING_SEEDS")
     if not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite, got {t_target}")
     if sigma <= 0 or mu == 0:
@@ -272,17 +270,14 @@ class BucketRow:
     n: int
 
 
-def bucket_rows(p_fwd: np.ndarray, slip: np.ndarray, buckets: int = 10) -> list[BucketRow]:
+def bucket_rows(p_fwd: np.ndarray, slip: np.ndarray, buckets: int = DEFAULT_BUCKETS) -> list[BucketRow]:
     """Mean slippage per equal-width forward-p bucket over [0, 1].
 
     ``p_fwd`` (in [0, 1]) and ``slip`` are columns of the fills to report.
     Sparse buckets are reported with n = 0 and no mean. The last bucket is
     closed at 1.
     """
-    if buckets < 1:
-        raise ValueError(f"buckets must be >= 1, got {buckets}")
-    if buckets > MAX_BUCKETS:
-        raise ValueError(f"buckets must be <= {MAX_BUCKETS}, got {buckets}")
+    check_count("buckets", buckets, "MAX_BUCKETS")
     # truncates as int() does; bincount adds each bucket's weights in input order
     bucket = np.minimum((p_fwd * buckets).astype(np.int64), buckets - 1)
     counts = np.bincount(bucket, minlength=buckets)
@@ -305,7 +300,9 @@ def bucket_rows(p_fwd: np.ndarray, slip: np.ndarray, buckets: int = 10) -> list[
     return rows
 
 
-def bucket_report(records: Sequence[tuple[SurpriseRecord, float]], buckets: int = 10) -> list[BucketRow]:
+def bucket_report(
+    records: Sequence[tuple[SurpriseRecord, float]], buckets: int = DEFAULT_BUCKETS
+) -> list[BucketRow]:
     """``bucket_rows`` over (SurpriseRecord, slippage) pairs; records with a
     censored forward duration are skipped."""
     scored = [(r.p_fwd, slip) for r, slip in records if r.p_fwd is not None]
@@ -323,7 +320,7 @@ class ThresholdRow:
 
 
 def threshold_rows(
-    p_fwd: np.ndarray, fwd: np.ndarray, size: np.ndarray, thresholds: Sequence[float], alpha: float = 0.05
+    p_fwd: np.ndarray, fwd: np.ndarray, size: np.ndarray, thresholds: Sequence[float], alpha: float = DEFAULT_ALPHA
 ) -> list[ThresholdRow]:
     """Signalling share as a function of a minimum fill-size threshold.
 
@@ -349,7 +346,7 @@ def threshold_rows(
 
 
 def size_threshold_report(
-    records: Sequence[tuple[SurpriseRecord, float]], thresholds: Sequence[float], alpha: float = 0.05
+    records: Sequence[tuple[SurpriseRecord, float]], thresholds: Sequence[float], alpha: float = DEFAULT_ALPHA
 ) -> list[ThresholdRow]:
     """``threshold_rows`` over (SurpriseRecord, size) pairs."""
     fwd = np.array([r.p_fwd is not None for r, _ in records], dtype=bool)

@@ -44,6 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .options import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, MAX_WINDOW, check_count
 from .tape import (
     DURATION_FLOOR_NS,
     SIDE_JSON,
@@ -69,13 +70,6 @@ __all__ = [
     "MIN_PVALUE",
 ]
 
-DEFAULT_WINDOW_SIZE = 10
-# Largest window score_columns takes: each fill's window mean sums up to
-# window_size durations, so the work grows as fills x window_size.
-MAX_WINDOW = 10_000
-# Forward lookahead horizon, in units of the window mean. Censored mass under
-# the null is (n / (n + 50))^n: 2% at n = 1, 1.6e-8 at the default n = 10.
-DEFAULT_HORIZON_MULT = 50.0
 # Tape duration floor (1 ns) in seconds.
 MIN_DURATION_S = DURATION_FLOOR_NS * 1e-9
 # p-values are clamped below so Fisher's -2 log p stays finite.
@@ -195,10 +189,7 @@ def score_columns(
     window mean at scoring time. Raises on a window size below 1, a
     ``horizon_mult`` that is not finite and > 0, and decreasing lit timestamps.
     """
-    if window_size < 1:
-        raise ValueError(f"window capacity must be >= 1, got {window_size}")
-    if window_size > MAX_WINDOW:
-        raise ValueError(f"window capacity must be <= MAX_WINDOW = {MAX_WINDOW}, got {window_size}")
+    check_count("window capacity", window_size, "MAX_WINDOW")
     if not 0.0 < horizon_mult < math.inf:
         raise ValueError(f"horizon_mult must be finite and > 0, got {horizon_mult}")
     lit_pos = np.flatnonzero(tape.is_lit)

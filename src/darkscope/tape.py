@@ -333,20 +333,31 @@ def _loads(line: str, line_no: int) -> Any:
         raise TapeFormatError(line_no, f"invalid JSON ({exc})") from None
 
 
-def _valid(tape: Tape) -> bool:
-    """The whole-column domain checks that every tape parse_tape returns passes."""
+def _check_columns(tape: Tape) -> None:
+    """Raise ValueError with the first whole-column domain check that ``tape``
+    fails; every tape parse_tape returns passes them all."""
     venue, side, own, mid = tape.venue, tape.side, tape.own, tape.mid[~np.isnan(tape.mid)]
     names_empty = np.array([not v for v in tape.venues] + [True])  # [-1] is the absent venue
-    return not (
-        not all(isinstance(v, str) for v in tape.venues)
-        or np.any((venue < -1) | (venue >= len(tape.venues)))  # before names_empty[venue]
-        or np.any((side < -1) | (side > 1) | (own < -1) | (own > 1))
-        or np.any(tape.ts < 0)
-        or not np.all((tape.price > 0) & np.isfinite(tape.price))
-        or not np.all((tape.size > 0) & np.isfinite(tape.size))
-        or not np.all((mid > 0) & np.isfinite(mid))
-        or np.any(~tape.is_lit & (names_empty[venue] | (side == 0)))
-    )
+    # (name, first value) of each of price, size and mid holding a value not finite and > 0
+    bad = [(name, col[~((col > 0) & np.isfinite(col))]) for name, col in
+           (("price", tape.price), ("size", tape.size), ("mid", mid))]
+    bad = [(name, float(col[0])) for name, col in bad if col.size]
+    if not all(isinstance(v, str) for v in tape.venues):
+        why = "venue names must be strings"
+    elif np.any((venue < -1) | (venue >= len(tape.venues))):  # before names_empty[venue]
+        why = "venue code out of range"
+    elif np.any((side < -1) | (side > 1) | (own < -1) | (own > 1)):
+        why = "side or own code out of range"
+    elif np.any(tape.ts < 0):
+        why = "negative ts"
+    elif bad:
+        name, value = bad[0]
+        why = f"{name} must be {'finite' if value > 0 else '> 0'}, got {value}"
+    elif np.any(~tape.is_lit & (names_empty[venue] | (side == 0))):
+        why = "dark fill missing venue or side"
+    else:
+        return
+    raise ValueError(f"tape fails parse_tape's checks: {why}")
 
 
 def parse_tape(lines: Iterable[str]) -> Tape:
@@ -580,12 +591,12 @@ def read_columns(file, digest: str, dtypes: Sequence) -> tuple[dict[str, Any], l
     return header, columns
 
 
-def cache_columns(tape: Tape) -> tuple[dict[str, Any], list[np.ndarray]] | None:
+def cache_columns(tape: Tape) -> tuple[dict[str, Any], list[np.ndarray]]:
     """write_columns' header and arrays for the text ``serialize_tape(tape)``:
     what parse_tape returns for that text, not ``tape`` (venues numbered by
     first appearance, unused ones dropped; ``meta`` and ``truth`` as JSON
-    decodes them; rows sorted; symbol "" with no rows). None when parse_tape
-    would reject the columns, so that such a tape gets no cache."""
+    decodes them; rows sorted; symbol "" with no rows). Raises ValueError,
+    by _check_columns, when parse_tape would reject the columns."""
     codes, first = np.unique(tape.venue[tape.venue >= 0], return_index=True)
     names: dict[str, int] = {}
     remap = np.full(len(tape.venues) + 1, -1, dtype=np.int32)  # [-1]: no venue
@@ -594,8 +605,7 @@ def cache_columns(tape: Tape) -> tuple[dict[str, Any], list[np.ndarray]] | None:
     meta = json.loads(json.dumps(tape.meta, sort_keys=True))  # as its meta line decodes
     symbol = tape.symbol if len(tape) else ""
     parsed = replace(tape, symbol=symbol, venue=remap[tape.venue], venues=tuple(names), meta=meta)
-    if not _valid(parsed):
-        return None
+    _check_columns(parsed)
     parsed = parsed.sorted()
     truth = [[row, parsed.truth[row]] for row in sorted(parsed.truth)]
     header = {"symbol": parsed.symbol, "venues": list(parsed.venues), "meta": parsed.meta, "truth": truth}
@@ -616,6 +626,5 @@ def read_tape_cache(file, digest: str) -> Tape:
     ):
         raise ValueError("malformed tape header")
     tape = Tape(symbol, venues=venues, meta=meta, truth=dict(truth), **dict(zip(_CACHE_COLUMNS, columns)))
-    if not _valid(tape):
-        raise ValueError("columns fail the tape checks")
+    _check_columns(tape)
     return tape.sorted()

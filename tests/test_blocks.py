@@ -2,8 +2,9 @@
 give the row-at-a-time lines of ``oracle`` at every block boundary, and
 ``simulate`` keys its caches by the digest of the bytes it wrote.
 
-Also: each command imports only the modules it runs, and the package's
-names still resolve, each on first access.
+Also: each command imports only the modules it runs (``--help`` loads
+``cli`` and ``options`` and no numpy), and the package's names still
+resolve, each on first access.
 """
 
 import json
@@ -135,7 +136,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, unload
         "import sys\n"
         "from darkscope import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('darkscope.')))\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('darkscope.') or m == 'numpy'))\n"
         "sys.exit(code)\n"
     )
     env = dict(os.environ)
@@ -146,6 +147,8 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, unload
     loaded = proc.stdout.splitlines()[-1].split()
     assert "darkscope.cli" in loaded
     assert not {f"darkscope.{m}" for m in unloaded} & set(loaded), loaded
+    if command == "help":  # the parser reads options alone, which imports nothing
+        assert sorted(loaded) == ["darkscope.cli", "darkscope.options"]
 
 
 def test_package_names_resolve_to_their_modules():

@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import logging
+import re
 import shutil
 import sys
 import tempfile
@@ -270,17 +271,20 @@ def test_an_unusable_cache_gives_the_text_results(sim_dir, tmp_path, corrupt, ca
     assert not any("Traceback" in err for _, err, _ in with_cache.values())
 
 
-def test_simulate_writes_no_cache_for_a_tape_the_parser_refuses(tmp_path):
-    # dark sizes of inf, which parse_tape rejects; the scenario's size bounds
-    # keep simulate from drawing them, so the tape is built here
-    tp, path = simulator.simulate_scenario(simulator.Scenario(duration=200.0))
-    tp = replace(tp, size=np.where(tp.is_lit, tp.size, np.inf))
-    assert cache_columns(tp) is None
-    sim = tmp_path / "run" / "sim"
-    sim.mkdir(parents=True)
-    (sim / "tape.jsonl.cols").write_bytes(b"stale")
-    cli._write_cached(sim / "tape.jsonl", tape.serialize_blocks(tp), cache_columns(tp))
-    cli._write_cached(sim / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
-    assert not (sim / "tape.jsonl.cols").exists() and (sim / "path.jsonl.cols").exists()
-    code, err, _ = run_commands(sim, tmp_path / "out")["score"]
-    assert code == 1 and err.startswith("error: line ") and "size must be finite" in err
+def test_simulate_writes_no_cache_for_a_tape_the_parser_refuses(tmp_path, capsys):
+    # nor any other file: simulate exits 1 before it makes its output directory
+    for n, (lines, error) in enumerate([
+        # the mid overflows to inf, of which np.exp warns
+        ("price.competing_drift=1e300\n", "price must be finite, got inf"),
+        # the mid underflows to 0, silently
+        ("price.leak_impact=1e308\nvenue.D.leak_prob=1\n", "price must be > 0, got 0.0"),
+    ]):
+        scenario = tmp_path / f"scenario{n}.txt"
+        scenario.write_text("seed=1\nduration=200\n" + lines)
+        out = tmp_path / f"sim{n}"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: tape fails parse_tape's checks: {error}"]
+        assert not out.exists()
+        tp, _ = simulator.simulate_scenario(simulator.parse_scenario(scenario.read_text()))
+        with pytest.raises(ValueError, match=f"^tape fails parse_tape's checks: {re.escape(error)}$"):
+            cache_columns(tp)

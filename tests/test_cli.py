@@ -1,15 +1,15 @@
+import argparse
 import json
 import os
 import re
 
 import pytest
 
-from darkscope import cli
+from darkscope import options
 from darkscope.cli import build_parser, main
-from darkscope.evidence import DEFAULT_KMAX, MAX_KMAX
-from darkscope.simulator import PRESET_NAMES, format_scenario, preset
-from darkscope.slippage import MAX_BUCKETS, MAX_CROSSING_SEEDS
-from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, MAX_WINDOW, score_tape
+from darkscope.simulator import format_scenario, preset
+from darkscope.slippage import MAX_BUCKETS
+from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
 from darkscope.tape import parse_tape
 from oracle import entry_to_obj, fold
 
@@ -81,6 +81,42 @@ class TestSimulate:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            # each was a traceback from inject_leakage: the leak print's ns overflow int64
+            ("duration=200\nvenue.D.leak_prob=1\nvenue.D.leak_latency_kind=fixed\nvenue.D.leak_latency_mean=1e10\n",
+             "scenario line 4: venue.D.leak_latency_mean=1e10: "
+             "leak_latency_mean must be <= MAX_LEAK_LATENCY_S = 1e+08, got 10000000000.0"),
+            ("duration=200\nvenue.D.leak_prob=1\nvenue.D.leak_latency_kind=fixed\nvenue.D.leak_latency_mean=1e300\n",
+             "scenario line 4: venue.D.leak_latency_mean=1e300: "
+             "leak_latency_mean must be <= MAX_LEAK_LATENCY_S = 1e+08, got 1e+300"),
+            # was three cast warnings and an error naming no line: the fill ns overflow int64
+            ("duration=1e10\nlit_schedule=0:1e8\ndark_fill_rate=1e-8\n",
+             "scenario line 1: duration=1e10: duration must be <= MAX_DURATION_S = 1e+09, got 10000000000.0"),
+        ],
+    )
+    def test_timestamps_past_int64_exit_1_naming_the_line(self, tmp_path, capsys, text, error):
+        scenario_file = tmp_path / "scn.txt"
+        scenario_file.write_text(text)
+        out = tmp_path / "sim"
+        assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+        assert not out.exists()
+
+    def test_timestamps_at_the_caps_fit_int64(self, tmp_path):
+        # the latest timestamps the caps allow: fills near 1e9 s, each with a latent
+        # re-time, a sweep and a leak print 1e8 s on; score reads them back
+        scenario_file = tmp_path / "scn.txt"
+        scenario_file.write_text(
+            "duration=1e9\nlit_schedule=0:1e8\ndark_fill_rate=1e-8\nvenue.D.leak_prob=1\n"
+            "venue.D.leak_latency_kind=fixed\nvenue.D.leak_latency_mean=1e8\n"
+            "venue.D.sweep_prob=1\nvenue.D.latent_prob=1\n"
+        )
+        out = tmp_path / "sim"
+        assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 0
+        assert run(["score", "--input", out / "tape.jsonl", "--output", tmp_path / "score"]) == 0
+
     def test_later_line_can_bring_the_event_count_under_the_cap(self, tmp_path):
         # the expected event count is checked on the whole file: the last duration wins
         scenario_file = tmp_path / "scn.txt"
@@ -95,16 +131,19 @@ class TestSimulate:
         assert code == 2
 
 
-def test_parser_defaults_are_the_modules_defaults():
-    # the parser writes them out so that building it imports none of these modules
-    args = {c: build_parser().parse_args([c, "--input", "t", "--path", "p", "--output", "o"])
-            for c in ("backtest", "report")}
-    score = build_parser().parse_args(["score", "--input", "t", "--output", "o"])
-    assert cli._PRESETS == PRESET_NAMES
-    for parsed in (score, *args.values()):
-        assert (parsed.window_n, parsed.horizon_mult) == (DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
-    assert score.kmax == args["backtest"].kmax == DEFAULT_KMAX
-    assert (cli._MAX_WINDOW, cli._MAX_KMAX, cli._MAX_SEEDS) == (MAX_WINDOW, MAX_KMAX, MAX_CROSSING_SEEDS)
+@pytest.mark.parametrize(
+    "command, option, cap",
+    [
+        *((c, "--window-n", "MAX_WINDOW") for c in ("score", "backtest", "report")),
+        *((c, "--kmax", "MAX_KMAX") for c in ("score", "backtest")),
+        ("power", "--seeds", "MAX_CROSSING_SEEDS"),
+        ("report", "--buckets", "MAX_BUCKETS"),
+    ],
+)
+def test_help_of_each_capped_option_names_its_cap(command, option, cap):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in commands.choices[command]._actions if option in a.option_strings)
+    assert action.help.endswith(f", 1 to {getattr(options, cap)}")
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +553,7 @@ class TestExitCodes:
                 "--output", tmp_path / "out", "--buckets", str(MAX_BUCKETS + 1)]
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: buckets must be <= {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"
+            f"error: buckets must be <= MAX_BUCKETS = {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"
         ]
 
     def test_malformed_tape_data_error(self, tmp_path):

@@ -386,7 +386,7 @@ class TestBucketReport:
 
     def test_bucket_count_is_capped(self):
         assert len(bucket_report([(record_with_p(0.5), 1.0)], buckets=MAX_BUCKETS)) == MAX_BUCKETS
-        with pytest.raises(ValueError, match=f"buckets must be <= {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"):
+        with pytest.raises(ValueError, match=f"buckets must be <= MAX_BUCKETS = {MAX_BUCKETS}, got {MAX_BUCKETS + 1}"):
             bucket_report([(record_with_p(0.5), 1.0)], buckets=MAX_BUCKETS + 1)
 
 

@@ -68,6 +68,26 @@ def test_simulated_bytes_pinned(name, scenario):
     assert digest(serialize_tape(parse_tape(lines))) == PINNED[name][1]
 
 
+# sha256 of each preset's own scenario text (format_scenario at seed 1), which
+# the pins above, at duration 600, do not cover; recorded from the Scenario(...)
+# constructors that preceded the preset text in darkscope.options.
+PRESET_TEXT = {
+    "null": "de88ab9b7f4f9b82ea20253e02739467cf4b59f6ace2157cc87a6157795448d3",
+    "leaky": "bdf4d76225dd3f334eb24a46915176135182c14dec403246945d788016bfc298",
+    "sweep": "a2c1c4c1d5cfb03be91af5fd86bb75623623c131ef9f90ae08512b7c0907322a",
+    "latent": "d16663c149019df2492b9bb7223a670ad08ef079836562c3a87104dcbe623804",
+    "competing": "159da84afc602b7b954831c554e6f675c494240755154f71b8b84b3bcd49ab2d",
+    "size_knee": "7498b4201d94eb00371f763368b3999669b6fbd686158b06fce9a4f1b9bd40fa",
+}
+
+
+def test_preset_text_pinned():
+    assert simulator.PRESET_NAMES == tuple(PRESET_TEXT)
+    for name, want in PRESET_TEXT.items():
+        text = simulator.format_scenario(simulator.preset(name, seed=1))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
 # (lines, sha256) of ``darkscope score``'s scored.jsonl on each pinned tape,
 # recorded from the per-fill scorer, ledger fold and json.dumps lines that
 # preceded the columnar ones.
