@@ -20,8 +20,8 @@ _EXPORTS = {
         "fisher_statistic", "ledger_update",
     ),
     "policy": (
-        "ActionKind", "BacktestReport", "DirectionFilter", "PolicyAction",
-        "PolicyConfig", "decide", "replay",
+        "ActionKind", "BacktestReport", "PolicyAction", "PolicyConfig", "decide",
+        "replay",
     ),
     "simulator": (
         "PriceModel", "Scenario", "VenueProfile", "fleet", "gen_dark_fills",

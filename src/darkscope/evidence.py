@@ -7,14 +7,15 @@ evidence into a venue-level signalling likelihood after only a few fills.
 
 The chi-squared survival function is evaluated in closed form (even degrees
 of freedom only, the Erlang survival sum), so no special-function dependency
-is needed and the result is exact to rounding.
+is needed and the result is exact to rounding. One array kernel,
+``_survivals``, evaluates it for every caller.
 
 ``fold_columns`` folds a whole stream of p-values at once, into each
 venue's ledger and the pooled ``*`` ledger, and returns the updates as
 columns; ``darkscope score`` uses it. ``ledger_update`` folds one p-value at a
 time: the policy replay needs that, because its decisions gate which fill
 enters the ledger next. The tests hold ``fold_columns`` bit for bit to a
-reference fold built on ``ledger_update``.
+reference fold built on ``ledger_update``, and the kernel to ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ POOLED_VENUE = "*"
 # Below this x/2 the Erlang sum is accumulated in linear space; above it
 # exp(-x/2) underflows and the sum moves to log space.
 _LOG_SPACE_HALF_X = 700.0
+# Most terms _survivals holds in one matrix (8 bytes each), whatever k_max is.
+_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,34 +79,50 @@ def fisher_statistic(pvalues: Sequence[float]) -> float:
 
 
 def chisq_survival_even(x: float, dof: int) -> float:
-    """Survival probability of chi-squared with even dof at x.
-
-    Closed form for dof = 2k: exp(-x/2) * sum_{j<k} (x/2)^j / j!, accumulated
-    with a running-term recurrence. When exp(-x/2) would underflow the terms
-    are summed in log space instead, so deep-tail values stay accurate.
-    """
+    """Survival probability of chi-squared with even dof at x (``_survivals``)."""
     if dof < 2 or dof % 2 != 0:
         raise ValueError(f"dof must be a positive even integer, got {dof}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"statistic must be >= 0, got {x}")
-    k = dof // 2
-    half = 0.5 * x
-    if half == 0.0:
-        return 1.0
-    if half < _LOG_SPACE_HALF_X:
-        term = math.exp(-half)
-        total = term
-        for j in range(1, k):
-            term *= half / j
-            total += term
-        return min(total, 1.0)
-    log_half = math.log(half)
-    log_terms = [-half + j * log_half - math.lgamma(j + 1) for j in range(k)]
-    peak = max(log_terms)
-    if peak == -math.inf:
-        return 0.0
-    total = math.fsum(math.exp(t - peak) for t in log_terms)
-    return min(math.exp(peak) * total, 1.0)
+    return float(_survivals(np.array([0.5 * x]), np.array([dof // 2]))[0])
+
+
+def _survivals(half: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """exp(-h) * sum_{j<k} h^j / j!, capped at 1, for each row's h = ``half`` >= 0
+    and k >= 1: the survival of chi-squared with 2k dof at 2h.
+
+    Each row's terms j < max k are one row of a matrix, summed in order. Below
+    ``_LOG_SPACE_HALF_X`` they are the running products exp(-h) * (h/1) * ...
+    * (h/j). Above it exp(-h) underflows, so they come from one ``math.lgamma``
+    table in log space, shifted by the row's peak and masked past k before the
+    exp. At most ``_CHUNK_CELLS`` terms are held at once, and a row's bits
+    depend only on its own h and k.
+    """
+    out = np.zeros(half.size)
+    width = int(k.max(initial=1))
+    j = np.arange(width)
+    linear = np.flatnonzero(half < _LOG_SPACE_HALF_X)
+    deep = np.flatnonzero((half >= _LOG_SPACE_HALF_X) & (half < math.inf))  # h = inf stays 0
+    lgammas = np.array([math.lgamma(i + 1) for i in range(width)]) if deep.size else None
+    step = _CHUNK_CELLS // width
+    for rows in (r[i : i + step] for r in (linear, deep) for i in range(0, r.size, step)):
+        h, kk = half[rows], k[rows]
+        if h[0] < _LOG_SPACE_HALF_X:  # a chunk holds linear or log-space rows, not both
+            terms = np.empty((rows.size, width))
+            terms[:, 0] = list(map(math.exp, (-h).tolist()))
+            np.divide(h[:, None], j[1:], out=terms[:, 1:])
+            np.cumprod(terms, axis=1, out=terms)
+            scale = 1.0
+        else:
+            terms = -h[:, None] + j * np.array(list(map(math.log, h.tolist())))[:, None] - lgammas
+            terms[j >= kk[:, None]] = -math.inf
+            peak = terms.max(axis=1)
+            terms -= peak[:, None]
+            np.exp(terms, out=terms)
+            scale = np.array(list(map(math.exp, peak.tolist())))
+        sums = np.cumsum(terms, axis=1, out=terms)[np.arange(rows.size), kk - 1]
+        out[rows] = np.minimum(scale * sums, 1.0)
+    return out
 
 
 def combine(pvalues: Sequence[float]) -> FisherResult:
@@ -239,8 +258,8 @@ def _fisher_fold(
     Works on the stream grouped by ledger, each group in update order. The
     statistic sums log p over the last ``k_max`` updates of the ledger, oldest
     first, from 0.0, as ``fisher_statistic`` does; slots before a ledger's
-    first update add 0.0 first, which changes no bit. Numpy does the adds and
-    products in ``chisq_survival_even``'s order; ``math`` does log and exp.
+    first update add 0.0 first, which changes no bit; ``math`` does the log.
+    The survival is ``_survivals``, as in ``ledger_update``.
     """
     m = ledger.size
     if m == 0:
@@ -259,21 +278,8 @@ def _fisher_fold(
     statistic = -2.0 * total
     k = np.minimum(pos + 1, k_max)
 
-    half = 0.5 * statistic
-    combined_p = np.ones(m)
-    linear = np.flatnonzero((half != 0.0) & (half < _LOG_SPACE_HALF_X))
-    h, kk = half[linear], k[linear]
-    term = np.array(list(map(math.exp, (-h).tolist())), dtype=np.float64)
-    acc = term
-    for j in range(1, int(kk.max()) if kk.size else 0):
-        term = term * (h / j)
-        acc = np.where(kk > j, acc + term, acc)
-    combined_p[linear] = np.minimum(acc, 1.0)
-    for i in np.flatnonzero(half >= _LOG_SPACE_HALF_X).tolist():
-        combined_p[i] = chisq_survival_even(float(statistic[i]), 2 * int(k[i]))
-
     out = (np.empty(m, dtype=np.int64), np.empty(m), np.empty(m))
-    for column, grouped_values in zip(out, (k, statistic, combined_p)):
+    for column, grouped_values in zip(out, (k, statistic, _survivals(0.5 * statistic, k))):
         column[order] = grouped_values
     return out
 

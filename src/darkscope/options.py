@@ -13,8 +13,9 @@ MAX_WINDOW = 10_000
 # the null is (n / (n + 50))^n: 2% at n = 1, 1.6e-8 at the default n = 10.
 DEFAULT_HORIZON_MULT = 50.0
 DEFAULT_KMAX = 5  # p-values each venue's Fisher ledger (evidence.EvidenceLedger) combines
-# Largest k_max a ledger takes: ledger_update combines the whole window on each update
-# (O(k_max) in Python), and fold_columns makes k_max passes over the update stream.
+# Largest k_max a ledger takes: ledger_update sums the whole window's log p on each
+# update (O(k_max) in Python), and fold_columns makes k_max numpy passes over the
+# update stream; the survival is numpy work of O(k_max) per update either way.
 MAX_KMAX = 1_000
 # p-value below which the policy acts on a venue and report counts a fill as signalling.
 DEFAULT_ALPHA = 0.05
@@ -36,6 +37,12 @@ def check_count(name: str, value: int, cap: str) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
     if value > globals()[cap]:
         raise ValueError(f"{name} must be <= {cap} = {globals()[cap]}, got {value}")
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless 0 < ``alpha`` < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 # The canonical scenarios as simulator.parse_scenario text over the Scenario

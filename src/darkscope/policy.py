@@ -21,21 +21,19 @@ from typing import Sequence
 import numpy as np
 
 from .evidence import EvidenceLedger, FisherResult, ledger_update
-from .options import DEFAULT_ALPHA, DEFAULT_HORIZON_MULT, DEFAULT_KMAX, DEFAULT_WINDOW_SIZE
+from .options import DEFAULT_ALPHA, DEFAULT_HORIZON_MULT, DEFAULT_KMAX, DEFAULT_WINDOW_SIZE, check_alpha
 from .slippage import PricePath, arrival_slippage
 from .surprise import score_columns
 from .tape import SIDE_OF_SIGN, Side, Tape
 
 __all__ = [
     "ActionKind",
-    "DirectionFilter",
     "PolicyConfig",
     "PolicyAction",
     "VenueState",
     "OrderOutcome",
     "BacktestReport",
     "decide",
-    "direction_admits",
     "replay",
 ]
 
@@ -53,26 +51,18 @@ class ActionKind(str, Enum):
     PAUSE_VENUE = "pause_venue"
 
 
-class DirectionFilter(str, Enum):
-    IGNORE = "ignore"
-    SAME_SIDE_ONLY = "same_side_only"
-    OPPOSITE_SIDE_ONLY = "opposite_side_only"
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     alpha: float = DEFAULT_ALPHA
     k_min: int = 3
     min_fill_ladder: tuple[float, ...] = DEFAULT_LADDER
     pause_after: int = 2
-    direction_filter: DirectionFilter = DirectionFilter.IGNORE
     window_size: int = DEFAULT_WINDOW_SIZE
     k_max: int = DEFAULT_KMAX
     horizon_mult: float = DEFAULT_HORIZON_MULT
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.k_min < 1:
             raise ValueError(f"k_min must be >= 1, got {self.k_min}")
         ladder = self.min_fill_ladder
@@ -113,16 +103,6 @@ def decide(
     ladder = cfg.min_fill_ladder
     rung = min(escalations + 1, len(ladder) - 1)
     return PolicyAction(ts, ledger.venue, ActionKind.RAISE_MIN_FILL, ladder[rung], current)
-
-
-def direction_admits(fill_side: np.ndarray, next_side: np.ndarray, mode: DirectionFilter) -> np.ndarray:
-    """Mask of scored fills whose p_fwd may enter the ledger under the filter,
-    from the side signs of each fill and of the lit print after it."""
-    if mode is DirectionFilter.IGNORE:
-        return np.ones(fill_side.shape, dtype=bool)
-    known = (fill_side != 0) & (next_side != 0)
-    same = fill_side == next_side
-    return known & (same if mode is DirectionFilter.SAME_SIDE_ONLY else ~same)
 
 
 @dataclass
@@ -216,12 +196,11 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     The fills are scored once by ``score_columns``: the lit window never
     depends on policy state. The policy arm then walks the dark fills in
     order, over lists taken from the columns; an accepted, scored fill's
-    forward p-value (subject to the direction filter, censored ones
-    excluded) feeds the venue's rolling ledger, and the fresh decision is
-    applied before the next fill. A fill's order is its ground-truth
-    ``order`` when present, else the fill stands alone as ``venue:f@ts``;
-    orders keep first-seen order. Arrival slippage per order uses the
-    accepted fills only. ``path`` is not read.
+    forward p-value (censored ones excluded) feeds the venue's rolling
+    ledger, and the fresh decision is applied before the next fill. A fill's
+    order is its ground-truth ``order`` when present, else the fill stands
+    alone as ``venue:f@ts``; orders keep first-seen order. Arrival slippage
+    per order uses the accepted fills only. ``path`` is not read.
     """
     dark = np.flatnonzero(~tape.is_lit)
     if dark.size < cfg.k_min:
@@ -230,11 +209,10 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
         )
 
     cols = score_columns(tape, cfg.window_size, cfg.horizon_mult)
-    admitted = cols.fwd & direction_admits(tape.side[cols.row], cols.next_side, cfg.direction_filter)
     # The window primes once and stays primed: the unscored fills lead.
     # NaN marks a fill whose p_fwd never enters the ledger.
     p_fwd = np.full(dark.size, np.nan)
-    p_fwd[cols.skipped + np.flatnonzero(admitted)] = cols.p_fwd[admitted]
+    p_fwd[cols.skipped + np.flatnonzero(cols.fwd)] = cols.p_fwd[cols.fwd]
 
     names = (*tape.venues, "")  # code -1: a fill without a venue
     orders: dict[tuple[str, str], list[int]] = {}

@@ -425,6 +425,7 @@ def inject_leakage(
     return merge_streams(lit, injected, replace(dark, ts=fill_ts, truth=fill_truth))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a path out of range is refused by name at the end
 def gen_price_path(
     merged: Tape,
     model: PriceModel,
@@ -437,7 +438,7 @@ def gen_price_path(
     Each print steps by sigma_per_trade plus drift accrued since the previous
     sample; an injected print adds the impact step in its own direction. The
     path opens at 0 and closes with a drift-only sample at ``end_ts``
-    (defaults to the last event).
+    (defaults to the last event). A mid out of the float range raises.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = _rng(seq)
@@ -466,6 +467,10 @@ def gen_price_path(
         drift_tail = model.competing_drift * 1e-4 * (last - int(out_ts[-1])) / _NS
         out_ts = np.append(out_ts, last)
         out_val = np.append(out_val, float(out_val[-1]) + drift_tail)
+    mid = np.exp(out_val)
+    if not np.all(np.isfinite(mid) & (mid > 0.0)):
+        keys = "price.sigma_per_trade, price.competing_drift, price.leak_impact and price.start_mid"
+        raise ValueError(f"price path leaves the float range: check {keys}")
     return PricePath(out_ts, out_val)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .options import (
     DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_CROSSING_SEEDS, DEFAULT_T_TARGET, DEFAULT_TAU,
-    MAX_BUCKETS, MAX_CROSSING_SEEDS, check_count,
+    MAX_BUCKETS, MAX_CROSSING_SEEDS, check_alpha, check_count,
 )
 from .tape import BLOCK_ROWS, Tape, TapeEvent, read_columns
 
@@ -328,8 +328,7 @@ def threshold_rows(
     p-value. For each threshold the cohort is the fills at least that large
     with a scored forward duration; empty cohorts report an absent share.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     for threshold in thresholds:
         if not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {threshold}")

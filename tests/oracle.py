@@ -6,7 +6,8 @@ written independently of the kernels, for the tests to compare with ``==``:
 the surprise scorer (one lit print folded in and one fill scored at a time,
 with its own copy of the p-value formula), the JSON objects that the
 ``serialize_*`` functions format as text, the tape and path lines a row at
-a time (the reference for the block serializers), the ledger ``fold``,
+a time (the reference for the block serializers), the even-dof chi-squared
+survival a value at a time (``chisq_survival_even``), the ledger ``fold``,
 ``post_fill_slippage``, the slippage-by-p-value loop and the tape parser (a
 record at a time: ``json.loads`` of each line, the per-record validator, one
 ``TapeEvent`` per record). It also builds tapes from ``TapeEvent`` rows
@@ -389,6 +390,33 @@ def entry_to_obj(venue: str, entry: LedgerEntry, ledger: str = "signalling") -> 
 
 # ---------------------------------------------------------------------------
 # Evidence
+
+
+def chisq_survival_even(x: float, dof: int) -> float:
+    """Survival probability of chi-squared with even dof at x.
+
+    Closed form for dof = 2k: exp(-x/2) * sum_{j<k} (x/2)^j / j!, accumulated
+    with a running-term recurrence. When exp(-x/2) would underflow the terms
+    are summed in log space instead, so deep-tail values stay accurate.
+    """
+    k = dof // 2
+    half = 0.5 * x
+    if half == 0.0:
+        return 1.0
+    if half < 700.0:
+        term = math.exp(-half)
+        total = term
+        for j in range(1, k):
+            term *= half / j
+            total += term
+        return min(total, 1.0)
+    log_half = math.log(half)
+    log_terms = [-half + j * log_half - math.lgamma(j + 1) for j in range(k)]
+    peak = max(log_terms)
+    if peak == -math.inf:
+        return 0.0
+    total = math.fsum(math.exp(t - peak) for t in log_terms)
+    return min(math.exp(peak) * total, 1.0)
 
 
 def fold(

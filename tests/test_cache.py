@@ -272,19 +272,23 @@ def test_an_unusable_cache_gives_the_text_results(sim_dir, tmp_path, corrupt, ca
 
 
 def test_simulate_writes_no_cache_for_a_tape_the_parser_refuses(tmp_path, capsys):
-    # nor any other file: simulate exits 1 before it makes its output directory
-    for n, (lines, error) in enumerate([
-        # the mid overflows to inf, of which np.exp warns
-        ("price.competing_drift=1e300\n", "price must be finite, got inf"),
-        # the mid underflows to 0, silently
-        ("price.leak_impact=1e308\nvenue.D.leak_prob=1\n", "price must be > 0, got 0.0"),
+    # nor any other file: simulate exits 1 before it makes its output directory.
+    # These paths once reached the tape as mids of inf and 0; simulate now refuses
+    # the path by its price.* keys, and cache_columns still refuses such a tape.
+    good, _ = simulator.simulate_scenario(simulator.parse_scenario("seed=1\nduration=200\n"))
+    for n, (lines, price, error) in enumerate([
+        ("price.competing_drift=1e300\n", np.inf, "price must be finite, got inf"),
+        ("price.leak_impact=1e308\nvenue.D.leak_prob=1\n", 0.0, "price must be > 0, got 0.0"),
     ]):
         scenario = tmp_path / f"scenario{n}.txt"
         scenario.write_text("seed=1\nduration=200\n" + lines)
         out = tmp_path / f"sim{n}"
         assert cli.main(["simulate", "--scenario", str(scenario), "--output", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: tape fails parse_tape's checks: {error}"]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: price path leaves the float range: check price.sigma_per_trade, "
+            "price.competing_drift, price.leak_impact and price.start_mid"
+        ]
         assert not out.exists()
-        tp, _ = simulator.simulate_scenario(simulator.parse_scenario(scenario.read_text()))
+        tp = replace(good, price=np.where(np.arange(len(good)) == 3, price, good.price))
         with pytest.raises(ValueError, match=f"^tape fails parse_tape's checks: {re.escape(error)}$"):
             cache_columns(tp)

@@ -104,6 +104,28 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # was "log_mid must be finite": the tape is empty, so it passed the
+            # tape check, and the drift-only closing sample is inf
+            "duration=200\nlit_schedule=0:1e6\ndark_fill_rate=0\nprice.competing_drift=1e308\n",
+            # was "tape fails parse_tape's checks: price must be > 0": mids of 0 and inf
+            "duration=200\nprice.sigma_per_trade=1e308\n",
+        ],
+    )
+    def test_price_path_out_of_float_range_exits_1_naming_the_price_keys(self, tmp_path, capsys, text):
+        scenario_file = tmp_path / "scn.txt"
+        scenario_file.write_text(text)
+        out = tmp_path / "sim"
+        assert run(["simulate", "--scenario", scenario_file, "--seed", "1", "--output", out]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "error: price path leaves the float range: check price.sigma_per_trade, "
+            "price.competing_drift, price.leak_impact and price.start_mid"
+        )
+        assert not out.exists()
+
     def test_timestamps_at_the_caps_fit_int64(self, tmp_path):
         # the latest timestamps the caps allow: fills near 1e9 s, each with a latent
         # re-time, a sweep and a leak print 1e8 s on; score reads them back

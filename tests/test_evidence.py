@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope.evidence import (
+    _CHUNK_CELLS,
     MAX_KMAX,
     EvidenceLedger,
+    _survivals,
     chisq_survival_even,
     combine,
     fisher_statistic,
@@ -18,6 +20,7 @@ from darkscope.evidence import (
     ledger_update,
     serialize_updates,
 )
+from oracle import chisq_survival_even as oracle_survival
 from oracle import entry_to_obj, fold
 
 
@@ -106,6 +109,54 @@ class TestChisqSurvival:
     @settings(max_examples=200, deadline=None)
     def test_more_dof_means_larger_survival(self, x, k):
         assert chisq_survival_even(x, 2 * k + 2) >= chisq_survival_even(x, 2 * k) - 1e-15
+
+
+class TestSurvivalKernel:
+    """``_survivals`` against the scalar Erlang sum in ``tests/oracle.py``."""
+
+    @staticmethod
+    def oracle(half, k):
+        return np.array([oracle_survival(2.0 * h, 2 * kk) for h, kk in zip(half.tolist(), k.tolist())])
+
+    def test_equals_the_oracle_in_linear_space(self):
+        rng = np.random.default_rng(5)
+        half = np.concatenate([rng.uniform(0.0, 700.0, 5_000), [5e-324, 1e-300, np.nextafter(700.0, 0.0)]])
+        k = rng.integers(1, 6, half.size)
+        k[:300] = rng.integers(1, MAX_KMAX + 1, 300)  # the policy's ledgers at the cap
+        got = _survivals(half, k)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in self.oracle(half, k).tolist()]
+
+    def test_within_1e_12_of_the_oracle_in_log_space(self):
+        rng = np.random.default_rng(6)
+        half = np.concatenate([
+            [700.0, 8e307], rng.uniform(700.0, 3_000.0, 1_500), 10.0 ** rng.uniform(2.85, 307.0, 500),
+        ])
+        k = rng.integers(1, MAX_KMAX + 1, half.size)
+        k[:2] = MAX_KMAX
+        got, want = _survivals(half, k), self.oracle(half, k)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert 0 < np.count_nonzero(want) < want.size
+        nonzero = want != 0.0
+        assert np.all(np.abs(got[nonzero] - want[nonzero]) <= 1e-12 * want[nonzero])
+
+    @pytest.mark.parametrize("k", [1, 5, MAX_KMAX])
+    def test_infinite_statistic_has_survival_zero(self, k):
+        assert chisq_survival_even(math.inf, 2 * k) == 0.0
+        assert _survivals(np.array([math.inf, 800.0]), np.array([k, k]))[0] == 0.0
+
+    def test_rows_across_chunk_boundaries_keep_their_bits(self):
+        rng = np.random.default_rng(7)
+        rows = 3 * _CHUNK_CELLS // MAX_KMAX + 5
+        half = rng.uniform(700.0, 2_000.0, rows)
+        k = rng.integers(1, MAX_KMAX + 1, rows)
+        k[0] = MAX_KMAX
+        together = _survivals(half, k)
+        alone = [_survivals(half[i : i + 1], k[i : i + 1])[0] for i in range(rows)]
+        assert [v.hex() for v in together.tolist()] == [float(v).hex() for v in alone]
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(ValueError, match="statistic must be >= 0, got nan"):
+            chisq_survival_even(math.nan, 2)
 
 
 class TestCombine:
@@ -296,7 +347,7 @@ def streams(draw):
 
 
 class TestFoldColumns:
-    @given(triples=streams(), k_max=st.sampled_from([1, 2, 5, 50]))
+    @given(triples=streams(), k_max=st.sampled_from([1, 2, 5, 50, MAX_KMAX]))
     @settings(max_examples=300, deadline=None)
     def test_matches_sequential_fold_bit_for_bit(self, triples, k_max):
         expected, pairs = sequential(triples, k_max)
@@ -306,17 +357,28 @@ class TestFoldColumns:
             json.dumps(entry_to_obj(name, entry, "latent")) for name, entry in pairs
         ]
 
-    @pytest.mark.parametrize("k_max", [1, 3, 50])
+    @pytest.mark.parametrize("k_max", [1, 3, 50, MAX_KMAX])
     def test_runs_of_the_p_floor_reach_the_log_space_tail(self, k_max):
         # A window holding 1e-300 and 1e-5 has x/2 = 702: past the switch to
         # log space, yet the survival is still a normal number (~2e-300).
         cycle = [1e-300, 1e-5, 1.0, 1e-300, 1e-300, 0.5]
-        triples = [("A", i, cycle[i % len(cycle)]) for i in range(120)]
+        triples = [("A", i, cycle[i % len(cycle)]) for i in range(max(120, k_max + 100))]
         expected, _ = sequential(triples, k_max)
         got, updates = batch(triples, k_max)
         assert bits(got) == bits(expected)
         deep = updates.statistic / 2 >= 700.0
         assert np.any(deep & (updates.combined_p > 0.0)) == (k_max > 1)
+
+    def test_one_lgamma_table_per_fold_at_max_kmax(self, monkeypatch):
+        # 5 000 p-values at the scorer's floor put every later update of both
+        # ledgers in the log-space tail; the kernel takes one table for them all
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+        n = 5_000
+        updates = fold_columns(np.zeros(n, np.intp), ("A",), np.arange(n), np.full(n, 1e-300), MAX_KMAX)
+        assert np.count_nonzero(updates.statistic / 2 >= 700.0) == 2 * n - 2
+        assert 0 < len(calls) <= MAX_KMAX
 
     @given(
         triples=st.lists(

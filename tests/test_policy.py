@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from darkscope.evidence import EvidenceLedger, ledger_update
-from darkscope.policy import (
-    ActionKind,
-    DirectionFilter,
-    PolicyConfig,
-    decide,
-    direction_admits,
-    replay,
-)
+from darkscope.policy import ActionKind, PolicyConfig, decide, replay
 from darkscope.simulator import PRESET_NAMES, fleet, preset, simulate_scenario
 from darkscope.slippage import PricePath
 from darkscope.surprise import SurpriseRecord
@@ -70,39 +63,6 @@ class TestDecide:
             PolicyConfig(min_fill_ladder=(5.0, 4.0))
         with pytest.raises(ValueError):
             PolicyConfig(k_min=0)
-
-
-class TestDirectionFilter:
-    def record(self, fill_side, next_side):
-        """Side-sign columns of one scored fill and the lit print after it."""
-        return np.array([fill_side.sign], np.int8), np.array([next_side.sign], np.int8)
-
-    def admits(self, sides, mode):
-        (admitted,) = direction_admits(*sides, mode).tolist()
-        return admitted
-
-    def test_ignore_admits_everything(self):
-        assert self.admits(self.record(Side.BUY, Side.SELL), DirectionFilter.IGNORE)
-        assert self.admits(self.record(Side.BUY, Side.UNKNOWN), DirectionFilter.IGNORE)
-
-    def test_same_side_only(self):
-        assert self.admits(self.record(Side.BUY, Side.BUY), DirectionFilter.SAME_SIDE_ONLY)
-        assert not self.admits(self.record(Side.BUY, Side.SELL), DirectionFilter.SAME_SIDE_ONLY)
-        assert not self.admits(self.record(Side.BUY, Side.UNKNOWN), DirectionFilter.SAME_SIDE_ONLY)
-
-    def test_opposite_side_only(self):
-        assert self.admits(self.record(Side.BUY, Side.SELL), DirectionFilter.OPPOSITE_SIDE_ONLY)
-        assert not self.admits(self.record(Side.BUY, Side.BUY), DirectionFilter.OPPOSITE_SIDE_ONLY)
-
-    def test_masks_a_column(self):
-        fill_side = np.array([1, 1, -1, 0, -1], np.int8)
-        next_side = np.array([1, -1, -1, 1, 0], np.int8)
-        assert direction_admits(fill_side, next_side, DirectionFilter.SAME_SIDE_ONLY).tolist() == [
-            True, False, True, False, False,
-        ]
-        assert direction_admits(fill_side, next_side, DirectionFilter.OPPOSITE_SIDE_ONLY).tolist() == [
-            False, True, False, False, False,
-        ]
 
 
 def crafted_toxic_tape(n_fills=8, fill_size=50_000.0):
@@ -195,34 +155,25 @@ class TestReplay:
         diff = abs(report.mean_abs_on - report.mean_abs_off)
         assert diff < 2 * report.diff_stderr
 
-    def test_direction_filter_reduces_ledger_flow(self):
-        sc = fleet(preset("null", seed=13, dark_fill_rate=0.05), 10, 600.0, 300.0)
-        tape, path = simulate_scenario(sc)
-        all_in = replay(tape, path, PolicyConfig())
-        same_only = replay(
-            tape, path, PolicyConfig(direction_filter=DirectionFilter.SAME_SIDE_ONLY)
-        )
-        # sides are i.i.d., so roughly half the records are filtered out
-        assert 0 < same_only.decisions < all_in.decisions
 
-
-# sha256 of the reprs of replay under each DirectionFilter x window size
-# (1, 10), per tape, recorded from the replay that walked SurpriseRecords.
+# sha256 of the reprs of replay at window sizes 1 and 10, per tape. Recorded
+# from the columnar replay while it still matched the digests pinned from the
+# replay that walked SurpriseRecords, which also covered two direction filters.
 REPLAY_PINS = {
-    "null-0": "f48ce0ebc319fdc4f1bc83e69c3b166b249bb3af7a414f7ef9b8f958ba602f4a",
-    "null-1": "3bc5fcb82f29d714426b37f92f590550eba772ee2fc7053fb665a1400ab54a08",
-    "leaky-0": "6915c3e9502b4d996143bd151c136b411703d656c6cb045019d23b72fd39e042",
-    "leaky-1": "ae19982bcda1864f0c8ca5c8fcede20f1f9c79007e19a6943e8799dea3d0a35b",
-    "sweep-0": "ad5526ae7b0c8865c9cc0dff386635685146d6006e9fcc0abab316f83f786f3b",
-    "sweep-1": "0d5daee4d8b317c0e6c9dc4add881651f93c823a6bdb0e52a3ebcde9469aac2a",
-    "latent-0": "90d53d3b2351a4548333630a29f1cd03298c71a26d654d81bdace6c69feb0382",
-    "latent-1": "7bde31cfe187adaf6d3ef4c1958cd63d89789e47ba2beca1b8292b894d01800d",
-    "competing-0": "ce98e590b3706dfa9641ef50acb1f9369e94e68e61e342254e0304faaeee083e",
-    "competing-1": "1c0229292307c07eba876d82b8939f636dcab31204a9d2fcbb85a897e2c6c65a",
-    "size_knee-0": "dd3abf008d852dba5aaa68625c2633a3d503b69880e4170f696b3d5412d920ab",
-    "size_knee-1": "558bb027be8ac544a3b31da7fff2656fcdff92dc53c6c13eab5e26ba8dee9a6c",
-    "leaky-fleet": "9442eb49e93ecef81a1029da3e5c08d3b7ff52567c44327280bc4e2bef1ab717",
-    "leaky-0-no-truth": "0aaee8303ea36b29039072f5b4cb26b39f6c6e6c61c08341efe0787c6bd35912",
+    "null-0": "705474947919fb9906d800c196b77e12c95453a7c25d480e77edac732af19a3e",
+    "null-1": "30c587bcfd0a98ad298a21f6af690e009dc2d8177641bcf52a5b6c9fe6adf088",
+    "leaky-0": "2ef09b54f0e9a2113a19dc1b84c317a4c6f4034215a0f7e12cda64f155a0991a",
+    "leaky-1": "d1f08ed28eb9672bfe92275f13522fe951eb18799e2430fd4d6614c72075312a",
+    "sweep-0": "cea86dfa47cf562db181eed4b409b7073262532b3b549eb62df17ecceafab812",
+    "sweep-1": "4a6228239874705347699ad7bd6730db0b33c03ebfb1c4bab939a7bac00fbd7e",
+    "latent-0": "c3c3dcd520c2c762b7a9b519a3a30882095460c52493dfd138fa96fb42d0aae8",
+    "latent-1": "37080e89858220cde67c6cdd72801ac475c6598a1f709ac70d421b8887a632d9",
+    "competing-0": "5dd85554cbe22264f04c35f8f4c8322246586c85284f435217fd2a9f66350c15",
+    "competing-1": "ceb13d388a29e8a524a8a5cea9a1e334ecc28d856bf7dc1a7397caad9e389bcc",
+    "size_knee-0": "be32c4bfeec2c1936c15740e1877d09506f2c26b5edbb0463981937b2d59c023",
+    "size_knee-1": "d5afbb71811d918de135b85d8080a6a0367af530143b2f6060e2a7f79da42544",
+    "leaky-fleet": "e186337550f25d465fe6b6a638ff34d6bf9de18f5a317c825817f44ab60eaeac",
+    "leaky-0-no-truth": "5d445d9edcecf64330e2a51e0781ecd0798121ecf1971e560b7e132e538acb32",
 }
 
 
@@ -237,11 +188,7 @@ def pin_tapes():
 
 
 def replay_digest(tape, path):
-    reprs = [
-        repr(replay(tape, path, PolicyConfig(direction_filter=mode, window_size=n)))
-        for mode in DirectionFilter
-        for n in (1, 10)
-    ]
+    reprs = [repr(replay(tape, path, PolicyConfig(window_size=n))) for n in (1, 10)]
     return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
 
 
