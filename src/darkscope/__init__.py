@@ -20,8 +20,7 @@ _EXPORTS = {
         "fisher_statistic", "ledger_update",
     ),
     "policy": (
-        "ActionKind", "BacktestReport", "PolicyAction", "PolicyConfig", "decide",
-        "replay",
+        "ActionKind", "BacktestReport", "PolicyAction", "PolicyConfig", "replay",
     ),
     "simulator": (
         "PriceModel", "Scenario", "VenueProfile", "fleet", "gen_dark_fills",

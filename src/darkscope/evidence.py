@@ -10,12 +10,12 @@ of freedom only, the Erlang survival sum), so no special-function dependency
 is needed and the result is exact to rounding. One array kernel,
 ``_survivals``, evaluates it for every caller.
 
-``fold_columns`` folds a whole stream of p-values at once, into each
-venue's ledger and the pooled ``*`` ledger, and returns the updates as
-columns; ``darkscope score`` uses it. ``ledger_update`` folds one p-value at a
-time: the policy replay needs that, because its decisions gate which fill
-enters the ledger next. The tests hold ``fold_columns`` bit for bit to a
-reference fold built on ``ledger_update``, and the kernel to ``tests/oracle.py``.
+One fold kernel, ``fisher_fold``, combines a whole update stream at once.
+``fold_columns`` feeds it each venue's ledger and the pooled ``*`` ledger,
+for ``darkscope score``, and the policy replay feeds it the fills it accepts.
+``ledger_update`` folds one p-value at a time into an ``EvidenceLedger``; the
+tests hold both folds bit for bit to reference folds built on it, and the
+survival kernel to ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "combine",
     "ledger_update",
     "LedgerUpdates",
+    "fisher_fold",
     "fold_columns",
     "serialize_updates",
     "DEFAULT_KMAX",
@@ -220,12 +221,9 @@ def fold_columns(
     the venue's ledger and then the pooled ``*`` ledger.
 
     ``venue`` holds codes into ``names`` (-1 is the last name). A venue named
-    ``*`` is the pooled ledger and is folded once. Every update's Fisher
-    result is bit-identical to ``ledger_update``'s on that ledger, and the
-    same inputs raise the same ``ValueError``: a p outside (0, 1], a
-    timestamp earlier than the ledger's last one, or ``k_max`` below 1.
+    ``*`` is the pooled ledger and is folded once. ``fisher_fold`` computes
+    the updates and raises on the inputs ``ledger_update`` rejects.
     """
-    check_count("k_max", k_max, "MAX_KMAX")
     table: dict[str, int] = {}
     code = np.array([table.setdefault(name, len(table)) for name in names], dtype=np.intp)
     pool = table.setdefault(POOLED_VENUE, len(table))
@@ -237,7 +235,7 @@ def fold_columns(
     ledger[np.cumsum(count) - count] = own
     ts = np.asarray(ts, dtype=np.int64)[source]
     p = np.asarray(p, dtype=np.float64)[source]
-    k, statistic, combined_p = _fisher_fold(ledger, ts, p, k_max)
+    k, statistic, combined_p = fisher_fold(ledger, ts, p, k_max)
     return LedgerUpdates(
         names=tuple(table),
         ledger=ledger,
@@ -250,17 +248,22 @@ def fold_columns(
     )
 
 
-def _fisher_fold(
+def fisher_fold(
     ledger: np.ndarray, ts: np.ndarray, p: np.ndarray, k_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(k, statistic, combined_p) of each update of an update stream.
 
-    Works on the stream grouped by ledger, each group in update order. The
-    statistic sums log p over the last ``k_max`` updates of the ledger, oldest
-    first, from 0.0, as ``fisher_statistic`` does; slots before a ledger's
-    first update add 0.0 first, which changes no bit; ``math`` does the log.
-    The survival is ``_survivals``, as in ``ledger_update``.
+    Row i folds ``p[i]`` at ``ts[i]`` into the ledger coded ``ledger[i]``.
+    Every result is bit-identical to ``ledger_update``'s on that ledger, and
+    the same inputs raise the same ``ValueError``: a p outside (0, 1], a
+    timestamp earlier than the ledger's last one, or ``k_max`` outside [1,
+    ``MAX_KMAX``]. Works on the stream grouped by ledger, each group in
+    update order. The statistic sums log p over the last ``k_max`` updates
+    of the ledger, oldest first, from 0.0, as ``fisher_statistic`` does;
+    slots before a ledger's first update add 0.0 first, which changes no
+    bit; ``math`` does the log. The survival is ``_survivals``.
     """
+    check_count("k_max", k_max, "MAX_KMAX")
     m = ledger.size
     if m == 0:
         return np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)

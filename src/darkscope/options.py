@@ -13,9 +13,9 @@ MAX_WINDOW = 10_000
 # the null is (n / (n + 50))^n: 2% at n = 1, 1.6e-8 at the default n = 10.
 DEFAULT_HORIZON_MULT = 50.0
 DEFAULT_KMAX = 5  # p-values each venue's Fisher ledger (evidence.EvidenceLedger) combines
-# Largest k_max a ledger takes: ledger_update sums the whole window's log p on each
-# update (O(k_max) in Python), and fold_columns makes k_max numpy passes over the
-# update stream; the survival is numpy work of O(k_max) per update either way.
+# Largest k_max a ledger takes: evidence.fisher_fold, the fold of score and backtest,
+# makes k_max numpy passes over the update stream and its survival is numpy work of
+# O(k_max) per update; ledger_update sums the whole window's log p in Python.
 MAX_KMAX = 1_000
 # p-value below which the policy acts on a venue and report counts a fill as signalling.
 DEFAULT_ALPHA = 0.05

@@ -1,14 +1,13 @@
-"""Routing policy: turn ledger evidence into actions and replay them.
+"""Routing policy: turn Fisher evidence into actions and replay them.
 
 A venue escalates one rung up a minimum-fill-size ladder every time its
 rolling Fisher evidence crosses the threshold, and is paused outright once
-the ladder is spent. The replay runs the same tape twice - accepting every
-fill, then filtering fills the policy would have rejected while re-scoring
-only accepted ones - and compares per-order arrival slippage between arms.
+the ladder is spent. The replay compares per-order arrival slippage between
+two arms over one scoring of the tape: accepting every fill, and filtering
+the fills the policy rejects, whose p-values then never reach the evidence.
 Rejected fills are dropped, not re-routed, so liquidity-access gains are
 deliberately not measured; the lit stream and price path stay fixed either
-way. The walk reads lists taken from the tape's columns and from
-``surprise.score_columns``; it builds no per-fill object.
+way. The evidence is folded by ``evidence.fisher_fold``, as in ``score``.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .evidence import EvidenceLedger, FisherResult, ledger_update
-from .options import DEFAULT_ALPHA, DEFAULT_HORIZON_MULT, DEFAULT_KMAX, DEFAULT_WINDOW_SIZE, check_alpha
+from .evidence import FisherResult, fisher_fold
+from .options import DEFAULT_ALPHA, DEFAULT_HORIZON_MULT, DEFAULT_KMAX, DEFAULT_WINDOW_SIZE, check_alpha, check_count
 from .slippage import PricePath, arrival_slippage
 from .surprise import score_columns
 from .tape import SIDE_OF_SIGN, Side, Tape
@@ -30,29 +29,35 @@ __all__ = [
     "ActionKind",
     "PolicyConfig",
     "PolicyAction",
-    "VenueState",
     "OrderOutcome",
     "BacktestReport",
-    "decide",
     "replay",
 ]
 
 # Default ladder: the small-fill floor where ~1 bp of 5 s slippage sits, the
 # knee past which large fills stop signalling, and the plateau beyond which
 # raising the floor only costs liquidity. Rung 0 is the policy-off reference,
-# not an initial floor: a venue starts with no floor and a trigger applies
-# rung min(escalations + 1, top), so only a one-rung ladder applies ladder[0].
+# not an initial floor: a venue starts with no floor and its c-th trigger
+# applies rung min(c, top), so only a one-rung ladder applies ladder[0].
 DEFAULT_LADDER = (5_000.0, 25_000.0, 30_000.0)
 
 
 class ActionKind(str, Enum):
-    NONE = "none"
     RAISE_MIN_FILL = "raise_min_fill"
     PAUSE_VENUE = "pause_venue"
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """The decision rule, and the scorer's ``window_size`` and ``horizon_mult``.
+
+    Each accepted fill's forward p-value updates its venue's Fisher
+    combination of the last ``k_max`` of them. An update with k >= ``k_min``
+    is a decision; it triggers when the combined p is below ``alpha``. A
+    venue's c-th trigger raises its floor to ``min_fill_ladder[min(c, top)]``
+    while c <= ``pause_after``, and pauses the venue past that.
+    """
+
     alpha: float = DEFAULT_ALPHA
     k_min: int = 3
     min_fill_ladder: tuple[float, ...] = DEFAULT_LADDER
@@ -70,6 +75,7 @@ class PolicyConfig:
             raise ValueError("min_fill_ladder must be non-empty and strictly increasing")
         if self.pause_after < 0:
             raise ValueError("pause_after must be >= 0")
+        check_count("k_max", self.k_max, "MAX_KMAX")
 
 
 @dataclass(frozen=True)
@@ -78,43 +84,7 @@ class PolicyAction:
     venue: str
     kind: ActionKind
     min_fill: float | None
-    trigger: FisherResult | None
-
-
-def decide(
-    ledger: EvidenceLedger, cfg: PolicyConfig, escalations: int = 0
-) -> PolicyAction:
-    """Pure decision from a ledger snapshot and the venue's escalation count.
-
-    No action while fewer than k_min p-values are combined or the combined p
-    clears alpha. Otherwise the venue climbs one ladder rung per trigger and
-    pauses once ``pause_after`` escalations are spent. The first trigger
-    applies ``ladder[1]``: rung 0 is the policy-off reference, applied only
-    when the ladder has a single rung (then every trigger applies it).
-    """
-    current = ledger.current
-    if current is None:
-        raise ValueError("ledger has no Fisher result yet")
-    ts = ledger.history[-1].ts
-    if current.k < cfg.k_min or current.combined_p >= cfg.alpha:
-        return PolicyAction(ts, ledger.venue, ActionKind.NONE, None, current)
-    if escalations >= cfg.pause_after:
-        return PolicyAction(ts, ledger.venue, ActionKind.PAUSE_VENUE, None, current)
-    ladder = cfg.min_fill_ladder
-    rung = min(escalations + 1, len(ladder) - 1)
-    return PolicyAction(ts, ledger.venue, ActionKind.RAISE_MIN_FILL, ladder[rung], current)
-
-
-@dataclass
-class VenueState:
-    """Mutable per-venue policy state during a replay pass."""
-
-    ledger: EvidenceLedger
-    escalations: int = 0
-    min_fill: float | None = None
-    paused: bool = False
-    decisions: int = 0
-    triggers: int = 0
+    trigger: FisherResult
 
 
 @dataclass(frozen=True)
@@ -174,10 +144,9 @@ def action_to_obj(action: PolicyAction) -> dict:
     }
     if action.min_fill is not None:
         obj["min_fill"] = action.min_fill
-    if action.trigger is not None:
-        obj["k"] = action.trigger.k
-        obj["statistic"] = action.trigger.statistic
-        obj["combined_p"] = action.trigger.combined_p
+    obj["k"] = action.trigger.k
+    obj["statistic"] = action.trigger.statistic
+    obj["combined_p"] = action.trigger.combined_p
     return obj
 
 
@@ -191,73 +160,83 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 
 
 def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
-    """Two-pass backtest: accept-everything vs. policy-filtered.
+    """Two-arm backtest: accept-everything vs. policy-filtered.
 
     The fills are scored once by ``score_columns``: the lit window never
-    depends on policy state. The policy arm then walks the dark fills in
-    order, over lists taken from the columns; an accepted, scored fill's
-    forward p-value (censored ones excluded) feeds the venue's rolling
-    ledger, and the fresh decision is applied before the next fill. A fill's
-    order is its ground-truth ``order`` when present, else the fill stands
-    alone as ``venue:f@ts``; orders keep first-seen order. Arrival slippage
-    per order uses the accepted fills only. ``path`` is not read.
+    depends on policy state. In the policy arm a fill is accepted unless its
+    venue is paused or it sits below the venue's floor; an accepted fill's
+    forward p-value (censored ones excluded) updates its venue's evidence,
+    and a trigger acts from the venue's next fill on. A fill's order is its
+    ground-truth ``order`` when present, else the fill stands alone as
+    ``venue:f@ts``; orders keep first-seen order. Arrival slippage per order
+    uses the accepted fills only. ``path`` is not read.
+
+    A venue's state depends only on its trigger count, so a fold of the
+    fills accepted under the known triggers is exact up to each venue's
+    first unknown one. The replay works in rounds: each folds every venue's
+    evidence with one ``fisher_fold`` and adds each venue's next trigger. A
+    venue triggers at most ``pause_after + 1`` times, so the round that finds
+    none, and is exact, is at most the ``pause_after + 2``-th.
     """
     dark = np.flatnonzero(~tape.is_lit)
     if dark.size < cfg.k_min:
-        raise ValueError(
-            f"insufficient fills: tape has {dark.size} dark fills, need >= {cfg.k_min}"
-        )
+        raise ValueError(f"insufficient fills: tape has {dark.size} dark fills, need >= {cfg.k_min}")
 
     cols = score_columns(tape, cfg.window_size, cfg.horizon_mult)
     # The window primes once and stays primed: the unscored fills lead.
-    # NaN marks a fill whose p_fwd never enters the ledger.
+    # NaN marks a fill whose p_fwd never enters the evidence.
     p_fwd = np.full(dark.size, np.nan)
     p_fwd[cols.skipped + np.flatnonzero(cols.fwd)] = cols.p_fwd[cols.fwd]
 
     names = (*tape.venues, "")  # code -1: a fill without a venue
-    orders: dict[tuple[str, str], list[int]] = {}
-    accepted = np.zeros(len(tape), dtype=bool)
-    states: dict[str, VenueState] = {}
-    actions: list[PolicyAction] = []
-    columns = (tape.venue[dark], tape.ts[dark], tape.size[dark], p_fwd)
-    for row, code, ts, size, p in zip(dark.tolist(), *(c.tolist() for c in columns)):
-        venue = names[code]
-        truth = tape.truth.get(row) or {}
-        order = str(truth["order"]) if "order" in truth else f"{venue}:f@{ts}"
-        orders.setdefault((venue, order), []).append(row)
+    table: dict[str, int] = {}  # venues that share a name share their evidence
+    codes = tape.venue[dark]
+    venue = np.array([table.setdefault(n, len(table)) for n in names], dtype=np.intp)[codes]
+    ts, size = tape.ts[dark], tape.size[dark]
+    # The fill floor by trigger count c <= pause_after; past that the venue is paused.
+    ladder = cfg.min_fill_ladder
+    floors = np.array([-math.inf, *(ladder[min(c, len(ladder) - 1)] for c in range(1, cfg.pause_after + 1))])
 
-        state = states.get(venue)
-        if state is None:
-            state = states[venue] = VenueState(ledger=EvidenceLedger(venue, cfg.k_max))
-        if state.paused:
-            continue
-        if state.min_fill is not None and size < state.min_fill:
-            continue
-        accepted[row] = True
-        if math.isnan(p):
-            continue
-        ledger_update(state.ledger, ts, p)
-        if state.ledger.current.k < cfg.k_min:
-            continue
-        state.decisions += 1
-        action = decide(state.ledger, cfg, state.escalations)
-        if action.kind is ActionKind.NONE:
-            continue
-        state.triggers += 1
-        actions.append(action)
-        if action.kind is ActionKind.RAISE_MIN_FILL:
-            state.min_fill = action.min_fill
-            state.escalations += 1
+    count = np.zeros(dark.size, dtype=np.intp)  # the venue's known triggers before each fill
+    fired = np.zeros(dark.size, dtype=bool)  # the known triggers
+    while True:
+        accepted = (count <= cfg.pause_after) & ~(size < floors[np.minimum(count, cfg.pause_after)])
+        rows = np.flatnonzero(accepted & ~np.isnan(p_fwd))
+        k, statistic, combined_p = fisher_fold(venue[rows], ts[rows], p_fwd[rows], cfg.k_max)
+        # Before a venue's last known trigger, its known triggers are its only fires.
+        fire = rows[(k >= cfg.k_min) & (combined_p < cfg.alpha) & ~fired[rows]]
+        if not fire.size:
+            break
+        first = np.full(len(table), dark.size)
+        np.minimum.at(first, venue[fire], fire)  # each venue's next trigger
+        count += np.arange(dark.size) > first[venue]
+        fired[first[first < dark.size]] = True
+
+    actions: list[PolicyAction] = []
+    for i in np.flatnonzero(fired[rows]).tolist():
+        row, c = rows[i], int(count[rows[i]])
+        trigger = FisherResult(int(k[i]), float(statistic[i]), float(combined_p[i]))
+        if c >= cfg.pause_after:
+            actions.append(PolicyAction(int(ts[row]), names[codes[row]], ActionKind.PAUSE_VENUE, None, trigger))
         else:
-            state.paused = True
+            rung = float(floors[c + 1])
+            actions.append(PolicyAction(int(ts[row]), names[codes[row]], ActionKind.RAISE_MIN_FILL, rung, trigger))
+
+    orders: dict[tuple[str, str], list[int]] = {}
+    for row, code, t in zip(dark.tolist(), codes.tolist(), ts.tolist()):
+        truth = tape.truth.get(row) or {}
+        order = str(truth["order"]) if "order" in truth else f"{names[code]}:f@{t}"
+        orders.setdefault((names[code], order), []).append(row)
+    taken = np.zeros(len(tape), dtype=bool)
+    taken[dark[accepted]] = True
 
     outcomes: list[OrderOutcome] = []
-    for (venue, order), rows in orders.items():
-        off = np.array(rows)
-        on = off[accepted[off]]
+    for (venue_name, order), fills in orders.items():
+        off = np.array(fills)
+        on = off[taken[off]]
         outcomes.append(
             OrderOutcome(
-                venue=venue,
+                venue=venue_name,
                 order=order,
                 side=SIDE_OF_SIGN[int(tape.side[off[0]])],
                 fills_off=off.size,
@@ -271,13 +250,11 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     abs_on = [abs(o.slip_on) for o in outcomes if o.slip_on is not None]
     mean_off, se_off = _mean_stderr(abs_off)
     mean_on, se_on = _mean_stderr(abs_on)
-    decisions = sum(s.decisions for s in states.values())
-    triggers = sum(s.triggers for s in states.values())
     return BacktestReport(
         orders=tuple(outcomes),
         actions=tuple(actions),
-        decisions=decisions,
-        triggers=triggers,
+        decisions=int(np.count_nonzero(k >= cfg.k_min)),
+        triggers=len(actions),
         mean_abs_off=mean_off,
         mean_abs_on=mean_on,
         stderr_abs_off=se_off,

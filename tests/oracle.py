@@ -8,6 +8,7 @@ with its own copy of the p-value formula), the JSON objects that the
 ``serialize_*`` functions format as text, the tape and path lines a row at
 a time (the reference for the block serializers), the even-dof chi-squared
 survival a value at a time (``chisq_survival_even``), the ledger ``fold``,
+the policy replay as a walk that gates one fill at a time (``replay_walk``),
 ``post_fill_slippage``, the slippage-by-p-value loop and the tape parser (a
 record at a time: ``json.loads`` of each line, the per-record validator, one
 ``TapeEvent`` per record). It also builds tapes from ``TapeEvent`` rows
@@ -24,8 +25,9 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from darkscope.evidence import POOLED_VENUE, EvidenceLedger, LedgerEntry, ledger_update
-from darkscope.slippage import BP, BucketRow, CensoredFillError, PricePath, SlippageConfig
-from darkscope.surprise import DEFAULT_HORIZON_MULT, MIN_DURATION_S, MIN_PVALUE, SurpriseRecord
+from darkscope.policy import ActionKind, BacktestReport, OrderOutcome, PolicyAction, PolicyConfig
+from darkscope.slippage import BP, BucketRow, CensoredFillError, PricePath, SlippageConfig, arrival_slippage
+from darkscope.surprise import DEFAULT_HORIZON_MULT, MIN_DURATION_S, MIN_PVALUE, SurpriseRecord, score_columns
 from darkscope.tape import (
     DURATION_FLOOR_NS,
     SIDE_JSON,
@@ -489,3 +491,104 @@ def bucket_report(records: Sequence[tuple[SurpriseRecord, float]], buckets: int 
             stderr = None
         rows.append(BucketRow(lo, hi, float(mean), stderr, n))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Policy
+
+
+def replay_walk(tape: Tape, cfg: PolicyConfig) -> BacktestReport:
+    """``policy.replay`` as a walk over the dark fills in tape order.
+
+    Each venue (by name) keeps an ``EvidenceLedger`` and its trigger count.
+    A fill of a paused venue, or below the venue's floor, is rejected; an
+    accepted fill with a forward p-value goes through ``ledger_update``, and
+    an update with k >= k_min is a decision. A decision with combined p below
+    alpha triggers: the venue pauses once ``pause_after`` raises are spent,
+    else its floor rises to ``ladder[min(raises + 1, top)]``, before the
+    next fill is read.
+    """
+    dark = np.flatnonzero(~tape.is_lit)
+    if dark.size < cfg.k_min:
+        raise ValueError(
+            f"insufficient fills: tape has {dark.size} dark fills, need >= {cfg.k_min}"
+        )
+    cols = score_columns(tape, cfg.window_size, cfg.horizon_mult)
+    p_fwd = [None] * dark.size
+    for i, p in zip(cols.skipped + np.flatnonzero(cols.fwd), cols.p_fwd[cols.fwd].tolist()):
+        p_fwd[i] = p
+
+    names = (*tape.venues, "")
+    ladder = cfg.min_fill_ladder
+    orders: dict[tuple[str, str], list[int]] = {}
+    accepted = set()
+    ledgers: dict[str, EvidenceLedger] = {}
+    raises: dict[str, int] = {}
+    floor: dict[str, float] = {}
+    paused = set()
+    actions = []
+    decisions = 0
+    for i, row in enumerate(dark.tolist()):
+        venue = names[int(tape.venue[row])]
+        ts = int(tape.ts[row])
+        truth = tape.truth.get(row) or {}
+        order = str(truth["order"]) if "order" in truth else f"{venue}:f@{ts}"
+        orders.setdefault((venue, order), []).append(row)
+        ledger = ledgers.setdefault(venue, EvidenceLedger(venue, cfg.k_max))
+        if venue in paused or (venue in floor and float(tape.size[row]) < floor[venue]):
+            continue
+        accepted.add(row)
+        if p_fwd[i] is None:
+            continue
+        current = ledger_update(ledger, ts, p_fwd[i]).current
+        if current.k < cfg.k_min:
+            continue
+        decisions += 1
+        if current.combined_p >= cfg.alpha:
+            continue
+        n = raises.get(venue, 0)
+        if n >= cfg.pause_after:
+            paused.add(venue)
+            actions.append(PolicyAction(ts, venue, ActionKind.PAUSE_VENUE, None, current))
+        else:
+            raises[venue] = n + 1
+            floor[venue] = ladder[min(n + 1, len(ladder) - 1)]
+            actions.append(PolicyAction(ts, venue, ActionKind.RAISE_MIN_FILL, floor[venue], current))
+
+    outcomes = []
+    for (venue, order), rows in orders.items():
+        on = [r for r in rows if r in accepted]
+        outcomes.append(
+            OrderOutcome(
+                venue=venue,
+                order=order,
+                side=SIDE_OF_SIGN[int(tape.side[rows[0]])],
+                fills_off=len(rows),
+                fills_on=len(on),
+                slip_off=arrival_slippage(tape, np.array(rows)),
+                slip_on=arrival_slippage(tape, np.array(on)) if on else None,
+            )
+        )
+
+    def mean_stderr(values):
+        if not values:
+            return math.nan, math.nan
+        arr = np.array(values)
+        stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else math.nan
+        return float(arr.mean()), stderr
+
+    abs_off = [abs(o.slip_off) for o in outcomes]
+    abs_on = [abs(o.slip_on) for o in outcomes if o.slip_on is not None]
+    (mean_off, se_off), (mean_on, se_on) = mean_stderr(abs_off), mean_stderr(abs_on)
+    return BacktestReport(
+        orders=tuple(outcomes),
+        actions=tuple(actions),
+        decisions=decisions,
+        triggers=len(actions),
+        mean_abs_off=mean_off,
+        mean_abs_on=mean_on,
+        stderr_abs_off=se_off,
+        stderr_abs_on=se_on,
+        n_off=len(abs_off),
+        n_on=len(abs_on),
+    )

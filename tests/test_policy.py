@@ -4,75 +4,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darkscope.evidence import EvidenceLedger, ledger_update
-from darkscope.policy import ActionKind, PolicyConfig, decide, replay
+from darkscope import policy
+from darkscope.options import MAX_KMAX
+from darkscope.policy import ActionKind, PolicyConfig, replay
 from darkscope.simulator import PRESET_NAMES, fleet, preset, simulate_scenario
 from darkscope.slippage import PricePath
 from darkscope.surprise import SurpriseRecord
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
-from oracle import tape_from_events
+from oracle import replay_walk, tape_from_events
 
 S = 1_000_000_000
 
 
-def ledger_with(ps, venue="V1", k_max=5):
-    ledger = EvidenceLedger(venue, k_max)
-    for i, p in enumerate(ps):
-        ledger_update(ledger, i, p)
-    return ledger
-
-
-class TestDecide:
-    def test_clean_evidence_no_action(self):
-        action = decide(ledger_with([0.5, 0.6, 0.4, 0.7, 0.5]), PolicyConfig())
-        assert action.kind is ActionKind.NONE
-
-    def test_below_k_min_never_acts(self):
-        action = decide(ledger_with([0.001, 0.001]), PolicyConfig(k_min=3))
-        assert action.kind is ActionKind.NONE
-
-    def test_first_trigger_raises_to_second_rung(self):
-        action = decide(ledger_with([0.01, 0.02, 0.01, 0.5, 0.3]), PolicyConfig())
-        assert action.kind is ActionKind.RAISE_MIN_FILL
-        assert action.min_fill == 25_000.0
-        assert action.trigger.combined_p < 0.05
-
-    def test_second_trigger_tops_the_ladder(self):
-        action = decide(ledger_with([0.01, 0.02, 0.01]), PolicyConfig(), escalations=1)
-        assert action.kind is ActionKind.RAISE_MIN_FILL
-        assert action.min_fill == 30_000.0
-
-    def test_third_trigger_pauses(self):
-        action = decide(ledger_with([0.01, 0.02, 0.01]), PolicyConfig(), escalations=2)
-        assert action.kind is ActionKind.PAUSE_VENUE
-
-    def test_empty_ledger_rejected(self):
-        with pytest.raises(ValueError):
-            decide(EvidenceLedger("V1"), PolicyConfig())
-
-    def test_pure_function_of_inputs(self):
-        ledger = ledger_with([0.01, 0.02, 0.01])
-        cfg = PolicyConfig()
-        assert decide(ledger, cfg, 1) == decide(ledger, cfg, 1)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PolicyConfig(alpha=1.5)
-        with pytest.raises(ValueError):
-            PolicyConfig(min_fill_ladder=(5.0, 4.0))
-        with pytest.raises(ValueError):
-            PolicyConfig(k_min=0)
-
-
-def crafted_toxic_tape(n_fills=8, fill_size=50_000.0):
-    """Lit prints each second; every fill lands 10 ms before a lit print."""
+def crafted_toxic_tape(n_fills=8, fill_size=50_000.0, lead_s=0.01):
+    """Lit prints each second; every fill lands ``lead_s`` before a lit print."""
     events = [
         TapeEvent(EventKind.LIT, t * S, "SYM", 100.0, 100.0, Side.BUY)
         for t in range(0, 120)
     ]
     for k in range(n_fills):
-        ts = int((20 + 5 * k) * S - 0.01 * S)
+        ts = int((20 + 5 * k) * S - lead_s * S)
         events.append(
             TapeEvent(EventKind.DARK, ts, "SYM", 100.0, fill_size, Side.BUY, venue="VX")
         )
@@ -84,6 +38,55 @@ def flat_path(end_s=200):
         np.array([0, end_s * S], dtype=np.int64),
         np.log(np.array([100.0, 100.0])),
     )
+
+
+class TestPolicyConfig:
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            PolicyConfig(alpha=1.5)
+        with pytest.raises(ValueError):
+            PolicyConfig(min_fill_ladder=(5.0, 4.0))
+        with pytest.raises(ValueError):
+            PolicyConfig(k_min=0)
+
+    def test_k_max_outside_its_domain_rejected(self):
+        with pytest.raises(ValueError, match="^k_max must be >= 1, got 0$"):
+            PolicyConfig(k_max=0)
+        with pytest.raises(ValueError, match=f"^k_max must be <= MAX_KMAX = {MAX_KMAX}, got {MAX_KMAX + 1}$"):
+            PolicyConfig(k_max=MAX_KMAX + 1)
+
+
+class TestDecide:
+    """The decision rule, read off the actions replay takes on crafted tapes."""
+
+    def test_clean_evidence_no_action(self):
+        report = replay(crafted_toxic_tape(lead_s=0.99), flat_path(), PolicyConfig())
+        assert report.actions == ()
+        assert report.decisions == 6  # k = 3..8 over the eight fills
+
+    def test_below_k_min_never_acts(self):
+        report = replay(crafted_toxic_tape(), flat_path(), PolicyConfig(k_max=2))
+        assert (report.decisions, report.actions) == (0, ())
+
+    def test_first_trigger_raises_to_second_rung(self):
+        action = replay(crafted_toxic_tape(), flat_path(), PolicyConfig()).actions[0]
+        assert (action.kind, action.min_fill, action.trigger.k) == (ActionKind.RAISE_MIN_FILL, 25_000.0, 3)
+        assert action.trigger.combined_p < 0.05
+        one_rung = PolicyConfig(min_fill_ladder=(40_000.0,))
+        action = replay(crafted_toxic_tape(), flat_path(), one_rung).actions[0]
+        assert (action.kind, action.min_fill) == (ActionKind.RAISE_MIN_FILL, 40_000.0)
+
+    def test_second_trigger_tops_the_ladder(self):
+        cfg = PolicyConfig(min_fill_ladder=(5_000.0, 25_000.0), pause_after=3)
+        report = replay(crafted_toxic_tape(), flat_path(), cfg)
+        assert [a.min_fill for a in report.actions] == [25_000.0, 25_000.0, 25_000.0, None]
+
+    def test_third_trigger_pauses(self):
+        report = replay(crafted_toxic_tape(), flat_path(), PolicyConfig())
+        assert report.actions[2].kind is ActionKind.PAUSE_VENUE
+        assert sum(o.fills_on for o in report.orders) == 5  # nothing after the pause
+        report = replay(crafted_toxic_tape(), flat_path(), PolicyConfig(pause_after=0))
+        assert [a.kind for a in report.actions] == [ActionKind.PAUSE_VENUE]
 
 
 class TestReplay:
@@ -156,6 +159,49 @@ class TestReplay:
         assert diff < 2 * report.diff_stderr
 
 
+@st.composite
+def policy_cases(draw):
+    """(tape, cfg): fills of venues A, B and a venue-less one (code -1), at
+    sizes below, on and above each rung, some censored by a short horizon."""
+    rungs = draw(st.lists(st.sampled_from([1_000.0, 5_000.0, 25_000.0]), min_size=1, max_size=3, unique=True))
+    ladder = tuple(sorted(rungs))
+    cfg = PolicyConfig(
+        alpha=draw(st.sampled_from([0.05, 0.5, 0.95])),
+        k_min=draw(st.integers(1, 6)),
+        min_fill_ladder=ladder,
+        pause_after=draw(st.integers(0, 3)),
+        window_size=draw(st.sampled_from([1, 3])),
+        k_max=draw(st.integers(1, 8)),
+        horizon_mult=draw(st.sampled_from([0.2, 1.0, 50.0])),
+    )
+    gaps = draw(st.lists(st.integers(1, 20), min_size=4, max_size=30))
+    lit_ts = S + np.cumsum(gaps) * (S // 10)
+    events = [TapeEvent(EventKind.LIT, int(ts), "SYM", 100.0, 100.0, Side.BUY) for ts in lit_ts]
+    fill = st.builds(
+        lambda lit, lead_ms, venue, size, side, price, order: TapeEvent(
+            EventKind.DARK, int(lit_ts[lit]) - lead_ms * (S // 1000), "SYM", price, size, side,
+            venue=venue, mid=100.0, truth=None if order is None else {"order": order},
+        ),
+        st.integers(0, lit_ts.size - 1),
+        st.sampled_from([2, 20, 300, -20]),  # ms before a lit print; -20 lands after it
+        st.sampled_from([None, "A", "B"]),
+        st.sampled_from([rung * scale for rung in ladder for scale in (0.5, 1.0, 1.5)]),
+        st.sampled_from([Side.BUY, Side.SELL]),
+        st.sampled_from([99.9, 100.0, 100.2]),
+        st.none() | st.sampled_from("xy"),
+    )
+    events += draw(st.lists(fill, min_size=6, max_size=60))
+    return tape_from_events("SYM", events).sorted(), cfg
+
+
+class TestReplayWalk:
+    @given(case=policy_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_replay_matches_the_walk(self, case):
+        tape, cfg = case
+        assert repr(replay(tape, flat_path(), cfg)) == repr(replay_walk(tape, cfg))
+
+
 # sha256 of the reprs of replay at window sizes 1 and 10, per tape. Recorded
 # from the columnar replay while it still matched the digests pinned from the
 # replay that walked SurpriseRecords, which also covered two direction filters.
@@ -211,3 +257,19 @@ class TestReplayPins:
         tape, path = pinned_tapes["leaky-fleet"]
         report = replay(tape, path, PolicyConfig())
         assert report.orders and report.decisions > 0
+
+    def test_fold_count_is_bounded(self, pinned_tapes, monkeypatch):
+        calls, fold = [], policy.fisher_fold
+
+        def counted(*args):
+            calls.append(args)
+            return fold(*args)
+
+        monkeypatch.setattr(policy, "fisher_fold", counted)
+        fleet_150 = fleet(preset("leaky", seed=3, dark_fill_rate=0.05), 150, 600.0, 100.0)
+        for tape, path in (pinned_tapes["leaky-fleet"], simulate_scenario(fleet_150)):
+            for cfg in (PolicyConfig(pause_after=0), PolicyConfig(pause_after=1), PolicyConfig()):
+                calls.clear()
+                report = replay(tape, path, cfg)
+                assert any(a.kind is ActionKind.PAUSE_VENUE for a in report.actions)
+                assert len(calls) <= cfg.pause_after + 2
