@@ -277,35 +277,19 @@ def cmd_backtest(args: argparse.Namespace) -> int:
             for o in report.orders
         ),
     )
-    _tsv(
-        out / "summary.tsv",
-        [
-            "n_off",
-            "n_on",
-            "mean_abs_off_bp",
-            "mean_abs_on_bp",
-            "stderr_abs_off_bp",
-            "stderr_abs_on_bp",
-            "abs_ratio",
-            "decisions",
-            "triggers",
-            "action_rate",
-        ],
-        [
-            (
-                report.n_off,
-                report.n_on,
-                report.mean_abs_off,
-                report.mean_abs_on,
-                report.stderr_abs_off,
-                report.stderr_abs_on,
-                report.abs_ratio,
-                report.decisions,
-                report.triggers,
-                report.action_rate,
-            )
-        ],
-    )
+    summary = {
+        "n_off": report.n_off,
+        "n_on": report.n_on,
+        "mean_abs_off_bp": report.mean_abs_off,
+        "mean_abs_on_bp": report.mean_abs_on,
+        "stderr_abs_off_bp": report.stderr_abs_off,
+        "stderr_abs_on_bp": report.stderr_abs_on,
+        "abs_ratio": report.abs_ratio,
+        "decisions": report.decisions,
+        "triggers": report.triggers,
+        "action_rate": report.action_rate,
+    }
+    _tsv(out / "summary.tsv", list(summary), [summary.values()])
     print(
         f"policy-off |slip| {report.mean_abs_off:.3f} bp over {report.n_off} orders; "
         f"policy-on {report.mean_abs_on:.3f} bp over {report.n_on}; "
@@ -316,12 +300,9 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         if not any("order" in t for i, t in tp.truth.items() if not tp.is_lit[i]):
             why += " (no fill carries truth.order, so each fill is its own order)"
         print(f"warning: abs_ratio nan: {why}", file=sys.stderr)
-    for arm, stderr, n in (
-        ("off", report.stderr_abs_off, report.n_off),
-        ("on", report.stderr_abs_on, report.n_on),
-    ):
-        if math.isnan(stderr):
-            why = f"the policy-{arm} cohort holds {n} order(s); a stderr needs 2"
+    for arm in ("off", "on"):
+        if math.isnan(summary[f"stderr_abs_{arm}_bp"]):
+            why = f"the policy-{arm} cohort holds {summary['n_' + arm]} order(s); a stderr needs 2"
             print(f"warning: stderr_abs_{arm}_bp nan: {why}", file=sys.stderr)
     return 0
 

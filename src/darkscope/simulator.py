@@ -76,6 +76,11 @@ SIZE_LOG_MU_MAX = 100.0
 SIZE_LOG_SIGMA_MAX = 10.0
 
 
+def _one_line(text: str) -> bool:
+    """Whether ``text`` holds no line break (no character str.splitlines splits on)."""
+    return text.splitlines() in ([], [text])
+
+
 def _check_size_law(prefix: str, mu: float, sigma: float) -> None:
     if not abs(mu) <= SIZE_LOG_MU_MAX:
         raise ValueError(f"{prefix}size_log_mu must be in [-{SIZE_LOG_MU_MAX:g}, {SIZE_LOG_MU_MAX:g}], got {mu}")
@@ -110,6 +115,8 @@ class VenueProfile:
     def __post_init__(self) -> None:
         if not self.venue:  # a dark fill without a venue name fails parse_tape
             raise ValueError("venue name must not be empty")
+        if "." in self.venue or "=" in self.venue or not _one_line(self.venue):  # unreadable as a scenario key
+            raise ValueError(f"venue name must hold no '.', '=' or line break, got {self.venue!r}")
         for name in ("leak_prob", "leak_prob_large", "sweep_prob", "latent_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -177,6 +184,10 @@ class Scenario:
     _event_cap, _duration_cap = MAX_EVENTS, MAX_DURATION_S  # not fields: unannotated
 
     def __post_init__(self) -> None:
+        for key in ("name", "symbol"):  # a scenario file's value is one line, stripped
+            value = getattr(self, key)
+            if value != value.strip() or not _one_line(value):
+                raise ValueError(f"{key} must be one line without surrounding whitespace, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.duration < math.inf:
@@ -355,11 +366,14 @@ def inject_leakage(
 
     fill_ts = dark.ts.copy()
     fill_truth = dict(dark.truth)
-    injected_ts: list[int] = []
-    injected_price: list[float] = []
-    injected_size: list[float] = []
-    injected_side: list[int] = []
+    prints: list[tuple[int, float, float, int]] = []  # injected (ts, price, size, side)
     injected_truth: dict[int, dict[str, Any]] = {}
+
+    def inject(ts: int, price: float, side: int, truth: dict[str, Any], cause: str) -> None:
+        """Append a lit print caused by the fill whose truth is ``truth``."""
+        injected_truth[len(prints)] = {"injected_by": truth.get("fill", ""), "cause": cause}
+        prints.append((ts, price, float(rng.lognormal(size_mu, size_sigma)), side))
+
     names = dark.venues + ("",)  # code -1 (no venue) looks up ""
     for row, (ts, venue, size, price, side) in enumerate(
         zip(
@@ -395,33 +409,19 @@ def inject_leakage(
                 latency = -mean * math.log1p(-u * -math.expm1(-cap / mean))
             latency_ns = max(int(round(latency * _NS)), 1)
             truth["leaked"] = True
-            injected_truth[len(injected_ts)] = {"injected_by": truth.get("fill", ""), "cause": "leak"}
-            injected_ts.append(ts + latency_ns)
-            injected_price.append(price)
-            injected_size.append(float(rng.lognormal(size_mu, size_sigma)))
-            injected_side.append(side)
+            inject(ts + latency_ns, price, side, truth, "leak")
 
         if profile.sweep_prob and rng.random() < profile.sweep_prob:
             truth["sweep"] = True
-            injected_truth[len(injected_ts)] = {"injected_by": truth.get("fill", ""), "cause": "sweep"}
-            injected_ts.append(ts + SWEEP_LATENCY_NS)
-            injected_price.append(price)
-            injected_size.append(float(rng.lognormal(size_mu, size_sigma)))
-            injected_side.append(-side)
+            inject(ts + SWEEP_LATENCY_NS, price, -side, truth, "sweep")
 
         if ts != original_ts or truth != (old_truth or {}):
             fill_ts[row] = ts
             fill_truth[row] = truth
 
-    injected = Tape(
-        symbol=dark.symbol,
-        ts=np.array(injected_ts, dtype=np.int64),
-        is_lit=np.ones(len(injected_ts), dtype=bool),
-        price=np.array(injected_price, dtype=np.float64),
-        size=np.array(injected_size, dtype=np.float64),
-        side=np.array(injected_side, dtype=np.int8),
-        truth=injected_truth,
-    )
+    ts, price, size, side = list(zip(*prints)) or [()] * 4
+    injected = Tape(dark.symbol, ts, is_lit=np.ones(len(ts), dtype=bool), price=price, size=size, side=side,
+                    truth=injected_truth)
     return merge_streams(lit, injected, replace(dark, ts=fill_ts, truth=fill_truth))
 
 
@@ -543,41 +543,6 @@ def fleet(
 # Flat key/value scenario files
 
 
-def format_scenario(scenario: Scenario) -> str:
-    """Scenario as flat key=value lines (inverse of parse_scenario)."""
-    lines = [
-        f"name={scenario.name}",
-        f"symbol={scenario.symbol}",
-        f"seed={scenario.seed}",
-        f"duration={scenario.duration!r}",
-        "lit_schedule=" + ",".join(f"{s!r}:{m!r}" for s, m in scenario.lit_schedule),
-        f"dark_fill_rate={scenario.dark_fill_rate!r}",
-        f"lit_size_log_mu={scenario.lit_size_log_mu!r}",
-        f"lit_size_log_sigma={scenario.lit_size_log_sigma!r}",
-        f"price.sigma_per_trade={scenario.price.sigma_per_trade!r}",
-        f"price.leak_impact={scenario.price.leak_impact!r}",
-        f"price.competing_drift={scenario.price.competing_drift!r}",
-        f"price.start_mid={scenario.price.start_mid!r}",
-    ]
-    if scenario.fills_per_order is not None:
-        lines.append(f"fills_per_order={scenario.fills_per_order}")
-    for v in scenario.venues:
-        prefix = f"venue.{v.venue}."
-        lines.append(f"{prefix}leak_prob={v.leak_prob!r}")
-        lines.append(f"{prefix}leak_latency_mean={v.leak_latency_mean!r}")
-        lines.append(f"{prefix}leak_latency_kind={v.leak_latency_kind}")
-        lines.append(f"{prefix}size_log_mu={v.size_log_mu!r}")
-        lines.append(f"{prefix}size_log_sigma={v.size_log_sigma!r}")
-        if v.size_leak_knee is not None:
-            lines.append(f"{prefix}size_leak_knee={v.size_leak_knee!r}")
-            lines.append(f"{prefix}leak_prob_large={v.leak_prob_large!r}")
-        lines.append(f"{prefix}sweep_prob={v.sweep_prob!r}")
-        lines.append(f"{prefix}latent_prob={v.latent_prob!r}")
-        if v.active is not None:
-            lines.append(f"{prefix}active={v.active[0]!r}:{v.active[1]!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _float(value: str) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -603,24 +568,52 @@ def _pair(value: str) -> tuple[float, float]:
     return pairs[0]
 
 
-# Scenario file keys and the parser of each value: scalar keys set Scenario
-# fields, ``price.<key>`` PriceModel fields, ``venue.<name>.<key>`` VenueProfile fields.
+# The scenario file's keys in file order, each with the parser of its value:
+# scalar keys set Scenario fields and ``price.<key>`` PriceModel fields; then
+# come ``venue.<name>.<key>`` VenueProfile fields, one venue after another.
 _SCENARIO_KEYS = {
-    "name": str, "symbol": str, "seed": int, "fills_per_order": int, "lit_schedule": _pairs,
-    **dict.fromkeys(("duration", "dark_fill_rate", "lit_size_log_mu", "lit_size_log_sigma"), _float),
+    "name": str, "symbol": str, "seed": int, "duration": _float, "lit_schedule": _pairs,
+    **dict.fromkeys(("dark_fill_rate", "lit_size_log_mu", "lit_size_log_sigma", "price.sigma_per_trade",
+                     "price.leak_impact", "price.competing_drift", "price.start_mid"), _float),
+    "fills_per_order": int,
+}
+_VENUE_KEYS = {
+    "leak_prob": _float, "leak_latency_mean": _float, "leak_latency_kind": str,
+    **dict.fromkeys(("size_log_mu", "size_log_sigma", "size_leak_knee", "leak_prob_large", "sweep_prob",
+                     "latent_prob"), _float),
+    "active": _pair,
 }
 # Scalar keys that enter the expected event count.
 _COUNT_KEYS = ("duration", "lit_schedule", "dark_fill_rate")
-_PRICE_KEYS = dict.fromkeys(("sigma_per_trade", "leak_impact", "competing_drift", "start_mid"), _float)
-_VENUE_KEYS = {
-    "leak_latency_kind": str, "active": _pair,
-    **dict.fromkeys(("leak_prob", "leak_latency_mean", "size_log_mu", "size_log_sigma"), _float),
-    **dict.fromkeys(("size_leak_knee", "leak_prob_large", "sweep_prob", "latent_prob"), _float),
-}
+# The text of a value, by its parser: what that parser reads back as the value.
+_TEXT = {str: str, int: str, _float: repr, _pairs: lambda pairs: ",".join(f"{a!r}:{b!r}" for a, b in pairs)}
+_TEXT[_pair] = lambda pair: _TEXT[_pairs]((pair,))
+
+
+def format_scenario(scenario: Scenario) -> str:
+    """Scenario as flat key=value lines, the inverse of parse_scenario.
+
+    The key tables are the file format: the lines follow ``_SCENARIO_KEYS``,
+    then ``_VENUE_KEYS`` once per venue. A key whose value is None is left
+    out, and ``leak_prob_large`` is written only beside ``size_leak_knee``.
+    """
+    fields = {**vars(scenario), **{f"price.{k}": v for k, v in vars(scenario.price).items()}}
+    values = [(key, parse, fields[key]) for key, parse in _SCENARIO_KEYS.items()]
+    for v in scenario.venues:
+        values += [(f"venue.{v.venue}.{key}", parse, getattr(v, key)) for key, parse in _VENUE_KEYS.items()
+                   if key != "leak_prob_large" or v.size_leak_knee is not None]
+    return "".join(f"{key}={_TEXT[parse](value)}\n" for key, parse, value in values if value is not None)
 
 
 def parse_scenario(text: str | Iterable[str]) -> Scenario:
     """Parse the flat key=value scenario format.
+
+    The key tables are the file format (see format_scenario): a line sets a
+    ``_SCENARIO_KEYS`` key, or ``venue.<name>.<key>`` with a ``_VENUE_KEYS``
+    key; its value is read by that key's parser. Keys left out keep their
+    defaults, which are None for the keys format_scenario leaves out when
+    None (``fills_per_order``, ``size_leak_knee``, ``active``). With no venue
+    lines the scenario has one default venue, ``DARK1``.
 
     Each line is applied to the scenario as it is read, so an unknown key, a
     malformed value and a value the dataclass rejects all raise ValueError
@@ -628,9 +621,7 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
     whole file is applied, since a later line may lower it; a count above
     ``MAX_EVENTS`` names the last line that entered it (``duration``,
     ``lit_schedule``, ``dark_fill_rate`` or a new venue); when the count holds,
-    a duration above ``MAX_DURATION_S`` names the last duration line. Keys
-    left out keep their defaults; with no venue lines the scenario has one
-    default venue, ``DARK1``.
+    a duration above ``MAX_DURATION_S`` names the last duration line.
     """
     if isinstance(text, str):
         text = text.splitlines()
@@ -645,9 +636,7 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
         if "=" not in line:
             raise ValueError(f"scenario line {raw_no}: expected key=value, got {line!r}")
         key, value = (x.strip() for x in line.split("=", 1))
-        if key.startswith("price."):
-            table, attr = _PRICE_KEYS, key[len("price.") :]
-        elif key.startswith("venue."):
+        if key.startswith("venue."):
             venue, dot, attr = key[len("venue.") :].partition(".")
             if not dot:
                 raise ValueError(f"scenario line {raw_no}: bad venue key {key!r}")
@@ -659,12 +648,12 @@ def parse_scenario(text: str | Iterable[str]) -> Scenario:
         where = f"scenario line {raw_no}: {key}={value}"
         try:
             change = {attr: table[attr](value)}
-            if table is _PRICE_KEYS:
-                price = replace(price, **change)
-            elif table is _VENUE_KEYS:
+            if table is _VENUE_KEYS:
                 if venue not in venues:
                     count_line = where
                 venues[venue] = replace(venues.get(venue) or VenueProfile(venue), **change)
+            elif attr.startswith("price."):
+                price = replace(price, **{attr[len("price.") :]: change[attr]})
             else:
                 scenario = replace(scenario, **change)
                 if attr in _COUNT_KEYS:

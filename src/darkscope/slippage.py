@@ -23,7 +23,6 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -354,18 +353,13 @@ def size_threshold_report(
     return threshold_rows(p_fwd, fwd, size, thresholds, alpha)
 
 
-def path_to_lines(path: PricePath):
-    """Serialize a price path as wire lines (kind = "mid"): the lines of
-    ``path_blocks``, one at a time.
+def path_blocks(path: PricePath):
+    """Serialize a price path as wire lines (kind = "mid"), in lists of at
+    most ``BLOCK_ROWS``.
 
     Each line equals ``json.dumps({"kind": "mid", "ts": ts, "log_mid": v})``;
     log_mid is finite, so repr is json's float spelling.
     """
-    return chain.from_iterable(path_blocks(path))
-
-
-def path_blocks(path: PricePath):
-    """path_to_lines' lines in lists of at most ``BLOCK_ROWS``."""
     for start in range(0, len(path), BLOCK_ROWS):
         s = slice(start, start + BLOCK_ROWS)
         yield [
@@ -405,9 +399,9 @@ def _json_sample(line: str, line_no: int) -> tuple[int, float]:
 
 
 def path_from_lines(lines) -> PricePath:
-    """Inverse of path_to_lines.
+    """Inverse of path_blocks.
 
-    Lines in path_to_lines' own layout are read by one regular expression
+    Lines in path_blocks' own layout are read by one regular expression
     that admits JSON numbers only; any other line is decoded as JSON, and
     must be an object of kind "mid" with an integer ``ts`` and a numeric
     ``log_mid``. Such a line that is not, a timestamp outside int64 or not

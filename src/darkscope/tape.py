@@ -7,15 +7,10 @@ layer. Events at equal timestamps order lit-before-dark, which keeps every
 duration non-negative and errs toward flagging.
 
 Layout: a ``Tape`` is a struct of equal-length numpy columns, one row per
-event, held in that one form from parse (or simulation) to report:
-
-* ``ts`` int64 nanoseconds and ``is_lit`` bool;
-* ``price``, ``size`` and ``mid`` float64; a NaN ``mid`` means absent;
-* ``side`` int8: +1 buy, -1 sell, 0 unknown;
-* ``venue`` int32 codes into the ``venues`` name table, -1 when absent;
-* ``own`` int8: 1 true, 0 false, -1 absent;
-* ``truth``: a side table {row: simulator ground-truth dict};
-* ``symbol`` and ``meta`` once per tape: every row is of that symbol.
+event, held in that one form from parse (or simulation) to report. ``COLUMNS``
+lists them, with each one's dtype and absent value; beside them, ``venues``
+names the venue codes, ``truth`` is a side table {row: simulator ground-truth
+dict}, and ``symbol`` and ``meta`` are held once per tape.
 
 ``TapeEvent`` is a row view: ``Tape.events``, ``Tape.rows(index)`` and
 iteration build them on demand, a row form kept for callers outside
@@ -37,11 +32,11 @@ Column cache: ``<file>.cols`` beside a text file holds what parsing that
 text returns. Line 1 is a JSON header: ``version``, ``sha256`` (the hex
 digest of the text file's bytes) and, for a tape, ``symbol``, ``venues``,
 ``meta`` and ``truth`` as ``[[row, obj], ...]``. Then each column follows by
-``np.save``: a tape's ts, is_lit, price, size, side, venue, mid, own; a price
-path's ts, log_mid. The writer takes the digest of the bytes as it writes
-them; a reader hashes the file again and trusts the cache only when that
-digest matches, every column has its dtype and one length, and the columns
-pass parse_tape's domain checks; otherwise it parses the text.
+``np.save``: a tape's in ``COLUMNS`` order, a price path's ts and log_mid.
+The writer takes the digest of the bytes as it writes them; a reader hashes
+the file again and trusts the cache only when that digest matches, every
+column has its dtype and one length, and the columns pass parse_tape's
+domain checks; otherwise it parses the text.
 """
 
 from __future__ import annotations
@@ -64,6 +59,7 @@ __all__ = [
     "TapeEvent",
     "Tape",
     "TapeFormatError",
+    "COLUMNS",
     "parse_tape",
     "serialize_tape",
     "serialize_blocks",
@@ -139,13 +135,18 @@ class TapeEvent:
         return self.kind is EventKind.DARK
 
 
-def _column(values, dtype, n: int, fill) -> np.ndarray:
-    if values is None:
-        return np.full(n, fill, dtype=dtype)
-    arr = np.asarray(values, dtype=dtype)
-    if arr.shape != (n,):
-        raise ValueError(f"tape column has shape {arr.shape}, expected ({n},)")
-    return arr
+# A tape's columns in cache-file order: name -> (dtype, value of an omitted
+# column's rows). An omitted ts makes an empty tape.
+COLUMNS = {
+    "ts": (np.int64, 0),  # nanoseconds
+    "is_lit": (np.bool_, True),
+    "price": (np.float64, np.nan),
+    "size": (np.float64, np.nan),
+    "side": (np.int8, 0),  # +1 buy, -1 sell, 0 unknown
+    "venue": (np.int32, -1),  # a code into the venues table; -1 no venue
+    "mid": (np.float64, np.nan),  # NaN: absent
+    "own": (np.int8, -1),  # 1 true, 0 false, -1 absent
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,16 +177,13 @@ class Tape:
         if ts.ndim != 1:
             raise ValueError("ts must be a 1-d column")
         n = ts.size
-        set_ = object.__setattr__
-        set_(self, "ts", ts)
-        set_(self, "is_lit", _column(self.is_lit, bool, n, True))
-        set_(self, "price", _column(self.price, np.float64, n, np.nan))
-        set_(self, "size", _column(self.size, np.float64, n, np.nan))
-        set_(self, "side", _column(self.side, np.int8, n, 0))
-        set_(self, "venue", _column(self.venue, np.int32, n, -1))
-        set_(self, "mid", _column(self.mid, np.float64, n, np.nan))
-        set_(self, "own", _column(self.own, np.int8, n, -1))
-        set_(self, "venues", tuple(self.venues))
+        for name, (dtype, absent) in COLUMNS.items():
+            values = getattr(self, name)
+            column = np.full(n, absent, dtype) if values is None else np.asarray(values, dtype)
+            if column.shape != (n,):
+                raise ValueError(f"tape column has shape {column.shape}, expected ({n},)")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "venues", tuple(self.venues))
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -241,15 +239,8 @@ class Tape:
         truth = self.truth
         return replace(
             self,
-            ts=self.ts[order],
-            is_lit=self.is_lit[order],
-            price=self.price[order],
-            size=self.size[order],
-            side=self.side[order],
-            venue=self.venue[order],
-            mid=self.mid[order],
-            own=self.own[order],
             truth=dict(zip(inverse[list(truth)].tolist(), truth.values())) if truth else {},
+            **{name: getattr(self, name)[order] for name in COLUMNS},
         )
 
 
@@ -261,11 +252,12 @@ _OWN_CODE = {None: -1, False: 0, True: 1}
 
 def _row_from_obj(obj: dict[str, Any], line_no: int) -> tuple:
     """One decoded record checked and normalised, or the TapeFormatError of
-    the first check it fails: the symbol as a string, and the row (is_lit,
-    ts, price, size, side code, venue, mid, own code, truth) with numbers as
-    floats and an absent mid as NaN. The checks run in a fixed order: the
-    required fields, kind, ts, price and size (both through ``float`` first),
-    side, venue, a dark fill's venue and side, mid, own, truth."""
+    the first check it fails: the symbol as a string, and the row (its
+    ``COLUMNS`` values, with the venue's name for its code, then its truth)
+    with numbers as floats and an absent mid as NaN. The checks run in a
+    fixed order: the required fields, kind, ts, price and size (both through
+    ``float`` first), side, venue, a dark fill's venue and side, mid, own,
+    truth."""
     try:
         kind, ts, symbol, price, size = _required(obj)
     except KeyError:
@@ -320,7 +312,7 @@ def _row_from_obj(obj: dict[str, Any], line_no: int) -> tuple:
     truth = obj.get("truth")
     if truth is not None and type(truth) is not dict:
         raise TapeFormatError(line_no, f"truth must be an object, got {truth!r}")
-    return str(symbol), (is_lit, ts, price, size, _SIDE_CODE[side], venue, mid, _OWN_CODE[own], truth)
+    return str(symbol), (ts, is_lit, price, size, _SIDE_CODE[side], venue, mid, _OWN_CODE[own], truth)
 
 
 def _loads(line: str, line_no: int) -> Any:
@@ -405,19 +397,15 @@ def parse_tape(lines: Iterable[str]) -> Tape:
     venues.pop(None, None)
     code = {name: i for i, name in enumerate(venues)}
     code[None] = -1
+    columns = {name: np.fromiter(field(i), dtype, n)
+               for i, (name, (dtype, _)) in enumerate(COLUMNS.items()) if name != "venue"}
     return Tape(
         symbol=symbol or "",
-        is_lit=np.fromiter(field(0), bool, n),
-        ts=np.fromiter(field(1), np.int64, n),
-        price=np.fromiter(field(2), np.float64, n),
-        size=np.fromiter(field(3), np.float64, n),
-        side=np.fromiter(field(4), np.int8, n),
         venue=np.fromiter(map(code.__getitem__, field(5)), np.int32, n),
         venues=tuple(venues),
-        mid=np.fromiter(field(6), np.float64, n),
-        own=np.fromiter(field(7), np.int8, n),
         truth={i: t for i, t in enumerate(field(8)) if t is not None},
         meta=meta,
+        **columns,
     ).sorted()
 
 
@@ -508,41 +496,28 @@ def merge_streams(*parts: Tape) -> Tape:
     if len(symbols) > 1:
         raise ValueError("symbol mismatch: " + " vs ".join(f"'{s}'" for s in symbols))
     names: dict[str, int] = {}
-    venue_cols = []
+    columns: dict[str, list[np.ndarray]] = {name: [] for name in COLUMNS}
     truth: dict[int, dict[str, Any]] = {}
     meta: dict[str, Any] = {}
     offset = 0
     for part in parts:
         codes = np.array([names.setdefault(v, len(names)) for v in part.venues] + [-1], dtype=np.int32)
-        venue_cols.append(codes[part.venue])
+        for name, column in columns.items():
+            column.append(codes[part.venue] if name == "venue" else getattr(part, name))
         truth.update((offset + i, t) for i, t in part.truth.items())
         meta.update(part.meta)
         offset += len(part)
-
-    def cat(name: str) -> np.ndarray | None:
-        return np.concatenate([getattr(p, name) for p in parts]) if parts else None
-
     return Tape(
         symbol=symbols[0] if symbols else "",
-        ts=cat("ts"),
-        is_lit=cat("is_lit"),
-        price=cat("price"),
-        size=cat("size"),
-        side=cat("side"),
-        venue=np.concatenate(venue_cols) if parts else None,
         venues=tuple(names),
-        mid=cat("mid"),
-        own=cat("own"),
         truth=truth,
         meta=meta,
+        **{name: np.concatenate(column) if parts else None for name, column in columns.items()},
     ).sorted()
 
 
 CACHE_SUFFIX = ".cols"
 _CACHE_VERSION = 1
-# A tape cache's columns in file order, with their dtypes.
-_CACHE_COLUMNS = {"ts": np.int64, "is_lit": np.bool_, "price": np.float64, "size": np.float64,
-                  "side": np.int8, "venue": np.int32, "mid": np.float64, "own": np.int8}
 
 
 def file_digest(path) -> str:
@@ -609,13 +584,13 @@ def cache_columns(tape: Tape) -> tuple[dict[str, Any], list[np.ndarray]]:
     parsed = parsed.sorted()
     truth = [[row, parsed.truth[row]] for row in sorted(parsed.truth)]
     header = {"symbol": parsed.symbol, "venues": list(parsed.venues), "meta": parsed.meta, "truth": truth}
-    return header, [getattr(parsed, name) for name in _CACHE_COLUMNS]
+    return header, [getattr(parsed, name) for name in COLUMNS]
 
 
 def read_tape_cache(file, digest: str) -> Tape:
     """The tape in column cache ``file``. Raises ValueError where read_columns
     does, on a malformed header, and when the columns fail parse_tape's checks."""
-    header, columns = read_columns(file, digest, _CACHE_COLUMNS.values())
+    header, columns = read_columns(file, digest, [dtype for dtype, _ in COLUMNS.values()])
     symbol, venues, meta, truth = map(header.get, ("symbol", "venues", "meta", "truth"))
     rows = range(len(columns[0]))
     if not (
@@ -625,6 +600,6 @@ def read_tape_cache(file, digest: str) -> Tape:
                 and isinstance(p[1], dict) for p in truth)
     ):
         raise ValueError("malformed tape header")
-    tape = Tape(symbol, venues=venues, meta=meta, truth=dict(truth), **dict(zip(_CACHE_COLUMNS, columns)))
+    tape = Tape(symbol, venues=venues, meta=meta, truth=dict(truth), **dict(zip(COLUMNS, columns)))
     _check_columns(tape)
     return tape.sorted()

@@ -348,7 +348,7 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
 
 
 def path_to_lines(path: PricePath) -> Iterator[str]:
-    """``darkscope.slippage.path_to_lines``' lines, a sample at a time."""
+    """``darkscope.slippage.path_blocks``' lines, a sample at a time."""
     for t, v in zip(path.ts.tolist(), path.log_mid.tolist()):
         yield f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
 

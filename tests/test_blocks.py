@@ -20,7 +20,7 @@ import pytest
 import darkscope
 import oracle
 from darkscope import cli, simulator
-from darkscope.slippage import PricePath, path_blocks, path_to_lines
+from darkscope.slippage import PricePath, path_blocks
 from darkscope.tape import (
     BLOCK_ROWS,
     CACHE_SUFFIX,
@@ -93,7 +93,6 @@ def test_path_blocks_equal_the_row_at_a_time_lines(n):
     blocks = list(path_blocks(path))
     want = list(oracle.path_to_lines(path))
     assert [line for block in blocks for line in block] == want
-    assert list(path_to_lines(path)) == want
     assert all(0 < len(block) <= B for block in blocks)
 
 

@@ -29,10 +29,10 @@ from hypothesis import strategies as st
 
 from darkscope.cli import _write_cached, main
 from darkscope.evidence import MAX_KMAX
-from darkscope.slippage import MAX_CROSSING_SEEDS, PricePath, path_blocks, path_to_lines
+from darkscope.slippage import MAX_CROSSING_SEEDS, PricePath, path_blocks
 from darkscope.surprise import MAX_WINDOW
 from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_blocks, serialize_tape
-from oracle import tape_from_events
+from oracle import path_to_lines, tape_from_events
 
 S = 1_000_000_000
 EXTREMES = [5e-324, 1e-300, 1.0, 100.0, 1e300, 1e308]

@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkscope.simulator import (
+    MAX_LEAK_LATENCY_S,
     PriceModel,
     Scenario,
     VenueProfile,
@@ -284,7 +287,75 @@ class TestPresets:
         assert sc.duration == 42.0 and sc.seed == 5
 
 
+# Names over an alphabet that holds every character a name may not: '.' and
+# '=' (venue names), whitespace at either end (name and symbol) and line
+# breaks, among them ones str.splitlines splits on besides "\n".
+NAMES = st.text(st.sampled_from("AZ09_-#:. =\t\n\r\x0b\x1c\x85\u2028"), max_size=5)
+FLOATS = st.floats(-1e6, 1e6)
+PROBS = st.floats(0.0, 1.0)
+
+
+def one_line(text):
+    return text.splitlines() in ([], [text])
+
+
+def checked(draw, make, text, ok, field):
+    """make(text), having checked that it raises a ValueError naming ``field``
+    when ``ok(text)`` is false; then make a name it accepts."""
+    if ok(text):
+        return make(text)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        make(text)
+    return make(draw(st.from_regex(r"[A-Z][A-Z0-9]{0,3}", fullmatch=True)))
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios that set every key, optional ones included, with names drawn
+    from NAMES: each name the constructors must refuse is checked to raise."""
+    venues = {}
+    for text in draw(st.lists(NAMES, min_size=1, max_size=3)):
+        knee = draw(st.none() | FLOATS)
+        profile = lambda name: VenueProfile(  # noqa: E731
+            name,
+            leak_prob=draw(PROBS),
+            leak_latency_mean=draw(st.floats(0.0, MAX_LEAK_LATENCY_S, exclude_min=True)),
+            leak_latency_kind=draw(st.sampled_from(("exp", "fixed"))),
+            size_log_mu=draw(st.floats(-100.0, 100.0)),
+            size_log_sigma=draw(st.floats(0.0, 10.0)),
+            size_leak_knee=knee,
+            # format_scenario writes leak_prob_large only beside a knee
+            leak_prob_large=draw(PROBS) if knee is not None else 0.0,
+            sweep_prob=draw(PROBS),
+            latent_prob=draw(PROBS),
+            active=draw(st.none() | st.tuples(FLOATS, FLOATS)),
+        )
+        ok = lambda name: name and "." not in name and "=" not in name and one_line(name)  # noqa: E731
+        v = checked(draw, profile, text, ok, "venue name")
+        venues.setdefault(v.venue, v)  # a file names each venue once
+    starts = draw(st.lists(st.floats(1e-3, 1e4), max_size=2, unique=True))
+    fields = dict(
+        seed=draw(st.integers(0, 2**63)),
+        duration=draw(st.floats(0.0, 1e4)),
+        lit_schedule=tuple((s, draw(st.floats(1e-2, 1e3))) for s in [0.0, *sorted(starts)]),
+        dark_fill_rate=draw(st.floats(0.0, 10.0)),
+        venues=tuple(venues.values()),
+        price=PriceModel(draw(st.floats(0.0, 1e3)), draw(FLOATS), draw(FLOATS), draw(st.floats(1e-3, 1e6))),
+        fills_per_order=draw(st.none() | st.integers(1, 10**6)),
+        lit_size_log_mu=draw(st.floats(-100.0, 100.0)),
+        lit_size_log_sigma=draw(st.floats(0.0, 10.0)),
+    )
+    ok = lambda text: text == text.strip() and one_line(text)  # noqa: E731
+    fields["symbol"] = checked(draw, lambda s: Scenario(symbol=s), draw(NAMES), ok, "symbol").symbol
+    return checked(draw, lambda s: Scenario(name=s, **fields), draw(NAMES), ok, "name")
+
+
 class TestScenarioFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(scenarios())
+    def test_format_is_the_inverse_of_parse(self, sc):
+        assert parse_scenario(format_scenario(sc)) == sc
+
     def test_round_trip(self):
         sc = preset("size_knee", seed=11, fills_per_order=15)
         sc = replace(

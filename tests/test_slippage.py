@@ -18,13 +18,12 @@ from darkscope.slippage import (
     empirical_crossing,
     min_fills_bound,
     path_from_lines,
-    path_to_lines,
     size_threshold_report,
     slippages,
 )
 from darkscope.surprise import SurpriseRecord
 from darkscope.tape import EventKind, Side, TapeEvent
-from oracle import post_fill_slippage, tape_from_events
+from oracle import path_to_lines, post_fill_slippage, tape_from_events
 
 S = 1_000_000_000
 

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from darkscope.tape import (
+    COLUMNS,
     EventKind,
     Side,
     Tape,
@@ -248,3 +250,20 @@ def test_event_objects_are_flat_key_value(tmp_path):
     obj = json.loads(line)
     assert obj["kind"] == "dark"
     assert set(obj) <= {"kind", "ts", "symbol", "price", "size", "side", "venue", "mid", "own", "truth"}
+
+
+@pytest.mark.parametrize("name", COLUMNS)
+def test_constructor_fills_and_checks_each_column(name):
+    dtype, absent = COLUMNS[name]
+    tape = Tape("SYM", ts=[5, 3, 9])
+    column = getattr(tape, name)
+    assert column.dtype == np.dtype(dtype)
+    if name == "ts":  # given, kept in order; an omitted ts is an empty tape
+        assert column.tolist() == [5, 3, 9]
+        assert Tape("SYM").ts.dtype == np.dtype(dtype) and len(Tape("SYM")) == 0
+        with pytest.raises(ValueError, match=r"^tape column has shape \(3,\), expected \(2,\)$"):
+            Tape("SYM", ts=[1, 2], price=[1.0, 2.0, 3.0])
+    else:
+        np.testing.assert_array_equal(column, np.full(3, absent, dtype))
+        with pytest.raises(ValueError, match=r"^tape column has shape \(2,\), expected \(3,\)$"):
+            Tape("SYM", ts=[5, 3, 9], **{name: np.ones(2, dtype)})

@@ -2,6 +2,7 @@
 serialize round trip, and parse errors against the per-record reference parser."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from darkscope import simulator
 from darkscope.cli import main
-from darkscope.slippage import path_to_lines
 from darkscope.tape import (
     EventKind,
     Side,
@@ -21,7 +21,7 @@ from darkscope.tape import (
     parse_tape,
     serialize_tape,
 )
-from oracle import event_to_obj, parse_tape_scalar, tape_from_events
+from oracle import event_to_obj, parse_tape_scalar, path_to_lines, tape_from_events
 
 
 def digest(lines):
@@ -86,6 +86,34 @@ def test_preset_text_pinned():
     for name, want in PRESET_TEXT.items():
         text = simulator.format_scenario(simulator.preset(name, seed=1))
         assert hashlib.sha256(text.encode()).hexdigest() == want, name
+
+
+def format_grid():
+    """Scenarios over three venues that set every key the presets leave at
+    its default: fills_per_order, a two-segment lit_schedule, size_leak_knee
+    with leak_prob_large, active and leak_latency_kind=fixed."""
+    for fills, knee, active in itertools.product((None, 15), (None, 25000.0), (None, (10.0, 250.5))):
+        venues = tuple(
+            simulator.VenueProfile(
+                f"D{i}", leak_prob=0.125 * i, leak_latency_mean=0.002 * (i + 1),
+                leak_latency_kind=("exp", "fixed")[i % 2], size_log_mu=8.0 + i, size_log_sigma=0.5,
+                size_leak_knee=knee if i != 1 else None, leak_prob_large=0.375 if knee and i != 1 else 0.0,
+                sweep_prob=0.0625 * i, latent_prob=0.03125 * i, active=active if i != 2 else None,
+            )
+            for i in range(3)
+        )
+        yield simulator.Scenario(
+            symbol="XYZ", seed=7, duration=1234.5, lit_schedule=((0.0, 0.5), (600.0, 2.0)), dark_fill_rate=0.2,
+            venues=venues, price=simulator.PriceModel(1.5, 0.25, -0.125, 50.0), fills_per_order=fills,
+            lit_size_log_mu=8.5, lit_size_log_sigma=0.75, name="grid",
+        )
+
+
+def test_format_grid_text_pinned():
+    # sha256 of the grid's texts end to end, recorded from the hand-written
+    # format_scenario that preceded the key tables
+    text = "".join(map(simulator.format_scenario, format_grid()))
+    assert hashlib.sha256(text.encode()).hexdigest() == "910acc0e55e09456964a09977964e26d76cba97a0a36cd77d9006e196781ca94"
 
 
 # (lines, sha256) of ``darkscope score``'s scored.jsonl on each pinned tape,
