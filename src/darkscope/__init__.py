@@ -27,9 +27,10 @@ _EXPORTS = {
         "gen_lit_tape", "gen_price_path", "inject_leakage", "preset",
         "simulate_scenario",
     ),
+    "power": ("empirical_crossing", "min_fills_bound"),
     "slippage": (
         "PricePath", "SlippageConfig", "arrival_slippage", "bucket_report",
-        "empirical_crossing", "min_fills_bound", "size_threshold_report",
+        "size_threshold_report",
     ),
     "surprise": (
         "SurpriseRecord", "fill_pvalue", "predictive_cdf", "score_tape",

@@ -12,26 +12,27 @@ simulate also writes tape.jsonl.cols and path.jsonl.cols, column caches (see
 text when the cache holds that text; the results are the same.
 
 All randomness flows from --seed; identical inputs and seeds produce
-byte-identical outputs. DARKSCOPE_LOG=DEBUG|INFO|... controls verbosity.
+byte-identical outputs. DARKSCOPE_LOG=DEBUG|INFO|... controls verbosity:
+``logging`` is imported at a process's first log message, and configured then
+by ``logging.basicConfig`` at that level (WARNING by default), so a command
+that logs nothing, ``--help`` among them, never loads it.
 Exit codes: 0 success, 1 data error, 2 usage error.
 
 How a command ends: ``python -m darkscope.cli`` and the ``darkscope``
 script call ``run()``: ``main()`` (what the tests call), then
-``logging.shutdown()``, a flush of stdout and stderr and ``os._exit``, which
-skips the interpreter's teardown of numpy and every other module; no atexit
-handler runs after ``main()``. ``run()`` leaves by ``sys.exit`` instead when
-a flush raises (a closed stdout pipe still exits 120 with the interpreter's
-``Exception ignored`` line), when it is not called from the top-level code
-of the process's ``__main__`` (as under ``python -m cProfile -m
-darkscope.cli``), or when a trace or profile hook is set (coverage, a
-debugger). An uncaught exception propagates as from ``main()``.
+``logging.shutdown()`` if logging is loaded, a flush of stdout and stderr
+and ``os._exit``, which skips the interpreter's teardown of numpy and every
+other module; no atexit handler runs after ``main()``. ``run()`` leaves by
+``sys.exit`` instead when a flush raises (a closed stdout pipe still exits
+120 with the interpreter's ``Exception ignored`` line), when it is not called
+from the top-level code of the process's ``__main__`` (as under ``python -m
+cProfile -m darkscope.cli``), or when a trace or profile hook is set
+(coverage, a debugger). An uncaught exception propagates as from ``main()``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import os
 import sys
@@ -41,14 +42,13 @@ from pathlib import Path
 
 from . import options
 
-log = logging.getLogger("darkscope.cli")
-
 _USAGE_ERROR = 2
 _DATA_ERROR = 1
 
-# Each command imports the modules it runs, and no others. The parser reads
-# its defaults, caps and preset names from ``options``, which imports nothing,
-# so building it (``--help``) loads no numpy.
+# Each command imports the modules it runs, and no others; json and logging
+# too are imported where they are used. The parser reads its defaults, caps
+# and preset names from ``options``, which imports nothing, so building it
+# (``--help``) loads no numpy.
 _WINDOW_HELP = f"lit durations in the scoring window, 1 to {options.MAX_WINDOW}"
 _KMAX_HELP = f"p-values each venue's Fisher ledger combines, 1 to {options.MAX_KMAX}"
 
@@ -107,13 +107,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log(level: str, msg: str, *args) -> None:
+    """Log ``msg % args`` to the ``darkscope.cli`` logger by its method
+    ``level`` ("debug", "info", "warning"), importing and configuring
+    ``logging`` as the module docstring says."""
+    import logging
+
+    name = os.environ.get("DARKSCOPE_LOG", "WARNING").upper()
+    logging.basicConfig(level=getattr(logging, name, logging.WARNING))  # a no-op once root has a handler
+    getattr(logging.getLogger("darkscope.cli"), level)(msg, *args)
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     if os.environ.get("DARKSCOPE_TEST"):
         raise UsageError("--seed is required when DARKSCOPE_TEST is set")
     derived = time.time_ns() & ((1 << 63) - 1)
-    log.warning("no --seed given; derived %d from the clock", derived)
+    _log("warning", "no --seed given; derived %d from the clock", derived)
     return derived
 
 
@@ -162,7 +173,7 @@ def _read(path: Path, read_cache, parse):
         try:
             return read_cache(cache, tape.file_digest(path))
         except (OSError, ValueError, RecursionError) as exc:
-            log.debug("parsing %s: its column cache is not used: %s", path, exc)
+            _log("debug", "parsing %s: its column cache is not used: %s", path, exc)
     with open(path) as fh:
         return parse(fh)
 
@@ -213,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_cached(out / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
     (out / "scenario.txt").write_text(simulator.format_scenario(scenario))
     n_lit = int(tp.is_lit.sum())
-    log.info("simulated %s: %d lit prints, %d dark fills", scenario.name, n_lit, len(tp) - n_lit)
+    _log("info", "simulated %s: %d lit prints, %d dark fills", scenario.name, n_lit, len(tp) - n_lit)
     print(f"wrote {out / 'tape.jsonl'} ({len(tp)} events) and {out / 'path.jsonl'}")
     return 0
 
@@ -255,6 +266,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
+    import json
+
     from . import policy
 
     tp = _read_tape(args.input)
@@ -308,15 +321,15 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    from . import slippage
+    from . import power
 
-    bound = slippage.min_fills_bound(args.mu, args.sigma)
+    bound = power.min_fills_bound(args.mu, args.sigma)
     if bound == float("inf"):
         print("minimum fills (t=1 bound): unbounded (mu = 0)")
         return 0
     print(f"minimum fills (t=1 bound): T = {bound:g}")
     seed = _resolve_seed(args.seed)
-    crossing = slippage.empirical_crossing(
+    crossing = power.empirical_crossing(
         args.mu, args.sigma, seeds=args.seeds, seed=seed, t_target=args.t_target
     )
     print(
@@ -327,6 +340,8 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    import json
+
     from . import slippage, surprise
 
     tp = _read_tape(args.input)
@@ -373,8 +388,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("DARKSCOPE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -405,7 +418,8 @@ def run() -> None:
     """Run ``main()`` and end the process; the module docstring says how."""
     code = main()
     if _top_level(sys._getframe(1)) and not (sys.gettrace() or sys.getprofile()):
-        logging.shutdown()
+        if "logging" in sys.modules:  # imported by the first log message
+            sys.modules["logging"].shutdown()
         try:
             sys.stdout.flush()
             sys.stderr.flush()

@@ -24,7 +24,7 @@ DEFAULT_TAU = 5.0  # slippage horizon, seconds
 DEFAULT_BUCKETS = 10
 MAX_BUCKETS = 10_000
 DEFAULT_THRESHOLDS = "0,5000,10000,15000,20000,25000,30000,35000,40000,45000"
-# Seeds slippage.empirical_crossing walks, and the most it walks: each keeps
+# Seeds power.empirical_crossing walks, and the most it walks: each keeps
 # a generator and its block of draws, about 48 kB per seed.
 DEFAULT_CROSSING_SEEDS = 200
 MAX_CROSSING_SEEDS = 1_000

@@ -129,6 +129,10 @@ class VenueProfile:
         if self.leak_latency_kind not in ("exp", "fixed"):
             raise ValueError(f"leak_latency_kind must be 'exp' or 'fixed', got {self.leak_latency_kind!r}")
         _check_size_law("", self.size_log_mu, self.size_log_sigma)
+        if self.size_leak_knee is not None and not math.isfinite(self.size_leak_knee):
+            raise ValueError(f"size_leak_knee must be finite, got {self.size_leak_knee}")
+        if self.active is not None and not all(map(math.isfinite, self.active)):
+            raise ValueError(f"active must be finite, got {self.active}")
 
     def leak_prob_for(self, size: float) -> float:
         if self.size_leak_knee is not None and size > self.size_leak_knee:
@@ -146,6 +150,9 @@ class PriceModel:
     start_mid: float = 100.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma_per_trade < 0:
             raise ValueError("sigma_per_trade must be >= 0")
         if self.start_mid <= 0:
@@ -161,7 +168,8 @@ class Scenario:
     ``dark_fill_rate`` is mean fills per second per venue. When
     ``fills_per_order`` is set, each venue's fill stream is chunked into
     consecutive parent orders of that many fills sharing one i.i.d. side;
-    otherwise sides are i.i.d. per fill.
+    otherwise sides are i.i.d. per fill. ``venues`` holds at least one
+    profile and no two of one name, since a venue's fill keys are its name's.
 
     The expected event count, ``duration`` over the shortest schedule mean
     plus ``dark_fill_rate * duration`` per venue, may not exceed
@@ -196,6 +204,8 @@ class Scenario:
             raise ValueError(f"dark_fill_rate must be finite and >= 0, got {self.dark_fill_rate}")
         if not self.lit_schedule or self.lit_schedule[0][0] != 0.0:
             raise ValueError("lit_schedule must start at t = 0")
+        if not all(math.isfinite(x) for segment in self.lit_schedule for x in segment):
+            raise ValueError(f"lit_schedule must be finite, got {self.lit_schedule}")
         starts = [s for s, _ in self.lit_schedule]
         if sorted(starts) != starts or len(set(starts)) != len(starts):
             raise ValueError("lit_schedule starts must be strictly increasing")
@@ -203,6 +213,12 @@ class Scenario:
             raise ValueError("lit_schedule mean durations must be > 0")
         if self.fills_per_order is not None and self.fills_per_order < 1:
             raise ValueError("fills_per_order must be >= 1")
+        names = [v.venue for v in self.venues]
+        if not names:
+            raise ValueError("venues must hold at least one venue")
+        if len(set(names)) < len(names):
+            twice = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValueError(f"venues must have distinct names, got {twice!r} twice")
         _check_size_law("lit_", self.lit_size_log_mu, self.lit_size_log_sigma)
         lit = self.duration / min(m for _, m in self.lit_schedule)
         events = lit + self.dark_fill_rate * self.duration * len(self.venues)
@@ -294,7 +310,7 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
     an order key in ``truth``; fills always carry a per-venue fill key.
     """
     stream = _streams(scenario)["dark"]
-    children = stream.spawn(max(len(scenario.venues), 1))
+    children = stream.spawn(len(scenario.venues))
     parts: list[Tape] = []
     for profile, child in zip(scenario.venues, children):
         rng = _rng(child)
@@ -524,8 +540,6 @@ def fleet(
     prints a small fraction of background lit activity however many venues
     trade, and gives the backtest one order episode per venue window.
     """
-    if not base.venues:
-        raise ValueError("base scenario has no venue profile to replicate")
     profile = base.venues[0]
     venues = tuple(
         replace(
@@ -595,13 +609,14 @@ def format_scenario(scenario: Scenario) -> str:
 
     The key tables are the file format: the lines follow ``_SCENARIO_KEYS``,
     then ``_VENUE_KEYS`` once per venue. A key whose value is None is left
-    out, and ``leak_prob_large`` is written only beside ``size_leak_knee``.
+    out, and ``leak_prob_large`` is written only beside ``size_leak_knee`` or
+    when it is not 0.
     """
     fields = {**vars(scenario), **{f"price.{k}": v for k, v in vars(scenario.price).items()}}
     values = [(key, parse, fields[key]) for key, parse in _SCENARIO_KEYS.items()]
     for v in scenario.venues:
         values += [(f"venue.{v.venue}.{key}", parse, getattr(v, key)) for key, parse in _VENUE_KEYS.items()
-                   if key != "leak_prob_large" or v.size_leak_knee is not None]
+                   if key != "leak_prob_large" or v.size_leak_knee is not None or v.leak_prob_large]
     return "".join(f"{key}={_TEXT[parse](value)}\n" for key, parse, value in values if value is not None)
 
 

@@ -1,13 +1,10 @@
-"""Post-fill slippage estimation, detectability power analysis, and reports.
+"""Post-fill slippage estimation and reports.
 
 Slippage of a fill is the signed log-mid move over a short horizon,
 sign * (log mid(t + tau) - log mid(t)) * 1e4 basis points, positive when the
 price moved with the fill (adverse for the filler); ``fill_slippages`` computes
-it for a batch of fills at once. Detecting a mean slippage mu against return
-noise sigma with a t-test (t = mean * sqrt(k) / std over k fills) needs at
-least (sigma/mu)^2 fills, the 1/Sharpe^2 bound; ``empirical_crossing`` finds
-the fill count where the seed-median running t-statistic reaches a target,
-to show the bound at work on simulated drift.
+it for a batch of fills at once. ``darkscope.power`` finds how many fills a
+mean slippage takes to detect; this module re-exports its names.
 
 Reports, over the scorer's columns: mean slippage per p-value bucket
 (signalling fills should sit in the low-p buckets with visibly higher
@@ -21,19 +18,18 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .options import (
-    DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_CROSSING_SEEDS, DEFAULT_T_TARGET, DEFAULT_TAU,
-    MAX_BUCKETS, MAX_CROSSING_SEEDS, check_alpha, check_count,
+    DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_TAU, MAX_BUCKETS, MAX_CROSSING_SEEDS, check_alpha, check_count,
 )
+from .power import MAX_CROSSING_FILLS, empirical_crossing, min_fills_bound
 from .tape import BLOCK_ROWS, Tape, TapeEvent, read_columns
 
-if TYPE_CHECKING:  # for annotations only: simulate and power never load the scorer
+if TYPE_CHECKING:  # for annotations only: simulate never loads the scorer
     from .surprise import SurpriseRecord
 
 __all__ = [
@@ -52,16 +48,12 @@ __all__ = [
     "size_threshold_report",
     "arrival_slippage",
     "read_path_cache",
+    "MAX_CROSSING_FILLS",
     "MAX_CROSSING_SEEDS",
     "MAX_BUCKETS",
 ]
 
 BP = 1e4  # basis points per unit log return
-# Fills per block in empirical_crossing's early-stopping walk.
-_CROSSING_BLOCK = 512
-# The longest walk empirical_crossing takes, in fills per seed: 200 seeds
-# walk 10**6 fills in about 15 s on a 2-vCPU VM.
-MAX_CROSSING_FILLS = 10**6
 
 
 class CensoredFillError(ValueError):
@@ -164,98 +156,6 @@ def slippages(
     side = np.array([f.side.sign for f in fills], dtype=np.int8)
     mid = np.array([np.nan if f.mid is None else f.mid for f in fills], dtype=np.float64)
     return fill_slippages(ts, side, mid, path, cfg)
-
-
-def min_fills_bound(mu: float, sigma: float) -> float:
-    """Minimum fills to detect mean slippage mu against noise sigma.
-
-    (sigma/mu)^2, the 1/Sharpe^2 bound; infinite when mu = 0. Half the signal
-    costs four times the fills. Raises on a non-finite mu or sigma, on
-    sigma <= 0 and on a bound too large for a float.
-    """
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
-    if mu == 0:
-        return math.inf
-    ratio = sigma / mu
-    if not abs(ratio) < math.sqrt(sys.float_info.max):
-        raise ValueError(f"the bound (sigma/mu)^2 overflows a float at mu = {mu}, sigma = {sigma}")
-    return ratio**2
-
-
-def empirical_crossing(
-    mu: float,
-    sigma: float,
-    seeds: int = DEFAULT_CROSSING_SEEDS,
-    seed: int = 0,
-    t_target: float = DEFAULT_T_TARGET,
-    max_fills: int | None = None,
-) -> int:
-    """Fill count where the seed-median running t-statistic reaches t_target.
-
-    Each seed draws i.i.d. per-fill slippages Normal(mu, sigma^2); the running
-    t = mean * sqrt(k) / std trajectories are combined by pointwise median
-    across seeds. A single trajectory first-passes the target far too early by
-    chance, and the pointwise mean is wrecked by the infinite-variance t
-    values at tiny k; the median trajectory tracks mu * sqrt(k) / sigma and
-    crosses near (t_target * sigma / mu)^2. Returns max_fills when it never
-    crosses; max_fills defaults to 16 * t_target^2 * bound and may not exceed
-    ``MAX_CROSSING_FILLS``.
-
-    The trajectories are built a block of fills at a time and the walk stops
-    at the first crossing. Each seed's generator stays alive across blocks,
-    so a block continues the same stream, and the running sums carry over as
-    the first term of the next block's cumsum; both are sequential, so the
-    result equals that of one draw of max_fills per seed.
-
-    Raises on seeds outside [1, ``MAX_CROSSING_SEEDS``], a non-finite
-    t_target, a max_fills above the cap (checked before any draw), and what
-    min_fills_bound rejects.
-    """
-    check_count("seeds", seeds, "MAX_CROSSING_SEEDS")
-    if not math.isfinite(t_target):
-        raise ValueError(f"t_target must be finite, got {t_target}")
-    if sigma <= 0 or mu == 0:
-        raise ValueError("need sigma > 0 and mu != 0 for a finite crossing")
-    bound = min_fills_bound(mu, sigma)
-    if max_fills is None:
-        fills = 16 * t_target * t_target * bound  # inf, not OverflowError, past the float range
-        if not fills <= MAX_CROSSING_FILLS:
-            raise ValueError(
-                f"the walk to t_target = {t_target:g} needs 16 * t_target^2 * (sigma/mu)^2 = "
-                f"{fills:g} fills, more than MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}"
-            )
-        max_fills = int(fills)
-    elif max_fills > MAX_CROSSING_FILLS:
-        raise ValueError(
-            f"max_fills must be at most MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}, got {max_fills}"
-        )
-    rngs = [np.random.Generator(np.random.Philox(child))
-            for child in np.random.SeedSequence(seed).spawn(seeds)]
-    carry = np.zeros((seeds, 1))
-    carry2 = np.zeros((seeds, 1))
-    for start in range(0, max_fills, _CROSSING_BLOCK):
-        stop = min(start + _CROSSING_BLOCK, max_fills)
-        x = np.stack([rng.normal(mu, sigma, size=stop - start) for rng in rngs])
-        csum = np.cumsum(np.hstack([carry, x]), axis=1)[:, 1:]
-        csum2 = np.cumsum(np.hstack([carry2, x * x]), axis=1)[:, 1:]
-        carry, carry2 = csum[:, -1:], csum2[:, -1:]
-        k = np.arange(start + 1, stop + 1, dtype=np.float64)
-        mean = csum / k
-        var = (csum2 - k * mean**2) / np.maximum(k - 1, 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = mean * np.sqrt(k) / np.sqrt(var)
-        if start == 0:
-            t[:, 0] = 0.0
-        med = np.median(np.ascontiguousarray(t.T), axis=1)
-        hits = np.flatnonzero(np.abs(med) >= t_target)
-        if hits.size:
-            return int(start + hits[0] + 1)
-    return max_fills
 
 
 @dataclass(frozen=True)

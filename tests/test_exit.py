@@ -11,6 +11,7 @@ print its report.
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,7 +91,14 @@ def test_info_log_reaches_stderr(tmp_path):
     argv = ["simulate", "--scenario", "scenario.txt", "--seed", "3", "--output", "sim"]
     proc = command(argv, tmp_path, DARKSCOPE_LOG="INFO")
     assert proc.returncode == 0, proc.stderr
-    assert b"INFO:darkscope.cli:simulated " in proc.stderr
+    # logging is imported at this first message and formats it as basicConfig does
+    assert re.fullmatch(rb"INFO:darkscope\.cli:simulated custom: \d+ lit prints, \d+ dark fills\n", proc.stderr)
+
+
+def test_clock_seed_warning_reaches_stderr(tmp_path):
+    proc = command(POWER[:-2], tmp_path)  # no --seed, and DARKSCOPE_TEST unset
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(rb"WARNING:darkscope\.cli:no --seed given; derived \d+ from the clock\n", proc.stderr)
 
 
 def test_closed_stdout_pipe_is_reported_by_the_interpreter(tmp_path):

@@ -293,29 +293,40 @@ class TestPresets:
 NAMES = st.text(st.sampled_from("AZ09_-#:. =\t\n\r\x0b\x1c\x85\u2028"), max_size=5)
 FLOATS = st.floats(-1e6, 1e6)
 PROBS = st.floats(0.0, 1.0)
+NON_FINITE = st.sampled_from((math.inf, -math.inf, math.nan))
 
 
 def one_line(text):
     return text.splitlines() in ([], [text])
 
 
-def checked(draw, make, text, ok, field):
-    """make(text), having checked that it raises a ValueError naming ``field``
-    when ``ok(text)`` is false; then make a name it accepts."""
-    if ok(text):
-        return make(text)
+def finite(values):
+    return all(map(math.isfinite, values))
+
+
+def checked(make, value, ok, field, fallback):
+    """make(value), having checked that it raises a ValueError naming
+    ``field`` when ``ok(value)`` is false; then make(fallback()), a value it
+    accepts."""
+    if ok(value):
+        return make(value)
     with pytest.raises(ValueError, match=f"^{field} must"):
-        make(text)
-    return make(draw(st.from_regex(r"[A-Z][A-Z0-9]{0,3}", fullmatch=True)))
+        make(value)
+    return make(fallback())
 
 
 @st.composite
 def scenarios(draw):
     """Scenarios that set every key, optional ones included, with names drawn
-    from NAMES: each name the constructors must refuse is checked to raise."""
-    venues = {}
-    for text in draw(st.lists(NAMES, min_size=1, max_size=3)):
-        knee = draw(st.none() | FLOATS)
+    from NAMES and numbers that may be non-finite: each name, number and
+    venue list the constructors must refuse is checked to raise."""
+    good_name = lambda: draw(st.from_regex(r"[A-Z][A-Z0-9]{0,3}", fullmatch=True))  # noqa: E731
+    venues = []
+    for text in draw(st.lists(NAMES, max_size=3)):
+        knee = checked(lambda x: VenueProfile("V", size_leak_knee=x), draw(st.none() | FLOATS | NON_FINITE),
+                       lambda x: x is None or math.isfinite(x), "size_leak_knee", lambda: draw(FLOATS))
+        active = checked(lambda x: VenueProfile("V", active=x), draw(st.none() | st.tuples(*[FLOATS | NON_FINITE] * 2)),
+                         lambda x: x is None or finite(x), "active", lambda: draw(st.tuples(FLOATS, FLOATS)))
         profile = lambda name: VenueProfile(  # noqa: E731
             name,
             leak_prob=draw(PROBS),
@@ -323,31 +334,41 @@ def scenarios(draw):
             leak_latency_kind=draw(st.sampled_from(("exp", "fixed"))),
             size_log_mu=draw(st.floats(-100.0, 100.0)),
             size_log_sigma=draw(st.floats(0.0, 10.0)),
-            size_leak_knee=knee,
-            # format_scenario writes leak_prob_large only beside a knee
-            leak_prob_large=draw(PROBS) if knee is not None else 0.0,
+            size_leak_knee=knee.size_leak_knee,
+            leak_prob_large=draw(PROBS),
             sweep_prob=draw(PROBS),
             latent_prob=draw(PROBS),
-            active=draw(st.none() | st.tuples(FLOATS, FLOATS)),
+            active=active.active,
         )
         ok = lambda name: name and "." not in name and "=" not in name and one_line(name)  # noqa: E731
-        v = checked(draw, profile, text, ok, "venue name")
-        venues.setdefault(v.venue, v)  # a file names each venue once
+        venues.append(checked(profile, text, ok, "venue name", good_name))
+    distinct = lambda vs: vs and len({v.venue for v in vs}) == len(vs)  # noqa: E731
+    venues = checked(lambda vs: Scenario(venues=vs), tuple(venues), distinct, "venues",
+                     lambda: tuple({v.venue: v for v in venues}.values()) or (VenueProfile(good_name()),)).venues
     starts = draw(st.lists(st.floats(1e-3, 1e4), max_size=2, unique=True))
+    schedule = tuple((s, draw(st.floats(1e-2, 1e3) | NON_FINITE)) for s in [0.0, *sorted(starts)])
+    schedule = checked(lambda x: Scenario(lit_schedule=x), schedule, lambda x: finite(sum(x, ())), "lit_schedule",
+                       lambda: tuple((s, draw(st.floats(1e-2, 1e3))) for s, _ in schedule)).lit_schedule
+    price = {}
+    for key, values in (("sigma_per_trade", st.floats(0.0, 1e3)), ("leak_impact", FLOATS),
+                        ("competing_drift", FLOATS), ("start_mid", st.floats(1e-3, 1e6))):
+        made = checked(lambda x: PriceModel(**{key: x}), draw(values | NON_FINITE), math.isfinite, key,
+                       lambda: draw(values))
+        price[key] = getattr(made, key)
     fields = dict(
         seed=draw(st.integers(0, 2**63)),
         duration=draw(st.floats(0.0, 1e4)),
-        lit_schedule=tuple((s, draw(st.floats(1e-2, 1e3))) for s in [0.0, *sorted(starts)]),
+        lit_schedule=schedule,
         dark_fill_rate=draw(st.floats(0.0, 10.0)),
-        venues=tuple(venues.values()),
-        price=PriceModel(draw(st.floats(0.0, 1e3)), draw(FLOATS), draw(FLOATS), draw(st.floats(1e-3, 1e6))),
+        venues=venues,
+        price=PriceModel(**price),
         fills_per_order=draw(st.none() | st.integers(1, 10**6)),
         lit_size_log_mu=draw(st.floats(-100.0, 100.0)),
         lit_size_log_sigma=draw(st.floats(0.0, 10.0)),
     )
     ok = lambda text: text == text.strip() and one_line(text)  # noqa: E731
-    fields["symbol"] = checked(draw, lambda s: Scenario(symbol=s), draw(NAMES), ok, "symbol").symbol
-    return checked(draw, lambda s: Scenario(name=s, **fields), draw(NAMES), ok, "name")
+    fields["symbol"] = checked(lambda s: Scenario(symbol=s), draw(NAMES), ok, "symbol", good_name).symbol
+    return checked(lambda s: Scenario(name=s, **fields), draw(NAMES), ok, "name", good_name)
 
 
 class TestScenarioFiles:
@@ -441,6 +462,37 @@ class TestScenarioFiles:
     def test_non_finite_size_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
             Scenario(**{field: value})
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: PriceModel(sigma_per_trade=math.nan), "sigma_per_trade must be finite, got nan"),
+            (lambda: PriceModel(leak_impact=math.inf), "leak_impact must be finite, got inf"),
+            (lambda: PriceModel(competing_drift=-math.inf), "competing_drift must be finite, got -inf"),
+            (lambda: PriceModel(start_mid=math.inf), "start_mid must be finite, got inf"),
+            (lambda: VenueProfile("A", size_leak_knee=math.nan), "size_leak_knee must be finite, got nan"),
+            (lambda: VenueProfile("A", active=(0.0, math.inf)), r"active must be finite, got \(0\.0, inf\)"),
+            (lambda: Scenario(lit_schedule=((0.0, 1.0), (5.0, math.inf))), "lit_schedule must be finite, got"),
+        ],
+    )
+    def test_non_finite_numbers_are_refused_by_field(self, make, message):
+        # format_scenario would write them as text that parse_scenario refuses
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+
+    def test_a_scenario_has_a_venue(self):
+        with pytest.raises(ValueError, match="^venues must hold at least one venue$"):
+            Scenario(venues=())
+
+    def test_two_venues_of_one_name_are_refused(self):
+        # they once drew fill streams with the same keys, and both leaked as the last one
+        with pytest.raises(ValueError, match="^venues must have distinct names, got 'A' twice$"):
+            Scenario(venues=(VenueProfile("A"), VenueProfile("B"), VenueProfile("A", leak_prob=0.9)))
+
+    def test_leak_prob_large_without_a_knee_round_trips(self):
+        sc = scenario_for(venue=VenueProfile("A", leak_prob_large=0.3))
+        assert "venue.A.leak_prob_large=0.3\n" in format_scenario(sc)
+        assert parse_scenario(format_scenario(sc)) == sc
 
     def test_fleet_staggers_windows(self):
         base = preset("leaky", seed=1)

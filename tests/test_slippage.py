@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from darkscope.power import seed_median
 from darkscope.slippage import (
     BP,
     MAX_BUCKETS,
@@ -310,6 +312,10 @@ class TestEmpiricalCrossing:
             (2.0, 3.0, 40, 5, 1.5, 1000),
             (0.3, 2.0, 25, 9, 3.0, 1537),
             (5.0, 1.0, 10, 1, 2.0, 3),
+            (0.5, 3.0, 1, 4, 2.0, 2000),  # one seed: its own trajectory
+            (0.5, 3.0, 2, 4, 2.0, 2000),  # two: the mean of the pair
+            (0.2, 3.0, 3, 7, 2.0, None),
+            (-0.2, 3.0, 201, 3, 2.0, None),  # odd, and past a block
         ],
     )
     def test_early_stop_matches_whole_matrix(self, mu, sigma, seeds, seed, t_target, max_fills):
@@ -338,6 +344,31 @@ class TestEmpiricalCrossing:
     def test_a_walk_at_the_cap_is_allowed(self):
         # t is 0 at one fill, so a strong drift crosses at the second
         assert empirical_crossing(10.0, 1.0, seeds=2, seed=1, max_fills=MAX_CROSSING_FILLS) == 2
+
+
+def assert_numpy_median(t):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and sums past the float range
+        mine, numpy_median = seed_median(t), np.median(t, axis=0)
+    assert mine.shape == numpy_median.shape
+    assert np.array_equal(mine.view(np.uint64), numpy_median.view(np.uint64))
+
+
+class TestSeedMedian:
+    @pytest.mark.parametrize("seeds", [1, 2, 3, 4, 7, 200, 201])
+    def test_equals_numpy_median_bit_for_bit(self, seeds):
+        rng = np.random.default_rng(seeds)
+        special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.0, 2.0])
+        t = rng.normal(size=(seeds, 300))
+        # columns from no special value to all special: NaN, +-inf and ties, +-0 among them
+        swap = rng.random(t.shape) < np.linspace(0.0, 1.0, t.shape[1])
+        t[swap] = rng.choice(special, size=int(swap.sum()))
+        assert_numpy_median(t)
+
+    @given(t=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 6)),
+                    elements=st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.inf])))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_median_on_any_floats(self, t):
+        assert_numpy_median(t)
 
 
 class TestBucketReport:
