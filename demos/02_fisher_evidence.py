@@ -8,7 +8,10 @@ chi-squared with 2k degrees of freedom when the fills are innocent, and its
 survival probability is the combined p-value.
 """
 
-from darkscope import EvidenceLedger, chisq_survival_even, combine, ledger_update
+import numpy as np
+
+from darkscope import chisq_survival_even, combine
+from darkscope.evidence import fisher_fold
 
 # ---------------------------------------------------------------------------
 # Five fills, none individually damning at the 1% level.
@@ -36,13 +39,15 @@ for x, dof in [(0.0, 10), (18.31, 10), (22.87, 10), (100.0, 10)]:
 # ---------------------------------------------------------------------------
 # Streaming form: a rolling ledger per venue keeps the last k_max p-values
 # and recombines after every fill, so each fill yields a fresh decision
-# input. Watch evidence accumulate against a venue that keeps printing
-# p ~ 0.05 fills.
+# input. fisher_fold computes every update of a stream at once; here one
+# ledger (code 0) takes seven fills, one a second. Watch evidence accumulate
+# against a venue that keeps printing p ~ 0.05 fills.
 
-ledger = EvidenceLedger("DARK1", k_max=5)
+fills = 7
+k, statistic, combined_p = fisher_fold(
+    np.zeros(fills, dtype=np.intp), np.arange(1, fills + 1) * 1_000_000_000, np.full(fills, 0.05), k_max=5
+)
 print("\nrolling ledger on a venue leaking mildly (every fill p = 0.05):")
-for i in range(1, 8):
-    ledger_update(ledger, i * 1_000_000_000, 0.05)
-    cur = ledger.current
-    print(f"  fill {i}: k={cur.k}  statistic={cur.statistic:6.2f}  combined_p={cur.combined_p:.5f}")
+for i in range(fills):
+    print(f"  fill {i + 1}: k={k[i]}  statistic={statistic[i]:6.2f}  combined_p={combined_p[i]:.5f}")
 print("three fills in, the venue is already past a 1% threshold")

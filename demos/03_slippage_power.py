@@ -11,22 +11,23 @@ steer an order that is leaking *now*.
 import numpy as np
 
 from darkscope import PricePath, SlippageConfig, empirical_crossing, min_fills_bound
-from darkscope.slippage import slippages
-from darkscope.tape import EventKind, Side, TapeEvent
+from darkscope.slippage import fill_slippages
 
 S = 1_000_000_000
 
 # ---------------------------------------------------------------------------
 # The slippage of one fill: signed log-mid move over a 5 s horizon, in bp.
+# fill_slippages takes fill columns: ts in ns, side +1 (buy) or -1 (sell),
+# and the mid at the fill (NaN where the tape has none).
 
 path = PricePath(
     np.array([0, 3 * S, 20 * S]),
     np.log(np.array([100.00, 100.01, 100.01])),
 )
-buy = TapeEvent(EventKind.DARK, 1 * S, "SYM", 100.0, 5_000.0, Side.BUY, venue="D1", mid=100.0)
-sell = TapeEvent(EventKind.DARK, 1 * S, "SYM", 100.0, 5_000.0, Side.SELL, venue="D1", mid=100.0)
 cfg = SlippageConfig(tau=5.0)
-(buy_bp, sell_bp), _ = slippages([buy, sell], path, cfg)
+(buy_bp, sell_bp), _ = fill_slippages(
+    np.array([1 * S, 1 * S]), np.array([1, -1], dtype=np.int8), np.array([100.0, 100.0]), path, cfg
+)
 print(f"buy fill, mid 100.00 -> 100.01 within tau: {buy_bp:+.2f} bp")
 print(f"sell fill, same path:                      {sell_bp:+.2f} bp")
 
@@ -57,15 +58,13 @@ print("timing evidence (demos 01-02) flags it within a handful.")
 # ---------------------------------------------------------------------------
 # The mean slippage of a batch of fills on a shared path, with its t-stat.
 
-fills = []
 rng = np.random.default_rng(7)
 steps = rng.normal(0.0, 3e-4, size=2_000)
 walk = np.concatenate(([np.log(100.0)], np.log(100.0) + np.cumsum(steps)))
 path = PricePath((np.arange(2_001) * S).astype(np.int64), walk)
-for t in range(10, 1_500, 3):
-    side = Side.BUY if rng.integers(2) else Side.SELL
-    fills.append(TapeEvent(EventKind.DARK, t * S, "SYM", 100.0, 5_000.0, side, venue="D1"))
-values, covered = slippages(fills, path, cfg)
+ts = np.arange(10, 1_500, 3) * S
+side = np.array([1 if rng.integers(2) else -1 for _ in ts], dtype=np.int8)  # one draw per fill
+values, covered = fill_slippages(ts, side, np.full(ts.size, np.nan), path, cfg)
 sample = values[covered]
 t = sample.mean() * np.sqrt(sample.size) / sample.std(ddof=1)
 print(f"\ndriftless tape, {sample.size} fills: mean {sample.mean():+.3f} bp, t = {t:+.2f}")

@@ -12,22 +12,26 @@ simulate also writes tape.jsonl.cols and path.jsonl.cols, column caches (see
 text when the cache holds that text; the results are the same.
 
 All randomness flows from --seed; identical inputs and seeds produce
-byte-identical outputs. DARKSCOPE_LOG=DEBUG|INFO|... controls verbosity:
-``logging`` is imported at a process's first log message, and configured then
-by ``logging.basicConfig`` at that level (WARNING by default), so a command
-that logs nothing, ``--help`` among them, never loads it.
+byte-identical outputs. Every file is read and written as UTF-8, whatever the
+locale; bytes that are not UTF-8 fail naming their line, as a malformed line
+does. DARKSCOPE_LOG names the least level written to stderr, read at each
+message: one of the level names of the ``logging`` module, in any case
+(DEBUG, INFO, WARNING, ...); any other value, or none, means WARNING. A
+message is written as ``LEVEL:darkscope.cli:message``, the layout of
+``logging.basicConfig``, though ``logging`` is never loaded.
 Exit codes: 0 success, 1 data error, 2 usage error.
 
 How a command ends: ``python -m darkscope.cli`` and the ``darkscope``
-script call ``run()``: ``main()`` (what the tests call), then
-``logging.shutdown()`` if logging is loaded, a flush of stdout and stderr
-and ``os._exit``, which skips the interpreter's teardown of numpy and every
-other module; no atexit handler runs after ``main()``. ``run()`` leaves by
-``sys.exit`` instead when a flush raises (a closed stdout pipe still exits
-120 with the interpreter's ``Exception ignored`` line), when it is not called
-from the top-level code of the process's ``__main__`` (as under ``python -m
-cProfile -m darkscope.cli``), or when a trace or profile hook is set
-(coverage, a debugger). An uncaught exception propagates as from ``main()``.
+script call ``run()``: ``main()`` (what the tests call), then a flush of
+stdout and stderr and ``os._exit``, which skips the interpreter's teardown
+of numpy and every other module; no atexit handler runs after ``main()``,
+and none is needed, since each log line goes to stderr as it is written.
+``run()`` leaves by ``sys.exit`` instead when a flush raises (a closed stdout
+pipe still exits 120 with the interpreter's ``Exception ignored`` line), when
+it is not called from the top-level code of the process's ``__main__`` (as
+under ``python -m cProfile -m darkscope.cli``), or when a trace or profile
+hook is set (coverage, a debugger). An uncaught exception propagates as from
+``main()``.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ from . import options
 _USAGE_ERROR = 2
 _DATA_ERROR = 1
 
-# Each command imports the modules it runs, and no others; json and logging
-# too are imported where they are used. The parser reads its defaults, caps
-# and preset names from ``options``, which imports nothing, so building it
-# (``--help``) loads no numpy.
+# Each command imports the modules it runs, and no others; json too is
+# imported where it is used. The parser reads its defaults, caps and preset
+# names from ``options``, which imports nothing, so building it (``--help``)
+# loads no numpy.
 _WINDOW_HELP = f"lit durations in the scoring window, 1 to {options.MAX_WINDOW}"
 _KMAX_HELP = f"p-values each venue's Fisher ledger combines, 1 to {options.MAX_KMAX}"
 
@@ -107,15 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _log(level: str, msg: str, *args) -> None:
-    """Log ``msg % args`` to the ``darkscope.cli`` logger by its method
-    ``level`` ("debug", "info", "warning"), importing and configuring
-    ``logging`` as the module docstring says."""
-    import logging
+# The level names of the ``logging`` module and their numbers.
+_LEVELS = {"CRITICAL": 50, "FATAL": 50, "ERROR": 40, "WARN": 30, "WARNING": 30,
+           "INFO": 20, "DEBUG": 10, "NOTSET": 0}
 
-    name = os.environ.get("DARKSCOPE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, name, logging.WARNING))  # a no-op once root has a handler
-    getattr(logging.getLogger("darkscope.cli"), level)(msg, *args)
+
+def _log(level: str, msg: str) -> None:
+    """Write ``msg`` at ``level`` (DEBUG, INFO or WARNING) to stderr when the
+    level reaches DARKSCOPE_LOG's, as the module docstring says."""
+    if _LEVELS[level] >= _LEVELS.get(os.environ.get("DARKSCOPE_LOG", "").upper(), 30):
+        print(f"{level}:darkscope.cli:{msg}", file=sys.stderr)
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -124,7 +129,7 @@ def _resolve_seed(seed: int | None) -> int:
     if os.environ.get("DARKSCOPE_TEST"):
         raise UsageError("--seed is required when DARKSCOPE_TEST is set")
     derived = time.time_ns() & ((1 << 63) - 1)
-    _log("warning", "no --seed given; derived %d from the clock", derived)
+    _log("WARNING", f"no --seed given; derived {derived} from the clock")
     return derived
 
 
@@ -132,18 +137,12 @@ class UsageError(Exception):
     pass
 
 
-def _write_lines(path: Path, blocks) -> str:
-    """Write ``blocks``, non-empty lists of lines, to ``path`` one block at a
-    time, each line newline-terminated; return the hex sha256 of the bytes."""
-    import hashlib
-
-    digest = hashlib.sha256()
+def _write_lines(path: Path, blocks) -> None:
+    """Write ``blocks``, non-empty lists of lines, to ``path`` as UTF-8 one
+    block at a time, each line newline-terminated."""
     with open(path, "wb") as fh:
         for block in blocks:
-            data = ("\n".join(block) + "\n").encode()
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+            fh.write(("\n".join(block) + "\n").encode())
 
 
 def _blocks(lines):
@@ -157,14 +156,30 @@ def _blocks(lines):
 
 def _write_cached(path: Path, blocks, columns) -> None:
     """Write ``blocks`` to ``path`` by _write_lines and ``columns`` as its
-    column cache, keyed by the digest of the bytes written."""
+    column cache, keyed by the digest the readers check."""
     from . import tape
 
-    digest = _write_lines(path, blocks)
-    tape.write_columns(path.with_name(path.name + tape.CACHE_SUFFIX), digest, *columns)
+    _write_lines(path, blocks)
+    tape.write_columns(path.with_name(path.name + tape.CACHE_SUFFIX), tape.file_digest(path), *columns)
 
 
-def _read(path: Path, read_cache, parse):
+def _parse(path: Path, parse, prefix: str):
+    """``parse`` of ``path`` opened as UTF-8. Bytes that are not UTF-8 raise
+    ValueError naming the first line that holds them, after ``prefix``; the
+    lines are looked for only then, split as text mode splits them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except UnicodeDecodeError:
+        for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
+            try:
+                line.decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{prefix}line {line_no}: invalid UTF-8 ({exc})") from None
+        raise
+
+
+def _read(path: Path, read_cache, parse, prefix: str):
     """``path`` from its column cache when that holds its text, else parsed."""
     from . import tape
 
@@ -173,21 +188,20 @@ def _read(path: Path, read_cache, parse):
         try:
             return read_cache(cache, tape.file_digest(path))
         except (OSError, ValueError, RecursionError) as exc:
-            _log("debug", "parsing %s: its column cache is not used: %s", path, exc)
-    with open(path) as fh:
-        return parse(fh)
+            _log("DEBUG", f"parsing {path}: its column cache is not used: {exc}")
+    return _parse(path, parse, prefix)
 
 
 def _read_tape(path: Path):
     from . import tape
 
-    return _read(path, tape.read_tape_cache, tape.parse_tape)
+    return _read(path, tape.read_tape_cache, tape.parse_tape, "")
 
 
 def _read_path(path: Path):
     from . import slippage
 
-    return _read(path, slippage.read_path_cache, slippage.path_from_lines)
+    return _read(path, slippage.read_path_cache, slippage.path_from_lines, "path ")
 
 
 def _fmt(value) -> str:
@@ -199,10 +213,7 @@ def _fmt(value) -> str:
 
 
 def _tsv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+    _write_lines(path, _blocks(["\t".join(header), *("\t".join(map(_fmt, row)) for row in rows)]))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -213,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.preset:
         scenario = simulator.preset(args.preset, seed=_resolve_seed(args.seed))
     else:
-        scenario = simulator.parse_scenario(args.scenario.read_text())
+        scenario = _parse(args.scenario, lambda fh: simulator.parse_scenario(fh.read()), "scenario ")
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
     tp, path = simulator.simulate_scenario(scenario)
@@ -222,9 +233,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_cached(out / "tape.jsonl", tape.serialize_blocks(tp), columns)
     _write_cached(out / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
-    (out / "scenario.txt").write_text(simulator.format_scenario(scenario))
+    _write_lines(out / "scenario.txt", [simulator.format_scenario(scenario).splitlines()])
     n_lit = int(tp.is_lit.sum())
-    _log("info", "simulated %s: %d lit prints, %d dark fills", scenario.name, n_lit, len(tp) - n_lit)
+    _log("INFO", f"simulated {scenario.name}: {n_lit} lit prints, {len(tp) - n_lit} dark fills")
     print(f"wrote {out / 'tape.jsonl'} ({len(tp)} events) and {out / 'path.jsonl'}")
     return 0
 
@@ -418,8 +429,6 @@ def run() -> None:
     """Run ``main()`` and end the process; the module docstring says how."""
     code = main()
     if _top_level(sys._getframe(1)) and not (sys.gettrace() or sys.getprofile()):
-        if "logging" in sys.modules:  # imported by the first log message
-            sys.modules["logging"].shutdown()
         try:
             sys.stdout.flush()
             sys.stderr.flush()

@@ -81,8 +81,8 @@ def empirical_crossing(
     chance, and the pointwise mean is wrecked by the infinite-variance t
     values at tiny k; the median trajectory tracks mu * sqrt(k) / sigma and
     crosses near (t_target * sigma / mu)^2. Returns max_fills when it never
-    crosses; max_fills defaults to 16 * t_target^2 * bound and may not exceed
-    ``MAX_CROSSING_FILLS``.
+    crosses; max_fills defaults to 16 * t_target^2 * bound, but at least 2
+    (t is 0 at the first fill), and may not exceed ``MAX_CROSSING_FILLS``.
 
     The trajectories are built a block of fills at a time and the walk stops
     at the first crossing. Each seed's generator stays alive across blocks,
@@ -95,13 +95,17 @@ def empirical_crossing(
     a + b overflows, and a finite t stays below about sqrt(k / eps) < 1e12
     (var, when not 0, is at least about eps * mean^2).
 
-    Raises on seeds outside [1, ``MAX_CROSSING_SEEDS``], a non-finite
-    t_target, a max_fills above the cap (checked before any draw), and what
-    min_fills_bound rejects.
+    Raises on seeds outside [1, ``MAX_CROSSING_SEEDS``], a negative seed, a
+    t_target that is not finite and > 0, a max_fills above the cap (each
+    checked before any draw), and what min_fills_bound rejects.
     """
     check_count("seeds", seeds, "MAX_CROSSING_SEEDS")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not math.isfinite(t_target):
         raise ValueError(f"t_target must be finite, got {t_target}")
+    if t_target <= 0:
+        raise ValueError(f"t_target must be > 0, got {t_target}")
     if sigma <= 0 or mu == 0:
         raise ValueError("need sigma > 0 and mu != 0 for a finite crossing")
     bound = min_fills_bound(mu, sigma)
@@ -112,7 +116,7 @@ def empirical_crossing(
                 f"the walk to t_target = {t_target:g} needs 16 * t_target^2 * (sigma/mu)^2 = "
                 f"{fills:g} fills, more than MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}"
             )
-        max_fills = int(fills)
+        max_fills = max(int(fills), 2)
     elif max_fills > MAX_CROSSING_FILLS:
         raise ValueError(
             f"max_fills must be at most MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}, got {max_fills}"

@@ -20,13 +20,13 @@ from darkscope.policy import PolicyConfig, replay
 from darkscope.simulator import fleet, preset, simulate_scenario
 from darkscope.slippage import (
     SlippageConfig,
-    bucket_report,
+    bucket_rows,
     empirical_crossing,
+    fill_slippages,
     min_fills_bound,
-    size_threshold_report,
-    slippages,
+    threshold_rows,
 )
-from darkscope.surprise import score_tape
+from darkscope.surprise import score_columns
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -37,8 +37,8 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_1_null_uniformity():
     t0 = time.perf_counter()
     tape, _ = simulate_scenario(preset("null", seed=7))
-    records = score_tape(tape, window_size=10)
-    ps = np.array([r.p_fwd for r in records if r.p_fwd is not None])[:10_000]
+    scores = score_columns(tape, window_size=10)
+    ps = scores.p_fwd[scores.fwd][:10_000]
     elapsed = time.perf_counter() - t0
     d_stat = scipy.stats.kstest(ps, "uniform").statistic
     ok = ps.size == 10_000 and d_stat < 0.0163 and elapsed < 10.0
@@ -93,8 +93,8 @@ def test_criterion_4_five_fill_detection_power():
         for seed in range(1000):
             scenario = preset(name, seed=seed, duration=400.0, dark_fill_rate=0.05)
             tape, _ = simulate_scenario(scenario)
-            records = score_tape(tape, window_size=10)
-            ps = [r.p_fwd for r in records if r.p_fwd is not None][:5]
+            scores = score_columns(tape, window_size=10)
+            ps = scores.p_fwd[scores.fwd][:5].tolist()
             if len(ps) < 5:
                 continue
             total += 1
@@ -117,14 +117,14 @@ def test_criterion_5_slippage_by_pvalue_buckets():
     t0 = time.perf_counter()
     scenario = preset("leaky", seed=11, duration=200_000.0, dark_fill_rate=0.1, fills_per_order=None)
     tape, path = simulate_scenario(scenario)
-    records = score_tape(tape, window_size=10)
-    fills = [r.fill for r in records]
-    values, covered = slippages(fills, path, SlippageConfig(tau=5.0))
-    pairs = [(r, float(v)) for r, v, ok in zip(records, values, covered) if ok]
-    rows = bucket_report(pairs, buckets=10)
+    scores = score_columns(tape, window_size=10)
+    row = scores.row
+    values, covered = fill_slippages(tape.ts[row], tape.side[row], tape.mid[row], path, SlippageConfig(tau=5.0))
+    keep = scores.fwd & covered
+    rows = bucket_rows(scores.p_fwd[keep], values[keep], buckets=10)
     low, high = rows[0], rows[-1]
     elapsed = time.perf_counter() - t0
-    n_fills = sum(1 for e in tape if e.is_dark())
+    n_fills = int(np.count_nonzero(~tape.is_lit))
     ok = (
         n_fills >= 20_000 * 0.97
         and low.n >= 500
@@ -145,9 +145,9 @@ def test_criterion_6_signalling_share_vs_min_size():
     t0 = time.perf_counter()
     scenario = preset("size_knee", seed=23, duration=300_000.0)
     tape, _ = simulate_scenario(scenario)
-    records = score_tape(tape, window_size=10)
+    scores = score_columns(tape, window_size=10)
     thresholds = [0.0, 5e3, 10e3, 15e3, 20e3, 25e3, 30e3, 35e3, 40e3, 45e3]
-    rows = size_threshold_report([(r, r.fill.size) for r in records], thresholds, alpha=0.05)
+    rows = threshold_rows(scores.p_fwd, scores.fwd, tape.size[scores.row], thresholds, alpha=0.05)
     elapsed = time.perf_counter() - t0
     shares = [r.share for r in rows]
     knee_index = thresholds.index(30e3)

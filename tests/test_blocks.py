@@ -118,15 +118,15 @@ def test_simulate_caches_carry_the_digest_of_their_text(tmp_path):
 
 
 # Library modules reported besides darkscope's own: numpy, which --help does
-# not load; numpy.ma, which power's median does without; json and logging,
-# which cli imports where a command writes JSON or logs a message.
+# not load; numpy.ma, which power's median does without; json, which cli
+# imports where a command writes JSON; and logging, which cli never loads.
 _LIBRARIES = ("numpy", "numpy.ma", "json", "logging")
 
 
 @pytest.mark.parametrize(
     "command, unloaded",
     [
-        ("simulate", ("darkscope.policy", "darkscope.evidence", "darkscope.surprise")),
+        ("simulate", ("darkscope.policy", "darkscope.evidence", "darkscope.surprise", "logging")),
         ("power", ("darkscope.simulator", "darkscope.policy", "darkscope.evidence", "darkscope.surprise",
                    "darkscope.slippage", "darkscope.tape", "numpy.ma", "json", "logging")),
         ("help", ("darkscope.simulator", "darkscope.policy", "darkscope.evidence", "darkscope.slippage",

@@ -9,7 +9,7 @@ from darkscope import options
 from darkscope.cli import build_parser, main
 from darkscope.simulator import format_scenario, preset
 from darkscope.slippage import MAX_BUCKETS
-from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_tape
+from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_columns
 from darkscope.tape import parse_tape
 from oracle import entry_to_obj, fold
 
@@ -247,14 +247,17 @@ class TestScore:
             if obj["kind"] == "evidence":
                 last[obj["ledger"], obj["venue"]] = obj
         with open(simulated / "tape.jsonl") as fh:
-            records = score_tape(parse_tape(fh), DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
+            tape = parse_tape(fh)
+        scores = score_columns(tape, DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
+        venues = [(*tape.venues, "")[v] for v in tape.venue[scores.row].tolist()]
+        ts = tape.ts[scores.row].tolist()
         expected = {}
-        for name, attr in (("signalling", "p_fwd"), ("latent", "p_bwd")):
-            triples = [(r.fill.venue or "", r.fill.ts, getattr(r, attr)) for r in records
-                       if getattr(r, attr) is not None]
+        for name, p, scored in (("signalling", scores.p_fwd, scores.fwd),
+                                ("latent", scores.p_bwd, [True] * len(scores))):
             ledgers = {}
-            for venue, ts, p in triples:
-                fold(ledgers, venue, ts, p)
+            for venue, t, p_i, ok in zip(venues, ts, p.tolist(), scored):
+                if ok:
+                    fold(ledgers, venue, t, p_i)
             for venue, ledger in ledgers.items():
                 expected[name, venue] = entry_to_obj(venue, ledger.history[-1], name)
         assert len(expected) == 4
@@ -372,6 +375,14 @@ class TestPower:
         assert "T = 576" in out
         assert "crossing" in out
 
+    def test_a_small_t_target_walks_to_its_crossing(self, capsys):
+        # 16 * 0.01^2 * 576 fills rounds to a walk of 0, which printed 0; t is 0
+        # at the first fill, so the median crosses 0.01 at the second
+        assert run(["power", "--mu", "0.5", "--sigma", "12", "--seed", "1", "--t-target", "0.01"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "empirical t=0.01 crossing (median of 200 seeds): 2 fills"
+        )
+
     def test_zero_mu_unbounded(self, capsys):
         assert run(["power", "--mu", "0", "--sigma", "12"]) == 0
         assert "unbounded" in capsys.readouterr().out
@@ -448,6 +459,26 @@ class TestExitCodes:
         assert run(argv) == 1
         (err,) = capsys.readouterr().err.splitlines()
         assert err.startswith("error: line 5: invalid JSON (maximum recursion depth exceeded"), err
+
+    @pytest.mark.parametrize("kind", ["tape", "path", "scenario"])
+    def test_bytes_that_are_not_utf8_exit_1_naming_the_line(self, tmp_path, simulated, capsys, kind):
+        # the decoder's own message named a byte position and no line
+        line_no = 3 if kind == "tape" else 2
+        lines = (simulated / {"tape": "tape.jsonl", "path": "path.jsonl", "scenario": "scenario.txt"}[kind]
+                 ).read_bytes().splitlines(keepends=True)[:4]
+        lines[line_no - 1] = lines[line_no - 1][:1] + b"\xff" + lines[line_no - 1][1:]
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"".join(lines))
+        argv, prefix = {
+            "tape": (["score", "--input", bad], ""),
+            "path": (["report", "--input", simulated / "tape.jsonl", "--path", bad], "path "),
+            "scenario": (["simulate", "--scenario", bad, "--seed", "1"], "scenario "),
+        }[kind]
+        assert run([*argv, "--output", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {prefix}line {line_no}: invalid UTF-8 "
+            "('utf-8' codec can't decode byte 0xff in position 1: invalid start byte)"
+        ]
 
     @pytest.mark.parametrize("command", ["backtest", "report"])
     def test_path_ts_outside_int64_exits_1_with_line(self, tmp_path, simulated, capsys, command):
@@ -549,6 +580,11 @@ class TestExitCodes:
              "the walk to t_target = 1e+300 needs 16 * t_target^2 * (sigma/mu)^2 = inf fills, "
              "more than MAX_CROSSING_FILLS = 1e+06"),
             (["--seeds", "1001"], "seeds must be <= MAX_CROSSING_SEEDS = 1000, got 1001"),
+            # each printed a crossing: 0 fills at t 0, 1 fill at t -2
+            (["--t-target", "0"], "t_target must be > 0, got 0.0"),
+            (["--t-target", "-2"], "t_target must be > 0, got -2.0"),
+            # was numpy's "expected non-negative integer"
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_degenerate_power_options_exit_1(self, capsys, args, message):

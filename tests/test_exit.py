@@ -5,7 +5,8 @@ In a subprocess, a command writes the same stdout bytes and files as
 ``cli.main`` in-process, with the same exit codes and log lines. A closed
 stdout pipe still ends as the interpreter ends it (exit 120, ``Exception
 ignored``, no traceback), and a profiler running the module still gets to
-print its report.
+print its report. The files a command reads and writes are UTF-8 under an
+ASCII locale too, and DARKSCOPE_LOG takes the level names of ``logging``.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from darkscope.cli import main
+from darkscope.cli import _log, main
 
 ROOT = Path(__file__).resolve().parents[1]
 POWER = ["power", "--mu", "0.5", "--sigma", "12", "--seeds", "5", "--seed", "1"]
@@ -99,6 +100,56 @@ def test_clock_seed_warning_reaches_stderr(tmp_path):
     proc = command(POWER[:-2], tmp_path)  # no --seed, and DARKSCOPE_TEST unset
     assert proc.returncode == 0, proc.stderr
     assert re.fullmatch(rb"WARNING:darkscope\.cli:no --seed given; derived \d+ from the clock\n", proc.stderr)
+
+
+def test_an_unknown_log_level_means_warning(tmp_path):
+    # BASIC_FORMAT names a string of logging's, not a level: simulate wrote its
+    # files, then exited 1 with "Unknown level"
+    argv = ["simulate", "--preset", "leaky", "--seed", "1", "--output", "sim"]
+    proc = command(argv, tmp_path, DARKSCOPE_LOG="BASIC_FORMAT")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [("NOTSET", 3), ("debug", 3), ("Info", 2), ("WARN", 1), ("WARNING", 1), ("ERROR", 0),
+     ("CRITICAL", 0), ("FATAL", 0), ("", 1), ("root", 1)],
+)
+def test_log_level_names(monkeypatch, capsys, value, shown):
+    monkeypatch.setenv("DARKSCOPE_LOG", value)
+    levels = ("DEBUG", "INFO", "WARNING")
+    for level in levels:
+        _log(level, "message")
+    assert capsys.readouterr().err.splitlines() == [f"{level}:darkscope.cli:message" for level in levels[3 - shown:]]
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the ASCII locale simulate could not read this scenario, and backtest
+    # wrote a cohorts.tsv of its header alone before it exited 1
+    steps = [
+        ["simulate", "--scenario", "scenario.txt", "--seed", "3", "--output", "sim"],
+        ["score", "--input", "text/tape.jsonl", "--output", "score"],
+        ["backtest", "--input", "text/tape.jsonl", "--path", "text/path.jsonl", "--output", "bt"],
+        ["report", "--input", "text/tape.jsonl", "--path", "text/path.jsonl", "--output", "rep"],
+    ]
+    written = {}
+    for name, extra in (("ascii", ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        run_dir = tmp_path / name
+        (run_dir / "text").mkdir(parents=True)
+        (run_dir / "scenario.txt").write_bytes(SCENARIO.replace("venue.D.", "venue.Börse.").encode())
+        for argv in steps:
+            proc = command(argv, run_dir, **extra)
+            assert proc.returncode == 0, proc.stderr
+            if argv[0] == "simulate":  # the others parse the text, without its caches
+                for f in ("tape.jsonl", "path.jsonl"):
+                    (run_dir / "text" / f).write_bytes((run_dir / "sim" / f).read_bytes())
+        written[name] = {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    assert written["ascii"] == written["utf8"]
+    assert len(written["utf8"]) == 15
+    assert b"venue.B\xc3\xb6rse.leak_prob=0.5\n" in written["utf8"][Path("sim/scenario.txt")]
 
 
 def test_closed_stdout_pipe_is_reported_by_the_interpreter(tmp_path):

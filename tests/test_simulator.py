@@ -24,7 +24,7 @@ from darkscope.simulator import (
     reprice,
     simulate_scenario,
 )
-from darkscope.slippage import SlippageConfig, slippages
+from darkscope.slippage import SlippageConfig, fill_slippages
 from darkscope.tape import Side, merge_streams, serialize_tape
 
 S = 1_000_000_000
@@ -201,8 +201,9 @@ class TestGenPricePath:
             price=PriceModel(sigma_per_trade=3.0, leak_impact=1.5),
         )
         tape, path = simulate_scenario(sc)
-        fills = [e for e in tape if e.is_dark()]
-        values, covered = slippages(fills, path, SlippageConfig(tau=5.0))
+        fills = ~tape.is_lit
+        values, covered = fill_slippages(tape.ts[fills], tape.side[fills], tape.mid[fills], path,
+                                         SlippageConfig(tau=5.0))
         sample = values[covered]
         stderr = sample.std(ddof=1) / math.sqrt(sample.size)
         assert sample.mean() == pytest.approx(1.5, abs=3.5 * stderr)
@@ -215,10 +216,11 @@ class TestGenPricePath:
             price=PriceModel(sigma_per_trade=0.0, competing_drift=0.2),
         )
         tape, path = simulate_scenario(sc)
-        fills = [e for e in tape if e.is_dark()]
-        assert all(not e.truth["leaked"] for e in fills)
-        buys = [e for e in fills if e.side is Side.BUY]
-        values, covered = slippages(buys, path, SlippageConfig(tau=5.0))
+        fills = np.flatnonzero(~tape.is_lit)
+        assert not any(tape.truth[i]["leaked"] for i in fills.tolist())
+        buys = fills[tape.side[fills] == Side.BUY.sign]
+        values, covered = fill_slippages(tape.ts[buys], tape.side[buys], tape.mid[buys], path,
+                                         SlippageConfig(tau=5.0))
         # buy fills against a positive drift suffer ~ drift * tau adverse move
         assert values[covered].mean() == pytest.approx(0.2 * 5.0, rel=0.1)
 
