@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from darkscope import fill_pvalue, predictive_cdf
+from darkscope.surprise import fill_pvalue, predictive_cdf
 
 S = 1_000_000_000  # nanoseconds per second
 

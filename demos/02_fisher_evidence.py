@@ -10,8 +10,7 @@ survival probability is the combined p-value.
 
 import numpy as np
 
-from darkscope import chisq_survival_even, combine
-from darkscope.evidence import fisher_fold
+from darkscope.evidence import chisq_survival_even, combine, fisher_fold
 
 # ---------------------------------------------------------------------------
 # Five fills, none individually damning at the 1% level.

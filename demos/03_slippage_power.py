@@ -10,8 +10,8 @@ steer an order that is leaking *now*.
 
 import numpy as np
 
-from darkscope import PricePath, SlippageConfig, empirical_crossing, min_fills_bound
-from darkscope.slippage import fill_slippages
+from darkscope.power import empirical_crossing, min_fills_bound
+from darkscope.slippage import PricePath, SlippageConfig, fill_slippages
 
 S = 1_000_000_000
 

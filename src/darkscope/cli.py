@@ -163,18 +163,26 @@ def _write_cached(path: Path, blocks, columns) -> None:
     tape.write_columns(path.with_name(path.name + tape.CACHE_SUFFIX), tape.file_digest(path), *columns)
 
 
-def _parse(path: Path, parse, prefix: str):
+def _parse(path: Path, parse, prefix: str, by_line: bool = True):
     """``parse`` of ``path`` opened as UTF-8. Bytes that are not UTF-8 raise
-    ValueError naming the first line that holds them, after ``prefix``; the
-    lines are looked for only then, split as text mode splits them."""
+    ValueError naming the first line k that holds them, after ``prefix``; the
+    lines are looked for only then, split as text mode splits them. Text mode
+    decodes a whole chunk before ``parse`` sees its lines, so a line parser
+    (``by_line``) then parses lines 1 to k - 1 first, and fails at the first
+    malformed one among them. A scenario is parsed whole (``by_line=False``):
+    its event-count and duration checks read the whole file, so a part of it
+    could fail at a line that is not at fault."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
     except UnicodeDecodeError:
+        lines = []
         for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
             try:
-                line.decode()
+                lines.append(line.decode() + "\n")
             except UnicodeDecodeError as exc:
+                if by_line:
+                    parse(lines)
                 raise ValueError(f"{prefix}line {line_no}: invalid UTF-8 ({exc})") from None
         raise
 
@@ -224,7 +232,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.preset:
         scenario = simulator.preset(args.preset, seed=_resolve_seed(args.seed))
     else:
-        scenario = _parse(args.scenario, lambda fh: simulator.parse_scenario(fh.read()), "scenario ")
+        scenario = _parse(args.scenario, lambda fh: simulator.parse_scenario(fh.read()), "scenario ",
+                          by_line=False)
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
     tp, path = simulator.simulate_scenario(scenario)

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .options import DEFAULT_KMAX, MAX_KMAX, check_count
+from .options import DEFAULT_KMAX, check_count
 from .tape import json_floats
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "fisher_fold",
     "fold_columns",
     "serialize_updates",
-    "DEFAULT_KMAX",
-    "MAX_KMAX",
     "POOLED_VENUE",
 ]
 

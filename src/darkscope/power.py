@@ -7,7 +7,7 @@ seed-median running t-statistic reaches a target, to show the bound at work
 on simulated drift.
 
 This module imports numpy and ``options`` alone, so that ``power`` loads
-neither the tape nor the slippage reports; ``slippage`` re-exports its names.
+neither the tape nor the slippage reports.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def empirical_crossing(
     values at tiny k; the median trajectory tracks mu * sqrt(k) / sigma and
     crosses near (t_target * sigma / mu)^2. Returns max_fills when it never
     crosses; max_fills defaults to 16 * t_target^2 * bound, but at least 2
-    (t is 0 at the first fill), and may not exceed ``MAX_CROSSING_FILLS``.
+    (t is 0 at the first fill), and may be neither below 2 nor above
+    ``MAX_CROSSING_FILLS``.
 
     The trajectories are built a block of fills at a time and the walk stops
     at the first crossing. Each seed's generator stays alive across blocks,
@@ -96,8 +97,8 @@ def empirical_crossing(
     (var, when not 0, is at least about eps * mean^2).
 
     Raises on seeds outside [1, ``MAX_CROSSING_SEEDS``], a negative seed, a
-    t_target that is not finite and > 0, a max_fills above the cap (each
-    checked before any draw), and what min_fills_bound rejects.
+    t_target that is not finite and > 0, a max_fills below 2 or above the cap
+    (each checked before any draw), and what min_fills_bound rejects.
     """
     check_count("seeds", seeds, "MAX_CROSSING_SEEDS")
     if seed < 0:
@@ -117,6 +118,8 @@ def empirical_crossing(
                 f"{fills:g} fills, more than MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}"
             )
         max_fills = max(int(fills), 2)
+    elif max_fills < 2:
+        raise ValueError(f"max_fills must be >= 2, got {max_fills}")
     elif max_fills > MAX_CROSSING_FILLS:
         raise ValueError(
             f"max_fills must be at most MAX_CROSSING_FILLS = {MAX_CROSSING_FILLS:g}, got {max_fills}"

@@ -46,7 +46,6 @@ __all__ = [
     "fleet",
     "parse_scenario",
     "format_scenario",
-    "PRESET_NAMES",
     "MAX_EVENTS",
     "MAX_DURATION_S",
     "MAX_LEAK_LATENCY_S",
@@ -514,15 +513,12 @@ def simulate_scenario(scenario: Scenario) -> tuple[Tape, PricePath]:
     return replace(reprice(merged, path), meta=meta), path
 
 
-PRESET_NAMES = tuple(PRESETS)
-
-
 def preset(name: str, seed: int = 0, **overrides: Any) -> Scenario:
     """The canonical scenario ``name`` (its text and notes are in
     ``options.PRESETS``) with ``seed``; Scenario fields (duration,
     dark_fill_rate, venues, ...) can be overridden by keyword."""
     if name not in PRESETS:
-        raise ValueError(f"unknown preset '{name}' (known: {', '.join(PRESET_NAMES)})")
+        raise ValueError(f"unknown preset '{name}' (known: {', '.join(PRESETS)})")
     return replace(parse_scenario(f"name={name}\n" + PRESETS[name]), seed=seed, **overrides)
 
 

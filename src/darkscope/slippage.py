@@ -4,7 +4,7 @@ Slippage of a fill is the signed log-mid move over a short horizon,
 sign * (log mid(t + tau) - log mid(t)) * 1e4 basis points, positive when the
 price moved with the fill (adverse for the filler); ``fill_slippages`` computes
 it for a batch of fills at once. ``darkscope.power`` finds how many fills a
-mean slippage takes to detect; this module re-exports its names.
+mean slippage takes to detect.
 
 Reports, over the scorer's columns: mean slippage per p-value bucket
 (signalling fills should sit in the low-p buckets with visibly higher
@@ -23,10 +23,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .options import (
-    DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_TAU, MAX_BUCKETS, MAX_CROSSING_SEEDS, check_alpha, check_count,
-)
-from .power import MAX_CROSSING_FILLS, empirical_crossing, min_fills_bound
+from .options import DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_TAU, check_alpha, check_count
+# Re-exported only because bench/layers.py calls them through slippage (ROADMAP item 11).
+from .power import empirical_crossing, min_fills_bound
 from .tape import BLOCK_ROWS, Tape, TapeEvent, read_columns
 
 if TYPE_CHECKING:  # for annotations only: simulate never loads the scorer
@@ -48,9 +47,6 @@ __all__ = [
     "size_threshold_report",
     "arrival_slippage",
     "read_path_cache",
-    "MAX_CROSSING_FILLS",
-    "MAX_CROSSING_SEEDS",
-    "MAX_BUCKETS",
 ]
 
 BP = 1e4  # basis points per unit log return

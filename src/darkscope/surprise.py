@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .options import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, MAX_WINDOW, check_count
+from .options import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, check_count
 from .tape import (
     DURATION_FLOOR_NS,
     SIDE_JSON,
@@ -63,9 +63,6 @@ __all__ = [
     "score_columns",
     "score_tape",
     "serialize_scores",
-    "DEFAULT_WINDOW_SIZE",
-    "MAX_WINDOW",
-    "DEFAULT_HORIZON_MULT",
     "MIN_DURATION_S",
     "MIN_PVALUE",
 ]

@@ -82,6 +82,10 @@ class EventKind(str, Enum):
     DARK = "dark"
 
 
+# Each side's text and its code in the side column; the other side tables derive from it.
+_SIDE_CODE = {"buy": 1, "sell": -1, "unknown": 0}
+
+
 class Side(str, Enum):
     BUY = "buy"
     SELL = "sell"
@@ -90,14 +94,10 @@ class Side(str, Enum):
     @property
     def sign(self) -> int:
         """Buy/sell indicator: +1 buy, -1 sell, 0 unknown."""
-        if self is Side.BUY:
-            return 1
-        if self is Side.SELL:
-            return -1
-        return 0
+        return _SIDE_CODE[self.value]
 
 
-SIDE_OF_SIGN = {1: Side.BUY, -1: Side.SELL, 0: Side.UNKNOWN}
+SIDE_OF_SIGN = {code: Side(text) for text, code in _SIDE_CODE.items()}
 
 
 class TapeFormatError(ValueError):
@@ -246,7 +246,6 @@ class Tape:
 
 _REQUIRED_FIELDS = ("kind", "ts", "symbol", "price", "size")
 _required = itemgetter(*_REQUIRED_FIELDS)
-_SIDE_CODE = {"buy": 1, "sell": -1, "unknown": 0}
 _OWN_CODE = {None: -1, False: 0, True: 1}
 
 
@@ -424,7 +423,7 @@ def json_floats(column: np.ndarray) -> list[str]:
 BLOCK_ROWS = 1024
 _KIND_TEXT = ('"dark"', '"lit"')
 # JSON text of each side code.
-SIDE_JSON = {1: '"buy"', -1: '"sell"', 0: '"unknown"'}
+SIDE_JSON = {code: f'"{text}"' for text, code in _SIDE_CODE.items()}
 _OWN_TEXT = ("", ', "own": false', ', "own": true')
 
 

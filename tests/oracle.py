@@ -25,9 +25,10 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from darkscope.evidence import POOLED_VENUE, EvidenceLedger, LedgerEntry, ledger_update
+from darkscope.options import DEFAULT_HORIZON_MULT
 from darkscope.policy import ActionKind, BacktestReport, OrderOutcome, PolicyAction, PolicyConfig
 from darkscope.slippage import BP, BucketRow, CensoredFillError, PricePath, SlippageConfig, arrival_slippage
-from darkscope.surprise import DEFAULT_HORIZON_MULT, MIN_DURATION_S, MIN_PVALUE, SurpriseRecord, score_columns
+from darkscope.surprise import MIN_DURATION_S, MIN_PVALUE, SurpriseRecord, score_columns
 from darkscope.tape import (
     DURATION_FLOOR_NS,
     SIDE_JSON,

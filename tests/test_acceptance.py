@@ -17,15 +17,9 @@ import scipy.stats
 from darkscope.cli import main as cli_main
 from darkscope.evidence import chisq_survival_even, combine
 from darkscope.policy import PolicyConfig, replay
+from darkscope.power import empirical_crossing, min_fills_bound
 from darkscope.simulator import fleet, preset, simulate_scenario
-from darkscope.slippage import (
-    SlippageConfig,
-    bucket_rows,
-    empirical_crossing,
-    fill_slippages,
-    min_fills_bound,
-    threshold_rows,
-)
+from darkscope.slippage import SlippageConfig, bucket_rows, fill_slippages, threshold_rows
 from darkscope.surprise import score_columns
 
 

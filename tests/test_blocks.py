@@ -3,10 +3,12 @@ give the row-at-a-time lines of ``oracle`` at every block boundary, and
 ``simulate`` keys its caches by the digest of the bytes it wrote.
 
 Also: each command imports only the modules it runs (``--help`` loads
-``cli`` and ``options`` and no numpy), and the package's names still
-resolve, each on first access.
+``cli`` and ``options`` and no numpy), and each public name has one home,
+the module that defines it.
 """
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -17,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import darkscope
 import oracle
 from darkscope import cli, simulator
 from darkscope.slippage import PricePath, path_blocks
@@ -158,10 +159,27 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, unload
         assert sorted(loaded) == ["darkscope.cli", "darkscope.options"]
 
 
-def test_package_names_resolve_to_their_modules():
-    for module, names in darkscope._EXPORTS.items():
-        for name in names:
-            assert getattr(darkscope, name) is getattr(getattr(darkscope, module), name)
-    assert set(darkscope.__all__) <= set(dir(darkscope))
-    with pytest.raises(AttributeError, match="no attribute 'nope'"):
-        darkscope.nope
+# bench/layers.py calls these two through slippage; ROADMAP item 11 removes them.
+_BENCH_HELD = {("slippage", "min_fills_bound"), ("slippage", "empirical_crossing")}
+
+
+def test_each_public_name_has_one_home():
+    package = ROOT / "src" / "darkscope"
+    init = ast.parse((package / "__init__.py").read_text())
+    assert [type(node).__name__ for node in init.body] == ["Expr", "Assign"]
+    assert ast.get_docstring(init) and ast.unparse(init.body[1].targets[0]) == "__version__"
+    reexported = set()
+    for file in sorted(package.glob("[!_]*.py")):  # every module but __init__
+        module = importlib.import_module(f"darkscope.{file.stem}")
+        imported = {
+            alias.asname or alias.name
+            for node in ast.parse(file.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+        for name in getattr(module, "__all__", ()):
+            home = getattr(getattr(module, name), "__module__", module.__name__)
+            if name in imported or (home.startswith("darkscope.") and home != module.__name__):
+                reexported.add((file.stem, name))
+    assert reexported == _BENCH_HELD
+    assert not hasattr(simulator, "PRESET_NAMES")

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope import cli, simulator, slippage, tape
+from darkscope.options import PRESETS
 from darkscope.tape import Tape, cache_columns, serialize_tape
 from oracle import tape_from_events
 from test_wire import events, metas
@@ -80,7 +81,7 @@ def run_commands(sim: Path, out: Path) -> dict:
 def scenarios():
     cases = {
         f"{name}-{seed}": (simulator.format_scenario(simulator.preset(name, seed=seed, duration=2000.0)), seed)
-        for name in simulator.PRESET_NAMES
+        for name in PRESETS
         for seed in (0, 1)
     }
     for name, workload in pipeline.WORKLOADS.items():

@@ -7,9 +7,9 @@ import pytest
 
 from darkscope import options
 from darkscope.cli import build_parser, main
+from darkscope.options import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, MAX_BUCKETS
 from darkscope.simulator import format_scenario, preset
-from darkscope.slippage import MAX_BUCKETS
-from darkscope.surprise import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, score_columns
+from darkscope.surprise import score_columns
 from darkscope.tape import parse_tape
 from oracle import entry_to_obj, fold
 
@@ -479,6 +479,19 @@ class TestExitCodes:
             f"error: {prefix}line {line_no}: invalid UTF-8 "
             "('utf-8' codec can't decode byte 0xff in position 1: invalid start byte)"
         ]
+
+    @pytest.mark.parametrize("kind", ["tape", "path"])
+    def test_malformed_line_before_non_utf8_bytes_fails_first(self, tmp_path, simulated, capsys, kind):
+        # text mode decodes the whole chunk, so line 4 was named before line 3 was parsed
+        lines = (simulated / f"{kind}.jsonl").read_bytes().splitlines(keepends=True)[:2]
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"".join(lines) + b"nope\n\xff\n")
+        argv, prefix = {
+            "tape": (["score", "--input", bad], ""),
+            "path": (["report", "--input", simulated / "tape.jsonl", "--path", bad], "path "),
+        }[kind]
+        assert run([*argv, "--output", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {prefix}line 3: invalid JSON (Expecting value)"]
 
     @pytest.mark.parametrize("command", ["backtest", "report"])
     def test_path_ts_outside_int64_exits_1_with_line(self, tmp_path, simulated, capsys, command):

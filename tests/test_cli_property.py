@@ -28,9 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope.cli import _write_cached, main
-from darkscope.evidence import MAX_KMAX
-from darkscope.slippage import MAX_CROSSING_SEEDS, PricePath, path_blocks
-from darkscope.surprise import MAX_WINDOW
+from darkscope.options import MAX_CROSSING_SEEDS, MAX_KMAX, MAX_WINDOW
+from darkscope.slippage import PricePath, path_blocks
 from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_blocks, serialize_tape
 from oracle import path_to_lines, tape_from_events
 

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 from darkscope import surprise, tape
 from darkscope.cli import main
-from darkscope.simulator import PRESET_NAMES, preset, simulate_scenario
+from darkscope.options import PRESETS
+from darkscope.simulator import preset, simulate_scenario
 from darkscope.slippage import (
     CensoredFillError,
     PricePath,
@@ -150,7 +151,7 @@ def check_report_columns(tp, path: PricePath, horizon_mult: float) -> None:
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", tuple(PRESETS))
 def test_report_columns_match_the_oracles_on_presets(name, seed):
     tp, path = simulate_scenario(preset(name, seed=seed, duration=3000.0))
     check_report_columns(tp, path, 50.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from darkscope.evidence import (
     _CHUNK_CELLS,
-    MAX_KMAX,
     EvidenceLedger,
     _survivals,
     chisq_survival_even,
@@ -20,6 +19,7 @@ from darkscope.evidence import (
     ledger_update,
     serialize_updates,
 )
+from darkscope.options import MAX_KMAX
 from oracle import chisq_survival_even as oracle_survival
 from oracle import entry_to_obj, fold
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope import policy
-from darkscope.options import MAX_KMAX
+from darkscope.options import MAX_KMAX, PRESETS
 from darkscope.policy import ActionKind, PolicyConfig, replay
-from darkscope.simulator import PRESET_NAMES, fleet, preset, simulate_scenario
+from darkscope.simulator import fleet, preset, simulate_scenario
 from darkscope.slippage import PricePath
 from darkscope.surprise import SurpriseRecord
 from darkscope.tape import EventKind, Side, Tape, TapeEvent
@@ -225,7 +225,7 @@ REPLAY_PINS = {
 
 def pin_tapes():
     """(name, (tape, path)) of every pinned tape."""
-    for name in PRESET_NAMES:
+    for name in PRESETS:
         for seed in (0, 1):
             yield f"{name}-{seed}", simulate_scenario(preset(name, seed=seed, duration=2_000.0))
     yield "leaky-fleet", simulate_scenario(fleet(preset("leaky", seed=5), 10, 300.0, 150.0))

@@ -7,18 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from darkscope.power import seed_median
+from darkscope.options import MAX_BUCKETS
+from darkscope.power import MAX_CROSSING_FILLS, empirical_crossing, min_fills_bound, seed_median
 from darkscope.slippage import (
     BP,
-    MAX_BUCKETS,
-    MAX_CROSSING_FILLS,
     CensoredFillError,
     PricePath,
     SlippageConfig,
     arrival_slippage,
     bucket_report,
-    empirical_crossing,
-    min_fills_bound,
     path_from_lines,
     size_threshold_report,
     slippages,
@@ -332,18 +329,28 @@ class TestEmpiricalCrossing:
             (0.5, 2.0, MAX_CROSSING_FILLS + 1, f"got {MAX_CROSSING_FILLS + 1}"),
         ],
     )
-    def test_a_walk_past_the_cap_raises_before_any_draw(self, monkeypatch, mu, t_target, max_fills, message):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the walk started")
-
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    def test_a_walk_past_the_cap_raises_before_any_draw(self, no_walk, mu, t_target, max_fills, message):
         with pytest.raises(ValueError, match="MAX_CROSSING_FILLS") as info:
             empirical_crossing(mu, 12.0, seeds=200, seed=1, t_target=t_target, max_fills=max_fills)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("max_fills", [1, 0, -3])
+    def test_a_walk_of_fewer_than_two_fills_raises_before_any_draw(self, no_walk, max_fills):
+        # it returned max_fills unwalked, as if the walk had never crossed
+        with pytest.raises(ValueError, match=f"^max_fills must be >= 2, got {max_fills}$"):
+            empirical_crossing(0.5, 12.0, seeds=5, seed=1, max_fills=max_fills)
+
     def test_a_walk_at_the_cap_is_allowed(self):
         # t is 0 at one fill, so a strong drift crosses at the second
         assert empirical_crossing(10.0, 1.0, seeds=2, seed=1, max_fills=MAX_CROSSING_FILLS) == 2
+        assert empirical_crossing(10.0, 1.0, seeds=2, seed=1, max_fills=2) == 2
+
+    @pytest.fixture
+    def no_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
 
 
 def assert_numpy_median(t):

@@ -8,10 +8,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darkscope.simulator import PRESET_NAMES, preset, simulate_scenario
+from darkscope.options import DEFAULT_HORIZON_MULT, MAX_WINDOW, PRESETS
+from darkscope.simulator import preset, simulate_scenario
 from darkscope.surprise import (
-    DEFAULT_HORIZON_MULT,
-    MAX_WINDOW,
     fill_pvalue,
     predictive_cdf,
     score_columns,
@@ -266,7 +265,7 @@ class TestScoreFill:
 
 @pytest.fixture(scope="module")
 def preset_tapes():
-    return {name: simulate_scenario(preset(name, seed=5, duration=600.0))[0] for name in PRESET_NAMES}
+    return {name: simulate_scenario(preset(name, seed=5, duration=600.0))[0] for name in PRESETS}
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +302,7 @@ horizon_mults = st.sampled_from([0.05, 0.3, 1.0, DEFAULT_HORIZON_MULT]) | st.flo
 
 
 class TestScoreTape:
-    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("name", tuple(PRESETS))
     @pytest.mark.parametrize("window_size", [1, 2, 5, 10, 50])
     def test_matches_scalar_oracle(self, preset_tapes, name, window_size):
         tape = preset_tapes[name]

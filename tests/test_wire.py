@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darkscope import simulator
+from darkscope.options import PRESETS
 from darkscope.cli import main
 from darkscope.tape import (
     EventKind,
@@ -33,7 +34,7 @@ def digest(lines):
 
 
 def pinned_scenarios():
-    cases = {name: simulator.preset(name, seed=3, duration=600.0) for name in simulator.PRESET_NAMES}
+    cases = {name: simulator.preset(name, seed=3, duration=600.0) for name in PRESETS}
     cases["fleet"] = simulator.fleet(simulator.preset("leaky", seed=5), 4, 120.0, 60.0, tail_s=30.0)
     return cases
 
@@ -82,7 +83,7 @@ PRESET_TEXT = {
 
 
 def test_preset_text_pinned():
-    assert simulator.PRESET_NAMES == tuple(PRESET_TEXT)
+    assert tuple(PRESETS) == tuple(PRESET_TEXT)
     for name, want in PRESET_TEXT.items():
         text = simulator.format_scenario(simulator.preset(name, seed=1))
         assert hashlib.sha256(text.encode()).hexdigest() == want, name
