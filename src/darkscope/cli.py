@@ -41,7 +41,7 @@ import math
 import os
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from . import options
@@ -137,54 +137,46 @@ class UsageError(Exception):
     pass
 
 
-def _write_lines(path: Path, blocks) -> None:
-    """Write ``blocks``, non-empty lists of lines, to ``path`` as UTF-8 one
-    block at a time, each line newline-terminated."""
-    with open(path, "wb") as fh:
-        for block in blocks:
-            fh.write(("\n".join(block) + "\n").encode())
-
-
-def _blocks(lines):
-    """``lines`` in lists of at most ``tape.BLOCK_ROWS``, for _write_lines."""
+def _write_lines(path: Path, lines) -> None:
+    """Write ``lines`` to ``path`` as UTF-8, each newline-terminated,
+    ``tape.BLOCK_ROWS`` lines at a time."""
     from .tape import BLOCK_ROWS
 
     lines = iter(lines)
-    while block := list(islice(lines, BLOCK_ROWS)):
-        yield block
+    with open(path, "wb") as fh:
+        while block := list(islice(lines, BLOCK_ROWS)):
+            fh.write(("\n".join(block) + "\n").encode())
 
 
-def _write_cached(path: Path, blocks, columns) -> None:
-    """Write ``blocks`` to ``path`` by _write_lines and ``columns`` as its
+def _write_cached(path: Path, lines, columns) -> None:
+    """Write ``lines`` to ``path`` by _write_lines and ``columns`` as its
     column cache, keyed by the digest the readers check."""
     from . import tape
 
-    _write_lines(path, blocks)
+    _write_lines(path, lines)
     tape.write_columns(path.with_name(path.name + tape.CACHE_SUFFIX), tape.file_digest(path), *columns)
 
 
-def _parse(path: Path, parse, prefix: str, by_line: bool = True):
-    """``parse`` of ``path`` opened as UTF-8. Bytes that are not UTF-8 raise
-    ValueError naming the first line k that holds them, after ``prefix``; the
-    lines are looked for only then, split as text mode splits them. Text mode
-    decodes a whole chunk before ``parse`` sees its lines, so a line parser
-    (``by_line``) then parses lines 1 to k - 1 first, and fails at the first
-    malformed one among them. A scenario is parsed whole (``by_line=False``):
-    its event-count and duration checks read the whole file, so a part of it
-    could fail at a line that is not at fault."""
+def _parse(path: Path, parse, prefix: str):
+    """``parse`` of ``path``'s lines, opened as UTF-8. A file that is not
+    UTF-8 is parsed again, over its lines as text mode splits them, each
+    decoded only when ``parse`` reads it: so the first line at fault fails,
+    and a line that is not UTF-8 raises ValueError naming it after
+    ``prefix``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh)
     except UnicodeDecodeError:
-        lines = []
+        pass
+
+    def lines():
         for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
             try:
-                lines.append(line.decode() + "\n")
+                yield line.decode()
             except UnicodeDecodeError as exc:
-                if by_line:
-                    parse(lines)
                 raise ValueError(f"{prefix}line {line_no}: invalid UTF-8 ({exc})") from None
-        raise
+
+    return parse(lines())
 
 
 def _read(path: Path, read_cache, parse, prefix: str):
@@ -221,7 +213,7 @@ def _fmt(value) -> str:
 
 
 def _tsv(path: Path, header: list[str], rows) -> None:
-    _write_lines(path, _blocks(["\t".join(header), *("\t".join(map(_fmt, row)) for row in rows)]))
+    _write_lines(path, ["\t".join(header), *("\t".join(map(_fmt, row)) for row in rows)])
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -232,17 +224,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.preset:
         scenario = simulator.preset(args.preset, seed=_resolve_seed(args.seed))
     else:
-        scenario = _parse(args.scenario, lambda fh: simulator.parse_scenario(fh.read()), "scenario ",
-                          by_line=False)
+        scenario = _parse(args.scenario, simulator.parse_scenario, "scenario ")
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
     tp, path = simulator.simulate_scenario(scenario)
     columns = tape.cache_columns(tp)  # raises on a tape that parse_tape would refuse
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
-    _write_cached(out / "tape.jsonl", tape.serialize_blocks(tp), columns)
-    _write_cached(out / "path.jsonl", slippage.path_blocks(path), ({}, [path.ts, path.log_mid]))
-    _write_lines(out / "scenario.txt", [simulator.format_scenario(scenario).splitlines()])
+    _write_cached(out / "tape.jsonl", tape.serialize_tape(tp), columns)
+    path_lines = chain.from_iterable(slippage.path_blocks(path))
+    _write_cached(out / "path.jsonl", path_lines, ({}, [path.ts, path.log_mid]))
+    _write_lines(out / "scenario.txt", simulator.format_scenario(scenario).splitlines())
     n_lit = int(tp.is_lit.sum())
     _log("INFO", f"simulated {scenario.name}: {n_lit} lit prints, {len(tp) - n_lit} dark fills")
     print(f"wrote {out / 'tape.jsonl'} ({len(tp)} events) and {out / 'path.jsonl'}")
@@ -276,7 +268,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         lines += evidence.serialize_updates(updates, name)
     # a stable sort by fill keeps block order, then update order, per fill
     order = np.argsort(np.concatenate(rows), kind="stable")
-    _write_lines(out / "scored.jsonl", _blocks(map(lines.__getitem__, order.tolist())))
+    _write_lines(out / "scored.jsonl", map(lines.__getitem__, order.tolist()))
     print(
         f"wrote {out / 'scored.jsonl'}: {len(scores)} fills scored, "
         f"{scores.skipped} skipped before the window filled, "
@@ -301,7 +293,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         horizon_mult=args.horizon_mult,
     )
     report = policy.replay(tp, path, cfg)
-    _write_lines(out / "actions.jsonl", _blocks(json.dumps(policy.action_to_obj(a)) for a in report.actions))
+    _write_lines(out / "actions.jsonl", (json.dumps(policy.action_to_obj(a)) for a in report.actions))
     _tsv(
         out / "cohorts.tsv",
         ["venue", "order", "side", "fills_off", "fills_on", "slip_off_bp", "slip_on_bp"],
@@ -393,8 +385,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
     report_lines = [json.dumps(slippage.bucket_row_to_obj(b)) for b in buckets]
     report_lines += [json.dumps(slippage.threshold_row_to_obj(t)) for t in shares]
-    _write_lines(out / "report.jsonl", _blocks(report_lines))
+    _write_lines(out / "report.jsonl", report_lines)
     print(f"wrote {out / 'slippage_by_pvalue.tsv'} and {out / 'signalling_by_min_size.tsv'}")
+    counts = f"{len(scores)} fill(s) scored, {int(scores.fwd.sum())} with a forward p-value"
+    if not any(b.n for b in buckets):
+        why = f"{counts}, {int(covered.sum())} whose tau horizon the path covers"
+        print(f"warning: slippage_by_pvalue.tsv holds no fill: {why}", file=sys.stderr)
+    if not any(t.n for t in shares):
+        why = f"{counts}, none of them at or above a size threshold"
+        print(f"warning: signalling_by_min_size.tsv holds no fill: {why}", file=sys.stderr)
     return 0
 
 

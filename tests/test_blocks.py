@@ -101,7 +101,7 @@ def test_path_blocks_equal_the_row_at_a_time_lines(n):
 def test_cache_is_keyed_by_the_digest_of_the_bytes_written(tmp_path, n):
     tp = block_tape(n, {"seed": 1})
     text = tmp_path / "tape.jsonl"
-    cli._write_cached(text, serialize_blocks(tp), ({}, [tp.ts]))
+    cli._write_cached(text, serialize_tape(tp), ({}, [tp.ts]))
     assert text.read_text() == "".join(line + "\n" for line in oracle.serialize_tape(tp))
     with open(str(text) + CACHE_SUFFIX, "rb") as fh:
         assert json.loads(fh.readline())["sha256"] == file_digest(text)

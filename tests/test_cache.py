@@ -117,7 +117,7 @@ def test_cache_of_any_valid_tape_loads_what_the_text_parses_to(evs, meta, sort, 
     assert columns is not None
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "tape.jsonl"
-        cli._write_cached(file, tape.serialize_blocks(tp), columns)
+        cli._write_cached(file, tape.serialize_tape(tp), columns)
         with open(file) as fh:
             want = tape.parse_tape(fh)
         with mock.patch.object(tape, "parse_tape", refuse):

@@ -1,9 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darkscope import options
 from darkscope.cli import build_parser, main
@@ -422,6 +428,57 @@ class TestReport:
         for name in ("slippage_by_pvalue.tsv", "signalling_by_min_size.tsv", "report.jsonl"):
             assert read(a / name) == read(b / name)
 
+    def test_warns_when_every_fill_is_forward_censored(self, tmp_path, capsys):
+        # no lit print follows the one fill, so neither table holds a fill
+        tape_file, path_file = tmp_path / "tape.jsonl", tmp_path / "path.jsonl"
+        tape_file.write_text("".join(
+            json.dumps({"kind": kind, "ts": ts * 10**9, "symbol": "SYM", "price": 100.0, "size": 100.0,
+                        "side": "buy", **extra}) + "\n"
+            for kind, ts, extra in [("lit", 0, {}), ("lit", 1, {}), ("dark", 2, {"venue": "V1"})]
+        ))
+        path_file.write_text(
+            '{"kind": "mid", "ts": 0, "log_mid": 4.6}\n'
+            '{"kind": "mid", "ts": 100000000000, "log_mid": 4.6}\n'
+        )
+        out = tmp_path / "rep"
+        assert run(["report", "--input", tape_file, "--path", path_file, "--output", out]) == 0
+        counts = "1 fill(s) scored, 0 with a forward p-value"
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: slippage_by_pvalue.tsv holds no fill: {counts}, 1 whose tau horizon the path covers",
+            f"warning: signalling_by_min_size.tsv holds no fill: {counts}, "
+            "none of them at or above a size threshold",
+        ]
+        buckets = (out / "slippage_by_pvalue.tsv").read_text().splitlines()[1:]
+        assert all(row.endswith("\t0") for row in buckets)
+
+    def test_warns_when_the_path_covers_no_fill(self, tmp_path, simulated, capsys):
+        path_file = tmp_path / "path.jsonl"
+        path_file.write_bytes((simulated / "path.jsonl").read_bytes().splitlines(keepends=True)[0])
+        argv = ["report", "--input", simulated / "tape.jsonl", "--path", path_file, "--output", tmp_path / "rep"]
+        assert run(argv) == 0
+        with open(simulated / "tape.jsonl") as fh:
+            scores = score_columns(parse_tape(fh), DEFAULT_WINDOW_SIZE, DEFAULT_HORIZON_MULT)
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: slippage_by_pvalue.tsv holds no fill: {len(scores)} fill(s) scored, "
+            f"{int(scores.fwd.sum())} with a forward p-value, 0 whose tau horizon the path covers"
+        ]
+
+
+# Each input kind: its file in simulate's output, and the prefix its errors' line numbers take.
+INPUTS = {"tape": ("tape.jsonl", ""), "path": ("path.jsonl", "path "), "scenario": ("scenario.txt", "scenario ")}
+# Each kind's error for a line that reads ``nope``.
+NOPE = {"tape": "invalid JSON (Expecting value)", "path": "invalid JSON (Expecting value)",
+        "scenario": "expected key=value, got 'nope'"}
+
+
+def input_argv(kind, file, simulated):
+    """A command that reads ``file`` as its ``kind`` input, ``simulated``'s files as its others."""
+    return {
+        "tape": ["score", "--input", file],
+        "path": ["report", "--input", simulated / "tape.jsonl", "--path", file],
+        "scenario": ["simulate", "--scenario", file, "--seed", "1"],
+    }[kind]
+
 
 class TestExitCodes:
     def test_unknown_command_usage_error(self):
@@ -480,18 +537,32 @@ class TestExitCodes:
             "('utf-8' codec can't decode byte 0xff in position 1: invalid start byte)"
         ]
 
-    @pytest.mark.parametrize("kind", ["tape", "path"])
+    @pytest.mark.parametrize("kind", ["tape", "path", "scenario"])
     def test_malformed_line_before_non_utf8_bytes_fails_first(self, tmp_path, simulated, capsys, kind):
         # text mode decodes the whole chunk, so line 4 was named before line 3 was parsed
-        lines = (simulated / f"{kind}.jsonl").read_bytes().splitlines(keepends=True)[:2]
+        lines = (simulated / INPUTS[kind][0]).read_bytes().splitlines(keepends=True)[:2]
         bad = tmp_path / "bad"
         bad.write_bytes(b"".join(lines) + b"nope\n\xff\n")
-        argv, prefix = {
-            "tape": (["score", "--input", bad], ""),
-            "path": (["report", "--input", simulated / "tape.jsonl", "--path", bad], "path "),
-        }[kind]
-        assert run([*argv, "--output", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {prefix}line 3: invalid JSON (Expecting value)"]
+        assert run([*input_argv(kind, bad, simulated), "--output", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {INPUTS[kind][1]}line 3: {NOPE[kind]}"]
+
+    @given(kind=st.sampled_from(list(INPUTS)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_first_malformed_or_non_utf8_line_fails(self, simulated, kind, data):
+        # a malformed line at i and a line that is not UTF-8 at j: line min(i, j) fails, with its own message;
+        # up to 120 lines, so the bad bytes may lie past text mode's first chunk
+        lines = (simulated / INPUTS[kind][0]).read_bytes().splitlines(keepends=True)[:120]
+        i, j = data.draw(st.lists(st.integers(1, len(lines)), min_size=2, max_size=2, unique=True))
+        lines[i - 1] = b"nope\n"
+        lines[j - 1] = lines[j - 1][:1] + b"\xff" + lines[j - 1][1:]
+        why = NOPE[kind] if i < j else (
+            "invalid UTF-8 ('utf-8' codec can't decode byte 0xff in position 1: invalid start byte)")
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            bad = Path(tmp) / "bad"
+            bad.write_bytes(b"".join(lines))
+            assert run([*input_argv(kind, bad, simulated), "--output", Path(tmp) / "out"]) == 1
+        assert err.getvalue().splitlines() == [f"error: {INPUTS[kind][1]}line {min(i, j)}: {why}"]
 
     @pytest.mark.parametrize("command", ["backtest", "report"])
     def test_path_ts_outside_int64_exits_1_with_line(self, tmp_path, simulated, capsys, command):

@@ -20,6 +20,7 @@ import io
 import math
 import re
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 from darkscope.cli import _write_cached, main
 from darkscope.options import MAX_CROSSING_SEEDS, MAX_KMAX, MAX_WINDOW
 from darkscope.slippage import PricePath, path_blocks
-from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_blocks, serialize_tape
+from darkscope.tape import EventKind, Side, Tape, TapeEvent, cache_columns, serialize_tape
 from oracle import path_to_lines, tape_from_events
 
 S = 1_000_000_000
@@ -143,8 +144,8 @@ def outcomes(tmp: Path, tape: Tape, path: PricePath, window_n: str, cached: bool
     ``path`` written into ``tmp``, with simulate's column caches if ``cached``."""
     tmp.mkdir()
     if cached:
-        _write_cached(tmp / "tape.jsonl", serialize_blocks(tape), cache_columns(tape))
-        _write_cached(tmp / "path.jsonl", path_blocks(path), ({}, [path.ts, path.log_mid]))
+        _write_cached(tmp / "tape.jsonl", serialize_tape(tape), cache_columns(tape))
+        _write_cached(tmp / "path.jsonl", chain.from_iterable(path_blocks(path)), ({}, [path.ts, path.log_mid]))
         assert (tmp / "tape.jsonl.cols").exists() and (tmp / "path.jsonl.cols").exists()
     else:
         write(tmp / "tape.jsonl", serialize_tape(tape))
