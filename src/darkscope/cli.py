@@ -41,7 +41,7 @@ import math
 import os
 import sys
 import time
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 from . import options
@@ -232,8 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
     _write_cached(out / "tape.jsonl", tape.serialize_tape(tp), columns)
-    path_lines = chain.from_iterable(slippage.path_blocks(path))
-    _write_cached(out / "path.jsonl", path_lines, ({}, [path.ts, path.log_mid]))
+    _write_cached(out / "path.jsonl", slippage.path_lines(path), ({}, [path.ts, path.log_mid]))
     _write_lines(out / "scenario.txt", simulator.format_scenario(scenario).splitlines())
     n_lit = int(tp.is_lit.sum())
     _log("INFO", f"simulated {scenario.name}: {n_lit} lit prints, {len(tp) - n_lit} dark fills")
@@ -322,7 +321,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     )
     if report.mean_abs_off == 0:
         why = "every order's policy-off arrival slippage is 0"
-        if not any("order" in t for i, t in tp.truth.items() if not tp.is_lit[i]):
+        if not any(t and "order" in t for t in tp.truth[~tp.is_lit].tolist()):
             why += " (no fill carries truth.order, so each fill is its own order)"
         print(f"warning: abs_ratio nan: {why}", file=sys.stderr)
     for arm in ("off", "on"):

@@ -223,9 +223,8 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
             actions.append(PolicyAction(int(ts[row]), names[codes[row]], ActionKind.RAISE_MIN_FILL, rung, trigger))
 
     orders: dict[tuple[str, str], list[int]] = {}
-    for row, code, t in zip(dark.tolist(), codes.tolist(), ts.tolist()):
-        truth = tape.truth.get(row) or {}
-        order = str(truth["order"]) if "order" in truth else f"{names[code]}:f@{t}"
+    for row, code, t, truth in zip(dark.tolist(), codes.tolist(), ts.tolist(), tape.truth[dark].tolist()):
+        order = str(truth["order"]) if truth and "order" in truth else f"{names[code]}:f@{t}"
         orders.setdefault((names[code], order), []).append(row)
     taken = np.zeros(len(tape), dtype=bool)
     taken[dark[accepted]] = True

@@ -330,8 +330,8 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
         else:
             sides = rng.integers(0, 2, size=ts.size)
             order_of = lambda j: f"{profile.venue}:f{j}"
-        truth = {
-            j: {
+        truth = [
+            {
                 "fill": f"{profile.venue}:f{j}",
                 "order": order_of(j),
                 "leaked": False,
@@ -339,7 +339,7 @@ def gen_dark_fills(scenario: Scenario) -> Tape:
                 "latent": False,
             }
             for j in range(ts.size)
-        }
+        ]
         parts.append(
             Tape(
                 symbol=scenario.symbol,
@@ -380,38 +380,38 @@ def inject_leakage(
     lit_ts = lit.ts
 
     fill_ts = dark.ts.copy()
-    fill_truth = dict(dark.truth)
+    fill_truth = dark.truth.tolist()
     prints: list[tuple[int, float, float, int]] = []  # injected (ts, price, size, side)
-    injected_truth: dict[int, dict[str, Any]] = {}
+    injected_truth: list[dict[str, Any]] = []
 
-    def inject(ts: int, price: float, side: int, truth: dict[str, Any], cause: str) -> None:
-        """Append a lit print caused by the fill whose truth is ``truth``."""
-        injected_truth[len(prints)] = {"injected_by": truth.get("fill", ""), "cause": cause}
+    def inject(ts: int, price: float, side: int, flags: dict[str, Any], cause: str) -> None:
+        """Append a lit print caused by the fill whose truth is ``flags``."""
+        injected_truth.append({"injected_by": flags.get("fill", ""), "cause": cause})
         prints.append((ts, price, float(rng.lognormal(size_mu, size_sigma)), side))
 
     names = dark.venues + ("",)  # code -1 (no venue) looks up ""
-    for row, (ts, venue, size, price, side) in enumerate(
+    for row, (ts, venue, size, price, side, old) in enumerate(
         zip(
             dark.ts.tolist(),
             dark.venue.tolist(),
             dark.size.tolist(),
             dark.price.tolist(),
             dark.side.tolist(),
+            fill_truth,
         )
     ):
         profile = by_venue.get(names[venue])
         if profile is None:
             continue
         rng = rngs[profile.venue]
-        old_truth = dark.truth.get(row)
-        truth = dict(old_truth or {})
+        flags = dict(old or {})
         original_ts = ts
 
         if profile.latent_prob and rng.random() < profile.latent_prob:
             i = int(np.searchsorted(lit_ts, ts, side="left")) - 1
             if i >= 0:
                 ts = int(lit_ts[i]) + LATENT_OFFSET_NS
-                truth["latent"] = True
+                flags["latent"] = True
 
         if rng.random() < profile.leak_prob_for(size):
             mean = profile.leak_latency_mean
@@ -423,16 +423,16 @@ def inject_leakage(
                 u = rng.random()
                 latency = -mean * math.log1p(-u * -math.expm1(-cap / mean))
             latency_ns = max(int(round(latency * _NS)), 1)
-            truth["leaked"] = True
-            inject(ts + latency_ns, price, side, truth, "leak")
+            flags["leaked"] = True
+            inject(ts + latency_ns, price, side, flags, "leak")
 
         if profile.sweep_prob and rng.random() < profile.sweep_prob:
-            truth["sweep"] = True
-            inject(ts + SWEEP_LATENCY_NS, price, -side, truth, "sweep")
+            flags["sweep"] = True
+            inject(ts + SWEEP_LATENCY_NS, price, -side, flags, "sweep")
 
-        if ts != original_ts or truth != (old_truth or {}):
+        if ts != original_ts or flags != (old or {}):
             fill_ts[row] = ts
-            fill_truth[row] = truth
+            fill_truth[row] = flags
 
     ts, price, size, side = list(zip(*prints)) or [()] * 4
     injected = Tape(dark.symbol, ts, is_lit=np.ones(len(ts), dtype=bool), price=price, size=size, side=side,
@@ -465,10 +465,9 @@ def gen_price_path(
     dt_s = (ts - prev) / _NS
     steps = model.sigma_per_trade * 1e-4 * z + model.competing_drift * 1e-4 * dt_s
     if model.leak_impact:
-        injected = np.zeros(merged.ts.size, dtype=bool)
-        injected[[row for row, t in merged.truth.items() if "injected_by" in t]] = True
+        injected = np.array([t is not None and "injected_by" in t for t in merged.truth[lit_rows].tolist()], bool)
         sign = merged.side[lit_rows].astype(np.float64)
-        impact = np.where(injected[lit_rows], model.leak_impact * 1e-4 * sign, 0.0)
+        impact = np.where(injected, model.leak_impact * 1e-4 * sign, 0.0)
         steps = steps + impact
     log_mid = math.log(model.start_mid) + np.cumsum(steps)
 
@@ -601,7 +600,7 @@ _TEXT[_pair] = lambda pair: _TEXT[_pairs]((pair,))
 
 
 def format_scenario(scenario: Scenario) -> str:
-    """Scenario as flat key=value lines, the inverse of parse_scenario.
+    """Scenario as flat key=value lines, which parse_scenario reads back.
 
     The key tables are the file format: the lines follow ``_SCENARIO_KEYS``,
     then ``_VENUE_KEYS`` once per venue. A key whose value is None is left

@@ -227,8 +227,6 @@ def threshold_rows(
     for threshold in thresholds:
         if not math.isfinite(threshold):
             raise ValueError(f"threshold must be finite, got {threshold}")
-    if len(fwd) == 0:
-        raise ValueError("no records to report on")
     sizes, flagged = size[fwd], p_fwd[fwd] < alpha
     rows: list[ThresholdRow] = []
     for threshold in thresholds:
@@ -249,16 +247,16 @@ def size_threshold_report(
     return threshold_rows(p_fwd, fwd, size, thresholds, alpha)
 
 
-def path_blocks(path: PricePath):
-    """Serialize a price path as wire lines (kind = "mid"), in lists of at
-    most ``BLOCK_ROWS``.
+def path_lines(path: PricePath):
+    """Serialize a price path as wire lines (kind = "mid"), formatted
+    ``BLOCK_ROWS`` at a time.
 
     Each line equals ``json.dumps({"kind": "mid", "ts": ts, "log_mid": v})``;
     log_mid is finite, so repr is json's float spelling.
     """
     for start in range(0, len(path), BLOCK_ROWS):
         s = slice(start, start + BLOCK_ROWS)
-        yield [
+        yield from [
             f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
             for t, v in zip(path.ts[s].tolist(), path.log_mid[s].tolist())
         ]
@@ -295,9 +293,9 @@ def _json_sample(line: str, line_no: int) -> tuple[int, float]:
 
 
 def path_from_lines(lines) -> PricePath:
-    """Inverse of path_blocks.
+    """Inverse of path_lines.
 
-    Lines in path_blocks' own layout are read by one regular expression
+    Lines in path_lines' own layout are read by one regular expression
     that admits JSON numbers only; any other line is decoded as JSON, and
     must be an object of kind "mid" with an integer ``ts`` and a numeric
     ``log_mid``. Such a line that is not, a timestamp outside int64 or not

@@ -8,9 +8,10 @@ duration non-negative and errs toward flagging.
 
 Layout: a ``Tape`` is a struct of equal-length numpy columns, one row per
 event, held in that one form from parse (or simulation) to report. ``COLUMNS``
-lists them, with each one's dtype and absent value; beside them, ``venues``
-names the venue codes, ``truth`` is a side table {row: simulator ground-truth
-dict}, and ``symbol`` and ``meta`` are held once per tape.
+lists them, with each one's dtype and absent value; the last, ``truth``, is an
+object column holding each row's simulator ground-truth dict or None. Beside
+them, ``venues`` names the venue codes, and ``symbol`` and ``meta`` are held
+once per tape.
 
 ``TapeEvent`` is a row view: ``Tape.events``, ``Tape.rows(index)`` and
 iteration build them on demand, a row form kept for callers outside
@@ -31,8 +32,10 @@ check. The accepted rows become the columns once, at the end.
 Column cache: ``<file>.cols`` beside a text file holds what parsing that
 text returns. Line 1 is a JSON header: ``version``, ``sha256`` (the hex
 digest of the text file's bytes) and, for a tape, ``symbol``, ``venues``,
-``meta`` and ``truth`` as ``[[row, obj], ...]``. Then each column follows by
-``np.save``: a tape's in ``COLUMNS`` order, a price path's ts and log_mid.
+``meta`` and ``truth`` as ``[[row, obj], ...]`` over the rows that have one.
+Then each column follows by ``np.save``: a tape's in ``COLUMNS`` order but
+truth, which as an object column ``np.save`` would pickle, and a price path's
+ts and log_mid.
 The writer takes the digest of the bytes as it writes them; a reader hashes
 the file again and trusts the cache only when that digest matches, every
 column has its dtype and one length, and the columns pass parse_tape's
@@ -44,10 +47,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -62,7 +63,6 @@ __all__ = [
     "COLUMNS",
     "parse_tape",
     "serialize_tape",
-    "serialize_blocks",
     "merge_streams",
     "file_digest",
     "write_columns",
@@ -135,8 +135,9 @@ class TapeEvent:
         return self.kind is EventKind.DARK
 
 
-# A tape's columns in cache-file order: name -> (dtype, value of an omitted
-# column's rows). An omitted ts makes an empty tape.
+# A tape's columns in cache-file order, truth last (a cache holds it in its
+# header): name -> (dtype, value of an omitted column's rows). An omitted ts
+# makes an empty tape.
 COLUMNS = {
     "ts": (np.int64, 0),  # nanoseconds
     "is_lit": (np.bool_, True),
@@ -146,6 +147,7 @@ COLUMNS = {
     "venue": (np.int32, -1),  # a code into the venues table; -1 no venue
     "mid": (np.float64, np.nan),  # NaN: absent
     "own": (np.int8, -1),  # 1 true, 0 false, -1 absent
+    "truth": (object, None),  # a ground-truth dict; None: absent
 }
 
 
@@ -153,10 +155,10 @@ COLUMNS = {
 class Tape:
     """One symbol's events as numpy columns (see the module docstring).
 
-    Columns left as None default to absent values; ``Tape(symbol)`` is an
-    empty tape. Rows are kept in the order given: ``parse_tape`` and
-    ``merge_streams`` sort, the constructor does not. Treat the columns as
-    read-only; derived tapes share them.
+    Columns left as None default to absent values; ``truth`` takes one dict
+    or None per row. ``Tape(symbol)`` is an empty tape. Rows are kept in the
+    order given: ``parse_tape`` and ``merge_streams`` sort, the constructor
+    does not. Treat the columns as read-only; derived tapes share them.
     """
 
     symbol: str
@@ -169,7 +171,7 @@ class Tape:
     venues: tuple[str, ...] = ()
     mid: np.ndarray | None = None
     own: np.ndarray | None = None
-    truth: dict[int, dict[str, Any]] = field(default_factory=dict)
+    truth: np.ndarray | None = None
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -201,7 +203,6 @@ class Tape:
         every = np.arange(len(self))
         index = every if index is None else every[np.asarray(index, dtype=np.intp)]
         venues = self.venues
-        truth = self.truth.get
         lit, dark = EventKind.LIT, EventKind.DARK
         return [
             TapeEvent(
@@ -214,10 +215,9 @@ class Tape:
                 venue=venues[venue] if venue >= 0 else None,
                 mid=None if mid != mid else mid,
                 own=None if own < 0 else bool(own),
-                truth=truth(i),
+                truth=truth,
             )
-            for i, is_lit, ts, price, size, side, venue, mid, own in zip(
-                index.tolist(),
+            for is_lit, ts, price, size, side, venue, mid, own, truth in zip(
                 self.is_lit[index].tolist(),
                 self.ts[index].tolist(),
                 self.price[index].tolist(),
@@ -226,6 +226,7 @@ class Tape:
                 self.venue[index].tolist(),
                 self.mid[index].tolist(),
                 self.own[index].tolist(),
+                self.truth[index].tolist(),
             )
         ]
 
@@ -234,14 +235,7 @@ class Tape:
         order = np.lexsort((~self.is_lit, self.ts))
         if np.array_equal(order, np.arange(len(self))):
             return self
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        truth = self.truth
-        return replace(
-            self,
-            truth=dict(zip(inverse[list(truth)].tolist(), truth.values())) if truth else {},
-            **{name: getattr(self, name)[order] for name in COLUMNS},
-        )
+        return replace(self, **{name: getattr(self, name)[order] for name in COLUMNS})
 
 
 _REQUIRED_FIELDS = ("kind", "ts", "symbol", "price", "size")
@@ -252,7 +246,7 @@ _OWN_CODE = {None: -1, False: 0, True: 1}
 def _row_from_obj(obj: dict[str, Any], line_no: int) -> tuple:
     """One decoded record checked and normalised, or the TapeFormatError of
     the first check it fails: the symbol as a string, and the row (its
-    ``COLUMNS`` values, with the venue's name for its code, then its truth)
+    ``COLUMNS`` values, with the venue's name for its code)
     with numbers as floats and an absent mid as NaN. The checks run in a
     fixed order: the required fields, kind, ts, price and size (both through
     ``float`` first), side, venue, a dark fill's venue and side, mid, own,
@@ -402,7 +396,6 @@ def parse_tape(lines: Iterable[str]) -> Tape:
         symbol=symbol or "",
         venue=np.fromiter(map(code.__getitem__, field(5)), np.int32, n),
         venues=tuple(venues),
-        truth={i: t for i, t in enumerate(field(8)) if t is not None},
         meta=meta,
         **columns,
     ).sorted()
@@ -428,30 +421,19 @@ _OWN_TEXT = ("", ', "own": false', ', "own": true')
 
 
 def serialize_tape(tape: Tape) -> Iterator[str]:
-    """Yield tape lines (no trailing newline); inverse of parse_tape.
+    """Yield tape lines (no trailing newline), which parse_tape reads back.
 
     Each line is ``json.dumps`` of the row's flat object (kind, ts, symbol,
-    price, size and side, then venue, mid, own and truth where present).
-    The lines are those of ``serialize_blocks``, one at a time.
-    """
-    return chain.from_iterable(serialize_blocks(tape))
-
-
-def serialize_blocks(tape: Tape) -> Iterator[list[str]]:
-    """serialize_tape's lines in lists: the meta line (if any) alone, then
-    the rows in blocks of at most ``BLOCK_ROWS``.
-
-    Each block is formatted from slices of the columns with every string
+    price, size and side, then venue, mid, own and truth where present),
+    after the meta line if the tape has meta. The rows are formatted
+    ``BLOCK_ROWS`` at a time from slices of the columns, with every string
     JSON-encoded once. A row's mid reuses its price's text when the two are
     bit-identical, as on every simulated row.
     """
     if tape.meta:
-        yield [json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)]
+        yield json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)
     symbol = json.dumps(tape.symbol)
     venues = [f', "venue": {json.dumps(v)}' for v in tape.venues] + [""]
-    truth = tape.truth
-    truth_rows = sorted(truth)
-    t = bisect_left(truth_rows, 0)  # the next truth row: one pass serves every block
     n = len(tape)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
@@ -462,12 +444,8 @@ def serialize_blocks(tape: Tape) -> Iterator[list[str]]:
         absent = np.isnan(mid)
         for k in np.flatnonzero(absent | (mid.view(np.int64) != price.view(np.int64))).tolist():
             mids[k] = "" if absent[k] else f', "mid": {json.dumps(float(mid[k]))}'
-        tails = ["}"] * (stop - start)
-        while t < len(truth_rows) and truth_rows[t] < stop:
-            row = truth_rows[t]
-            tails[row - start] = f', "truth": {json.dumps(truth[row])}}}'
-            t += 1
-        yield [
+        tails = ["}" if t is None else f', "truth": {json.dumps(t)}}}' for t in tape.truth[s].tolist()]
+        yield from [
             f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbol}, '
             f'"price": {p}, "size": {size}, "side": {SIDE_JSON[side]}'
             f"{venues[venue]}{m}{_OWN_TEXT[own]}{tail}"
@@ -488,7 +466,7 @@ def serialize_blocks(tape: Tape) -> Iterator[list[str]]:
 def merge_streams(*parts: Tape) -> Tape:
     """Rows of ``parts`` end to end, then a stable sort, lit-first at equal timestamps.
 
-    Venue tables, ``truth`` and ``meta`` merge in part order. The parts must
+    Venue tables and ``meta`` merge in part order. The parts must
     share one symbol; an empty symbol matches any.
     """
     symbols = list(dict.fromkeys(p.symbol for p in parts if p.symbol))
@@ -496,20 +474,15 @@ def merge_streams(*parts: Tape) -> Tape:
         raise ValueError("symbol mismatch: " + " vs ".join(f"'{s}'" for s in symbols))
     names: dict[str, int] = {}
     columns: dict[str, list[np.ndarray]] = {name: [] for name in COLUMNS}
-    truth: dict[int, dict[str, Any]] = {}
     meta: dict[str, Any] = {}
-    offset = 0
     for part in parts:
         codes = np.array([names.setdefault(v, len(names)) for v in part.venues] + [-1], dtype=np.int32)
         for name, column in columns.items():
             column.append(codes[part.venue] if name == "venue" else getattr(part, name))
-        truth.update((offset + i, t) for i, t in part.truth.items())
         meta.update(part.meta)
-        offset += len(part)
     return Tape(
         symbol=symbols[0] if symbols else "",
         venues=tuple(names),
-        truth=truth,
         meta=meta,
         **{name: np.concatenate(column) if parts else None for name, column in columns.items()},
     ).sorted()
@@ -581,15 +554,16 @@ def cache_columns(tape: Tape) -> tuple[dict[str, Any], list[np.ndarray]]:
     parsed = replace(tape, symbol=symbol, venue=remap[tape.venue], venues=tuple(names), meta=meta)
     _check_columns(parsed)
     parsed = parsed.sorted()
-    truth = [[row, parsed.truth[row]] for row in sorted(parsed.truth)]
+    rows = np.flatnonzero(parsed.truth != None)  # noqa: E711 (elementwise)
+    truth = [[row, t] for row, t in zip(rows.tolist(), parsed.truth[rows].tolist())]
     header = {"symbol": parsed.symbol, "venues": list(parsed.venues), "meta": parsed.meta, "truth": truth}
-    return header, [getattr(parsed, name) for name in COLUMNS]
+    return header, [getattr(parsed, name) for name in COLUMNS if name != "truth"]
 
 
 def read_tape_cache(file, digest: str) -> Tape:
     """The tape in column cache ``file``. Raises ValueError where read_columns
     does, on a malformed header, and when the columns fail parse_tape's checks."""
-    header, columns = read_columns(file, digest, [dtype for dtype, _ in COLUMNS.values()])
+    header, columns = read_columns(file, digest, [dtype for name, (dtype, _) in COLUMNS.items() if name != "truth"])
     symbol, venues, meta, truth = map(header.get, ("symbol", "venues", "meta", "truth"))
     rows = range(len(columns[0]))
     if not (
@@ -599,6 +573,9 @@ def read_tape_cache(file, digest: str) -> Tape:
                 and isinstance(p[1], dict) for p in truth)
     ):
         raise ValueError("malformed tape header")
-    tape = Tape(symbol, venues=venues, meta=meta, truth=dict(truth), **dict(zip(COLUMNS, columns)))
+    column = np.full(len(rows), None, object)  # filled in place: np.asarray of a list checks every item
+    for row, obj in truth:
+        column[row] = obj
+    tape = Tape(symbol, venues=venues, meta=meta, truth=column, **dict(zip(COLUMNS, columns)))
     _check_columns(tape)
     return tape.sorted()

@@ -68,7 +68,7 @@ def tape_from_events(symbol: str, events: Iterable[TapeEvent], meta: dict[str, A
         venues=tuple(names),
         mid=np.array([np.nan if e.mid is None else e.mid for e in events], dtype=np.float64),
         own=np.array([-1 if e.own is None else int(e.own) for e in events], dtype=np.int8),
-        truth={i: e.truth for i, e in enumerate(events) if e.truth is not None},
+        truth=[e.truth for e in events],
         meta=dict(meta or {}),
     )
 
@@ -323,33 +323,31 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
         f', "mid": {m}' if ok else ""
         for m, ok in zip(json_floats(np.where(mid_present, tape.mid, 0.0)), mid_present.tolist())
     ]
-    truth = tape.truth
-    for i, (lit, ts, price, size, side, venue, mid, own) in enumerate(
-        zip(
-            tape.is_lit.tolist(),
-            tape.ts.tolist(),
-            json_floats(tape.price),
-            json_floats(tape.size),
-            tape.side.tolist(),
-            tape.venue.tolist(),
-            mids,
-            (tape.own + 1).tolist(),
-        )
+    for lit, ts, price, size, side, venue, mid, own, truth in zip(
+        tape.is_lit.tolist(),
+        tape.ts.tolist(),
+        json_floats(tape.price),
+        json_floats(tape.size),
+        tape.side.tolist(),
+        tape.venue.tolist(),
+        mids,
+        (tape.own + 1).tolist(),
+        tape.truth.tolist(),
     ):
         line = (
             f'{{"kind": {_KIND_TEXT[lit]}, "ts": {ts}, "symbol": {symbol}, '
             f'"price": {price}, "size": {size}, "side": {SIDE_JSON[side]}'
             f"{venues[venue]}{mid}{_OWN_TEXT[own]}"
         )
-        if i in truth:
-            line += f', "truth": {json.dumps(truth[i])}}}'
+        if truth is not None:
+            line += f', "truth": {json.dumps(truth)}}}'
         else:
             line += "}"
         yield line
 
 
 def path_to_lines(path: PricePath) -> Iterator[str]:
-    """``darkscope.slippage.path_blocks``' lines, a sample at a time."""
+    """``darkscope.slippage.path_lines``' lines, a sample at a time."""
     for t, v in zip(path.ts.tolist(), path.log_mid.tolist()):
         yield f'{{"kind": "mid", "ts": {t}, "log_mid": {v!r}}}'
 
@@ -532,7 +530,7 @@ def replay_walk(tape: Tape, cfg: PolicyConfig) -> BacktestReport:
     for i, row in enumerate(dark.tolist()):
         venue = names[int(tape.venue[row])]
         ts = int(tape.ts[row])
-        truth = tape.truth.get(row) or {}
+        truth = tape.truth[row] or {}
         order = str(truth["order"]) if "order" in truth else f"{venue}:f@{ts}"
         orders.setdefault((venue, order), []).append(row)
         ledger = ledgers.setdefault(venue, EvidenceLedger(venue, cfg.k_max))

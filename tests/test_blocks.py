@@ -1,5 +1,6 @@
-"""The block serializers and writer: ``serialize_blocks`` and ``path_blocks``
-give the row-at-a-time lines of ``oracle`` at every block boundary, and
+"""The block serializers and writer: ``serialize_tape`` and ``path_lines``,
+which format ``BLOCK_ROWS`` rows at a time, give the row-at-a-time lines of
+``oracle`` at every block boundary, and
 ``simulate`` keys its caches by the digest of the bytes it wrote.
 
 Also: each command imports only the modules it runs (``--help`` loads
@@ -10,7 +11,6 @@ the module that defines it.
 import ast
 import importlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -21,13 +21,12 @@ import pytest
 
 import oracle
 from darkscope import cli, simulator
-from darkscope.slippage import PricePath, path_blocks
+from darkscope.slippage import PricePath, path_lines
 from darkscope.tape import (
     BLOCK_ROWS,
     CACHE_SUFFIX,
     Tape,
     file_digest,
-    serialize_blocks,
     serialize_tape,
 )
 
@@ -64,7 +63,7 @@ def block_tape(n: int, meta: dict) -> Tape:
         venues=("D1", "D\"2"),
         mid=mid,
         own=(i % 4 - 1).astype(np.int8).clip(-1, 1),
-        truth={r: {"row": r, "edge": r % B} for r in sorted(edges)},
+        truth=[{"row": r, "edge": r % B} if r in edges else None for r in range(n)],
         meta=meta,
     )
 
@@ -73,12 +72,8 @@ def block_tape(n: int, meta: dict) -> Tape:
 @pytest.mark.parametrize("n", LENGTHS)
 def test_tape_blocks_equal_the_row_at_a_time_lines(n, meta):
     tp = block_tape(n, meta)
-    blocks = list(serialize_blocks(tp))
     want = list(oracle.serialize_tape(tp))
-    assert [line for block in blocks for line in block] == want
     assert list(serialize_tape(tp)) == want
-    assert all(0 < len(block) <= B for block in blocks)
-    assert len(blocks) == bool(meta) + math.ceil(n / B)
     if n > 20:  # every form above is on some row
         text = "\n".join(want)
         forms = ('"price": NaN', '"mid": Infinity', '"mid": -Infinity', '"size": -Infinity', '"mid": -0.0',
@@ -91,10 +86,7 @@ def test_tape_blocks_equal_the_row_at_a_time_lines(n, meta):
 def test_path_blocks_equal_the_row_at_a_time_lines(n):
     rng = np.random.default_rng(n)
     path = PricePath(np.arange(n, dtype=np.int64) * 7 - 3, rng.normal(4.6, 1.0, n))
-    blocks = list(path_blocks(path))
-    want = list(oracle.path_to_lines(path))
-    assert [line for block in blocks for line in block] == want
-    assert all(0 < len(block) <= B for block in blocks)
+    assert list(path_lines(path)) == list(oracle.path_to_lines(path))
 
 
 @pytest.mark.parametrize("n", (0, 1, B + 1))

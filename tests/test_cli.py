@@ -463,6 +463,31 @@ class TestReport:
             f"{int(scores.fwd.sum())} with a forward p-value, 0 whose tau horizon the path covers"
         ]
 
+    def test_writes_empty_tables_when_no_fill_is_scored(self, tmp_path, capsys):
+        # the one fill comes before the lit window fills, so score skips it and exits 0; so does report
+        tape_file, path_file = tmp_path / "tape.jsonl", tmp_path / "path.jsonl"
+        tape_file.write_text("".join(
+            json.dumps({"kind": kind, "ts": ts * 1000, "symbol": "SYM", "price": 100.0, "size": 100.0,
+                        "side": "buy", **extra}) + "\n"
+            for kind, ts, extra in [("lit", 1, {}), ("dark", 2, {"venue": "V1"}), ("lit", 3, {})]
+        ))
+        path_file.write_text('{"kind": "mid", "ts": 0, "log_mid": 4.6}\n{"kind": "mid", "ts": 4000, "log_mid": 4.6}\n')
+        assert run(["score", "--input", tape_file, "--output", tmp_path / "sc"]) == 0
+        assert "0 fills scored, 1 skipped" in capsys.readouterr().out
+        out = tmp_path / "rep"
+        assert run(["report", "--input", tape_file, "--path", path_file, "--output", out]) == 0
+        counts = "0 fill(s) scored, 0 with a forward p-value"
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: slippage_by_pvalue.tsv holds no fill: {counts}, 0 whose tau horizon the path covers",
+            f"warning: signalling_by_min_size.tsv holds no fill: {counts}, "
+            "none of them at or above a size threshold",
+        ]
+        for name in ("slippage_by_pvalue.tsv", "signalling_by_min_size.tsv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert rows and all(row.endswith("\t0") for row in rows), name
+        report_lines = (out / "report.jsonl").read_text().splitlines()
+        assert report_lines and all(json.loads(line)["n"] == 0 for line in report_lines)
+
 
 # Each input kind: its file in simulate's output, and the prefix its errors' line numbers take.
 INPUTS = {"tape": ("tape.jsonl", ""), "path": ("path.jsonl", "path "), "scenario": ("scenario.txt", "scenario ")}

@@ -230,7 +230,7 @@ def pin_tapes():
             yield f"{name}-{seed}", simulate_scenario(preset(name, seed=seed, duration=2_000.0))
     yield "leaky-fleet", simulate_scenario(fleet(preset("leaky", seed=5), 10, 300.0, 150.0))
     tape, path = simulate_scenario(preset("leaky", seed=0, duration=2_000.0))
-    yield "leaky-0-no-truth", (replace(tape, truth={}), path)
+    yield "leaky-0-no-truth", (replace(tape, truth=None), path)
 
 
 def replay_digest(tape, path):

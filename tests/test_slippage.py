@@ -446,9 +446,10 @@ class TestSizeThresholdReport:
         rows = size_threshold_report(self.records(), [1e9], alpha=0.05)
         assert rows[0].n == 0 and rows[0].share is None
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            size_threshold_report([], [0.0])
+    def test_empty_records_give_absent_shares(self):
+        # as for a tape with no scored fill, which report writes with a warning
+        rows = size_threshold_report([], [0.0, 1e9])
+        assert [(r.threshold, r.share, r.n) for r in rows] == [(0.0, None, 0), (1e9, None, 0)]
 
     @pytest.mark.parametrize("alpha", [math.nan, 0.0, 1.0, 5.0, -0.05])
     def test_alpha_outside_unit_interval_rejected(self, alpha):

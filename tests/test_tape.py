@@ -234,7 +234,7 @@ class TestMerge:
         nested = merge_streams(merge_streams(a, b), c)
         assert flat.events == nested.events
         assert flat.venues == nested.venues == ("V2", "V1", "V3")
-        assert flat.truth == nested.truth
+        assert flat.truth.tolist() == nested.truth.tolist()
         assert flat.meta == nested.meta == {"scenario": "a", "seed": 2, "part": "c"}
 
 
@@ -267,3 +267,10 @@ def test_constructor_fills_and_checks_each_column(name):
         np.testing.assert_array_equal(column, np.full(3, absent, dtype))
         with pytest.raises(ValueError, match=r"^tape column has shape \(2,\), expected \(3,\)$"):
             Tape("SYM", ts=[5, 3, 9], **{name: np.ones(2, dtype)})
+
+
+@pytest.mark.parametrize("truth", [{}, {0: {"fill": "V:f0"}}, {0: {"fill": "V:f0"}, 1: {}, 2: {"order": "o"}}])
+def test_constructor_refuses_a_row_keyed_truth_mapping(truth):
+    # truth is a column, one dict or None per row: a {row: dict} mapping is one object, of shape ()
+    with pytest.raises(ValueError, match=r"^tape column has shape \(\), expected \(3,\)$"):
+        Tape("SYM", ts=[5, 3, 9], truth=truth)

@@ -19,8 +19,10 @@ from darkscope.tape import (
     Side,
     TapeEvent,
     TapeFormatError,
+    cache_columns,
     parse_tape,
     serialize_tape,
+    write_columns,
 )
 from oracle import event_to_obj, parse_tape_scalar, path_to_lines, tape_from_events
 
@@ -39,32 +41,44 @@ def pinned_scenarios():
     return cases
 
 
-# (events, sha256 of the tape lines, sha256 of the path lines), each line
-# newline-terminated as the CLI writes it; recorded from the per-event
-# implementation that preceded the columnar tape.
+# (events, sha256 of the tape lines, sha256 of the path lines, sha256 of the
+# tape's column cache), each line newline-terminated as the CLI writes it; the
+# line digests recorded from the per-event implementation that preceded the
+# columnar tape, the cache digests from the tape that kept its truth in a
+# {row: dict} side table.
 PINNED = {
     "null": (1194, "375113ec11262767e865406d8f5d8ede727af6a6937046e841bcb964d9fa9693",
-             "d81666a46627ad77d812c1f3a2c1e6c6a9d8afc485939439e069a8de7b3b0bce"),
+             "d81666a46627ad77d812c1f3a2c1e6c6a9d8afc485939439e069a8de7b3b0bce",
+             "46b6203416048bfff36b610657e14161f5b27b938df290ac3d905c745518d381"),
     "leaky": (648, "8dc445e355f9898c031f5804f5d21835a6f06e63df287246d9b9e7ee9a8558f6",
-              "c736d53e0407b6eee340c3a5f331db07714b5ea4c6e009e49cf71a83c2d463d5"),
+              "c736d53e0407b6eee340c3a5f331db07714b5ea4c6e009e49cf71a83c2d463d5",
+              "ac25f08bcdb21adbff26413af40b46c5e6b69f7aacbf590ac6e131e34403e26b"),
     "sweep": (645, "b245fda59426c93e742e6c2a08e503a9a2cbb49818da0fea9c9c8207d9ea84c9",
-              "66d497efe499f3f0725da9f8f1d2dca8f09809311c831d7c2c238fcbb7cd817c"),
+              "66d497efe499f3f0725da9f8f1d2dca8f09809311c831d7c2c238fcbb7cd817c",
+              "2cf6f509aa92efa0997f0cc11065f482f9b24d4eeaedb5a6834f1328509676b7"),
     "latent": (630, "783a0dc95d9b81ab5113836b64cfc524de9a4cb7ad7fa545db0eca267b4e88a5",
-               "d81666a46627ad77d812c1f3a2c1e6c6a9d8afc485939439e069a8de7b3b0bce"),
+               "d81666a46627ad77d812c1f3a2c1e6c6a9d8afc485939439e069a8de7b3b0bce",
+               "99e41ec6b7c27bc185afe1a4b762b7e2220def15ac2a785a704a30d0918274ed"),
     "competing": (630, "a42eb0d03856c6694ca4988abf9047563f40daf23cc8c9484f190625137ad453",
-                  "1fdf90e945ba6a875d2d8c7d5a8025fdf02c42111c198ae362d044d7917ca94c"),
+                  "1fdf90e945ba6a875d2d8c7d5a8025fdf02c42111c198ae362d044d7917ca94c",
+                  "e72e9163575c66ffa2b57fa30399ce1664b10b3b926656804fc72e1e9f23955a"),
     "size_knee": (681, "e33f5d33982d91437f8e173fd0c4c3dc809fe3992e8b3aa4c3d8b5ea336e9db3",
-                  "bd0b3feabd4aa691401ac2172de764947475a1be6be324bd90a190de4879807a"),
+                  "bd0b3feabd4aa691401ac2172de764947475a1be6be324bd90a190de4879807a",
+                  "fef7d4de525df039ce46f6eebe8525cc5826ccb3d345a37988266168668c1a3d"),
     "fleet": (401, "d84cceff56d3ea8b16eda3ae869d5628fbc08b96e69fd67dbd31913207e06d8f",
-              "eb8f5dff6b193c94412d0753e4e8fa2905e7da1df0c41ad553fc75411f03f160"),
+              "eb8f5dff6b193c94412d0753e4e8fa2905e7da1df0c41ad553fc75411f03f160",
+              "f082dac31def58ffbab9369f4125461b9440f56fbf6d23b632d599aaf48846e6"),
 }
 
 
 @pytest.mark.parametrize("name, scenario", pinned_scenarios().items())
-def test_simulated_bytes_pinned(name, scenario):
+def test_simulated_bytes_pinned(name, scenario, tmp_path):
     tape, path = simulator.simulate_scenario(scenario)
     lines = list(serialize_tape(tape))
-    assert (len(tape), digest(lines), digest(path_to_lines(path))) == PINNED[name]
+    cache = tmp_path / "tape.jsonl.cols"
+    write_columns(cache, digest(lines), *cache_columns(tape))
+    got = (len(tape), digest(lines), digest(path_to_lines(path)), hashlib.sha256(cache.read_bytes()).hexdigest())
+    assert got == PINNED[name]
     assert lines[1:] == [json.dumps(event_to_obj(e)) for e in tape.events]
     assert digest(serialize_tape(parse_tape(lines))) == PINNED[name][1]
 
@@ -196,7 +210,7 @@ def test_parse_of_serialize_gives_equal_columns(evs, meta):
     assert np.array_equal(back.mid, tape.mid, equal_nan=True)
     names_of = lambda t: [t.venues[c] if c >= 0 else None for c in t.venue.tolist()]  # noqa: E731
     assert names_of(back) == names_of(tape)
-    assert back.truth == tape.truth and back.meta == tape.meta
+    assert back.truth.tolist() == tape.truth.tolist() and back.meta == tape.meta
     assert back.symbol == (tape.symbol if len(tape) else "")
     assert back.events == tape.events
 
