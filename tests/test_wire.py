@@ -38,14 +38,36 @@ def digest(lines):
 def pinned_scenarios():
     cases = {name: simulator.preset(name, seed=3, duration=600.0) for name in PRESETS}
     cases["fleet"] = simulator.fleet(simulator.preset("leaky", seed=5), 4, 120.0, 60.0, tail_s=30.0)
+    cases["ties"] = simulator.parse_scenario(TIES)
     return cases
+
+
+# Three concurrently active venues with latent fills and sweeps: many fills
+# share a timestamp with another fill and many lit prints with another print,
+# so the pins fix the simulator's row order at equal timestamps.
+TIES = """name=ties
+seed=4
+duration=300
+dark_fill_rate=1
+fills_per_order=3
+price.leak_impact=1.5
+venue.A.latent_prob=1
+venue.A.sweep_prob=1
+venue.B.latent_prob=0.7
+venue.B.leak_prob=0.5
+venue.B.leak_latency_kind=fixed
+venue.C.latent_prob=1
+venue.C.sweep_prob=0.5
+venue.C.active=50:200
+"""
 
 
 # (events, sha256 of the tape lines, sha256 of the path lines, sha256 of the
 # tape's column cache), each line newline-terminated as the CLI writes it; the
 # line digests recorded from the per-event implementation that preceded the
 # columnar tape, the cache digests from the tape that kept its truth in a
-# {row: dict} side table.
+# {row: dict} side table; the ties pin from the simulator that merged one tape
+# per venue and stage.
 PINNED = {
     "null": (1194, "375113ec11262767e865406d8f5d8ede727af6a6937046e841bcb964d9fa9693",
              "d81666a46627ad77d812c1f3a2c1e6c6a9d8afc485939439e069a8de7b3b0bce",
@@ -68,6 +90,9 @@ PINNED = {
     "fleet": (401, "d84cceff56d3ea8b16eda3ae869d5628fbc08b96e69fd67dbd31913207e06d8f",
               "eb8f5dff6b193c94412d0753e4e8fa2905e7da1df0c41ad553fc75411f03f160",
               "f082dac31def58ffbab9369f4125461b9440f56fbf6d23b632d599aaf48846e6"),
+    "ties": (1580, "baee699897133c6ab4310ebda6a7a7bb8c62f5388ddecc878c4b1516461b5649",
+             "d56e1a029fa7091bd8a4555d915f308c867353daac32eb87808933011a24552e",
+             "a69a9ed1d56404b78720bd11773e7f8df9cf01e3b59ff06f42e83bc58b2b9c36"),
 }
 
 
@@ -133,7 +158,7 @@ def test_format_grid_text_pinned():
 
 # (lines, sha256) of ``darkscope score``'s scored.jsonl on each pinned tape,
 # recorded from the per-fill scorer, ledger fold and json.dumps lines that
-# preceded the columnar ones.
+# preceded the columnar ones (the ties pin from the columnar scorer).
 SCORED = {
     "null": (2970, "6aa833121379bc61ba7bc6467750c37ac55b39ba2f82a0b7ed9abe90682b3b5e"),
     "leaky": (175, "5c3973f92c68911442cbf1a10230256c55f0bbc2303d89de0ccdc4620a3a07a1"),
@@ -142,6 +167,7 @@ SCORED = {
     "competing": (175, "db2c94d0c3860ff1e65300fbda7aa021aa1e7b499a22d47b4b3f597d84deae48"),
     "size_knee": (290, "29d89da0571c8de7fa31ad6dd5030e1bb82f614ba8d8db7040195793b3a49ecc"),
     "fleet": (125, "34f2bbbf742417d619d26d24735930b12415cd4018d3b793a4034c2d01faa318"),
+    "ties": (3808, "5167edd9ac69da3c600ba84c2955748f1ded3fe20eedf8ab398997e06873975f"),
 }
 
 
