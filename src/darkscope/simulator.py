@@ -15,8 +15,9 @@ on top:
                   impact step in an injected print's direction and an
                   optional continuous drift (the competing-trader case).
 
-All randomness flows from one 64-bit seed through counter-based Philox
-streams spawned per component and per venue, so venue streams stay
+``simulate_scenario`` is the one entry point: it builds a Scenario's tape and
+price path. All randomness flows from one 64-bit seed through counter-based
+Philox streams spawned per component and per venue, so venue streams stay
 independent and every tape is bit-reproducible.
 """
 
@@ -30,17 +31,12 @@ import numpy as np
 
 from .options import PRESETS
 from .slippage import PricePath
-from .tape import Tape, merge_streams
+from .tape import Tape
 
 __all__ = [
     "VenueProfile",
     "PriceModel",
     "Scenario",
-    "gen_lit_tape",
-    "gen_dark_fills",
-    "inject_leakage",
-    "gen_price_path",
-    "reprice",
     "simulate_scenario",
     "preset",
     "fleet",
@@ -246,21 +242,15 @@ def _mean_duration_at(schedule: tuple[tuple[float, float], ...], t_s: float) -> 
     return mean
 
 
-def _streams(scenario: Scenario) -> dict[str, np.random.SeedSequence]:
-    root = np.random.SeedSequence(scenario.seed)
-    lit, dark, inject, price = root.spawn(4)
-    return {"lit": lit, "dark": dark, "inject": inject, "price": price}
-
-
 def _rng(seq: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _exponential_times(rng: np.random.Generator, mean: float, start: float, end: float) -> np.ndarray:
-    """Event times of a homogeneous Poisson stream on [start, end)."""
+def _poisson_ts(rng: np.random.Generator, mean: float, start: float, end: float) -> np.ndarray:
+    """Nanosecond event times of a homogeneous Poisson stream on [start, end) seconds."""
     span = end - start
     if span <= 0:
-        return np.empty(0)
+        return np.empty(0, np.int64)
     times: list[np.ndarray] = []
     t = 0.0
     while True:
@@ -271,216 +261,91 @@ def _exponential_times(rng: np.random.Generator, mean: float, start: float, end:
         if cum[-1] >= span:
             break
         t = cum[-1]
-    return start + np.concatenate(times)
+    return np.round((start + np.concatenate(times)) * _NS).astype(np.int64)
 
 
-def gen_lit_tape(scenario: Scenario) -> Tape:
-    """Lit prints with exponential inter-arrivals per the schedule.
-
-    Prices are placeholders until reprice() runs; a segment boundary restarts
-    the wait, which is exact for a Poisson stream (memorylessness).
-    """
-    rng = _rng(_streams(scenario)["lit"])
+def _lit_prints(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lit print times, sizes and sides."""
     segments = list(scenario.lit_schedule) + [(scenario.duration, 0.0)]
-    all_times: list[np.ndarray] = []
-    for (start, mean), (nxt, _) in zip(segments, segments[1:]):
-        end = min(nxt, scenario.duration)
-        if end <= start:
-            continue
-        all_times.append(_exponential_times(rng, mean, start, end))
-    times = np.concatenate(all_times) if all_times else np.empty(0)
-    ts = np.round(times * _NS).astype(np.int64)
-    sizes = rng.lognormal(scenario.lit_size_log_mu, scenario.lit_size_log_sigma, size=ts.size)
-    sides = rng.integers(0, 2, size=ts.size)
-    return Tape(
-        symbol=scenario.symbol,
-        ts=ts,
-        is_lit=np.ones(ts.size, dtype=bool),
-        price=np.full(ts.size, scenario.price.start_mid),
-        size=sizes,
-        side=np.where(sides == 1, 1, -1),
-    )
+    ts = np.concatenate([_poisson_ts(rng, mean, start, min(nxt, scenario.duration))
+                         for (start, mean), (nxt, _) in zip(segments, segments[1:])])
+    size = rng.lognormal(scenario.lit_size_log_mu, scenario.lit_size_log_sigma, size=ts.size)
+    return ts, size, 2 * rng.integers(0, 2, size=ts.size) - 1
 
 
-def gen_dark_fills(scenario: Scenario) -> Tape:
-    """Poisson-timed fills per venue, lognormal sizes, i.i.d. sides.
-
-    With ``fills_per_order`` set, consecutive chunks share one side and carry
-    an order key in ``truth``; fills always carry a per-venue fill key.
-    """
-    stream = _streams(scenario)["dark"]
-    children = stream.spawn(len(scenario.venues))
-    parts: list[Tape] = []
-    for profile, child in zip(scenario.venues, children):
-        rng = _rng(child)
-        window = profile.active or (0.0, scenario.duration)
-        start = max(window[0], 0.0)
-        end = min(window[1], scenario.duration)
-        if scenario.dark_fill_rate == 0 or end <= start:
-            continue
-        times = _exponential_times(rng, 1.0 / scenario.dark_fill_rate, start, end)
-        ts = np.round(times * _NS).astype(np.int64)
-        sizes = rng.lognormal(profile.size_log_mu, profile.size_log_sigma, size=ts.size)
-        group = scenario.fills_per_order
-        if group:
-            n_orders = -(-ts.size // group)
-            order_sides = rng.integers(0, 2, size=n_orders)
-            sides = order_sides[np.arange(ts.size) // group]
-            order_of = lambda j: f"{profile.venue}:o{j // group}"
-        else:
-            sides = rng.integers(0, 2, size=ts.size)
-            order_of = lambda j: f"{profile.venue}:f{j}"
-        truth = [
-            {
-                "fill": f"{profile.venue}:f{j}",
-                "order": order_of(j),
-                "leaked": False,
-                "sweep": False,
-                "latent": False,
-            }
-            for j in range(ts.size)
-        ]
-        parts.append(
-            Tape(
-                symbol=scenario.symbol,
-                ts=ts,
-                is_lit=np.zeros(ts.size, dtype=bool),
-                price=np.full(ts.size, scenario.price.start_mid),
-                size=sizes,
-                side=np.where(sides == 1, 1, -1),
-                venue=np.zeros(ts.size, dtype=np.int32),
-                venues=(profile.venue,),
-                truth=truth,
-            )
-        )
-    return merge_streams(Tape(scenario.symbol), *parts)
+def _fills(scenario: Scenario, seqs: list[np.random.SeedSequence]) -> tuple:
+    """Fill times, sizes, sides, venue indexes and truth dicts, time-sorted
+    across venues and stable in scenario venue order."""
+    group = scenario.fills_per_order or 1
+    key = "o" if scenario.fills_per_order else "f"  # an order key per parent order, or per fill
+    parts, truth = [], []
+    for code, (profile, seq) in enumerate(zip(scenario.venues, seqs)):
+        rng = _rng(seq)
+        rate, (start, end) = scenario.dark_fill_rate, profile.active or (0.0, scenario.duration)
+        ts = (_poisson_ts(rng, 1.0 / rate, max(start, 0.0), min(end, scenario.duration)) if rate
+              else np.empty(0, np.int64))
+        size = rng.lognormal(profile.size_log_mu, profile.size_log_sigma, size=ts.size)
+        side = 2 * rng.integers(0, 2, size=-(-ts.size // group))[np.arange(ts.size) // group] - 1
+        parts.append((ts, size, side, np.full(ts.size, code)))
+        v = profile.venue
+        truth += [{"fill": f"{v}:f{j}", "order": f"{v}:{key}{j // group}", "leaked": False, "sweep": False,
+                   "latent": False} for j in range(ts.size)]
+    ts, size, side, venue = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(ts, kind="stable")
+    return ts[order], size[order], side[order], venue[order], [truth[k] for k in order.tolist()]
 
 
-def inject_leakage(
-    lit: Tape, dark: Tape, scenario: Scenario, seed: int | np.random.SeedSequence = 0
-) -> Tape:
-    """Apply the scenario's venue pathologies and return the merged, sorted tape.
-
-    Per dark fill on a profiled venue: with the (size-dependent) leak
-    probability, inject a lit print at fill time plus a truncated-exponential
-    latency; with ``sweep_prob``, inject one at a fixed ~1 ms; with
-    ``latent_prob``, re-time the fill itself to ~1 ms after the nearest
-    preceding lit print. The leak latency's cap follows the scenario's
-    ``lit_schedule``; injected print sizes are lognormal with its lit size
-    parameters. Injected prints carry the causing fill's key in ``truth``;
-    with all probabilities zero this is a plain merge. Draws are made fill by
-    fill in tape order, so every tape is reproducible.
-    """
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    schedule = scenario.lit_schedule
-    size_mu, size_sigma = scenario.lit_size_log_mu, scenario.lit_size_log_sigma
-    by_venue = {p.venue: p for p in scenario.venues}
-    children = dict(zip(by_venue, seq.spawn(max(len(by_venue), 1))))
-    rngs = {venue: _rng(child) for venue, child in children.items()}
-    lit_ts = lit.ts
-
-    fill_ts = dark.ts.copy()
-    fill_truth = dark.truth.tolist()
-    prints: list[tuple[int, float, float, int]] = []  # injected (ts, price, size, side)
-    injected_truth: list[dict[str, Any]] = []
-
-    def inject(ts: int, price: float, side: int, flags: dict[str, Any], cause: str) -> None:
-        """Append a lit print caused by the fill whose truth is ``flags``."""
-        injected_truth.append({"injected_by": flags.get("fill", ""), "cause": cause})
-        prints.append((ts, price, float(rng.lognormal(size_mu, size_sigma)), side))
-
-    names = dark.venues + ("",)  # code -1 (no venue) looks up ""
-    for row, (ts, venue, size, price, side, old) in enumerate(
-        zip(
-            dark.ts.tolist(),
-            dark.venue.tolist(),
-            dark.size.tolist(),
-            dark.price.tolist(),
-            dark.side.tolist(),
-            fill_truth,
-        )
+def _inject(scenario: Scenario, lit_ts: np.ndarray, fills: tuple, seqs: list[np.random.SeedSequence]) -> tuple:
+    """The injected prints' times, sizes, sides and truth dicts; latent fills
+    are re-timed and every fill's truth flags set in place."""
+    fill_ts, fill_size, fill_side, fill_venue, fill_truth = fills
+    rngs = [_rng(seq) for seq in seqs]
+    mu, sigma = scenario.lit_size_log_mu, scenario.lit_size_log_sigma
+    prints = []
+    for row, (ts, size, side, venue, flags) in enumerate(
+        zip(fill_ts.tolist(), fill_size.tolist(), fill_side.tolist(), fill_venue.tolist(), fill_truth)
     ):
-        profile = by_venue.get(names[venue])
-        if profile is None:
-            continue
-        rng = rngs[profile.venue]
-        flags = dict(old or {})
-        original_ts = ts
-
+        profile, rng = scenario.venues[venue], rngs[venue]
         if profile.latent_prob and rng.random() < profile.latent_prob:
-            i = int(np.searchsorted(lit_ts, ts, side="left")) - 1
+            i = int(np.searchsorted(lit_ts, ts)) - 1
             if i >= 0:
-                ts = int(lit_ts[i]) + LATENT_OFFSET_NS
+                ts = fill_ts[row] = int(lit_ts[i]) + LATENT_OFFSET_NS
                 flags["latent"] = True
-
         if rng.random() < profile.leak_prob_for(size):
             mean = profile.leak_latency_mean
             if profile.leak_latency_kind == "fixed":
                 latency = mean
-            else:
-                # truncated exponential on (0, local mean duration / 10]
-                cap = _mean_duration_at(schedule, ts / _NS) / 10.0
-                u = rng.random()
-                latency = -mean * math.log1p(-u * -math.expm1(-cap / mean))
-            latency_ns = max(int(round(latency * _NS)), 1)
+            else:  # truncated exponential on (0, local mean duration / 10]
+                cap = _mean_duration_at(scenario.lit_schedule, ts / _NS) / 10.0
+                latency = -mean * math.log1p(-rng.random() * -math.expm1(-cap / mean))
             flags["leaked"] = True
-            inject(ts + latency_ns, price, side, flags, "leak")
-
+            prints.append((ts + max(int(round(latency * _NS)), 1), rng.lognormal(mu, sigma), side,
+                           {"injected_by": flags["fill"], "cause": "leak"}))
         if profile.sweep_prob and rng.random() < profile.sweep_prob:
             flags["sweep"] = True
-            inject(ts + SWEEP_LATENCY_NS, price, -side, flags, "sweep")
-
-        if ts != original_ts or flags != (old or {}):
-            fill_ts[row] = ts
-            fill_truth[row] = flags
-
-    ts, price, size, side = list(zip(*prints)) or [()] * 4
-    injected = Tape(dark.symbol, ts, is_lit=np.ones(len(ts), dtype=bool), price=price, size=size, side=side,
-                    truth=injected_truth)
-    return merge_streams(lit, injected, replace(dark, ts=fill_ts, truth=fill_truth))
+            prints.append((ts + SWEEP_LATENCY_NS, rng.lognormal(mu, sigma), -side,
+                           {"injected_by": flags["fill"], "cause": "sweep"}))
+    ts, size, side, truth = zip(*prints) if prints else [()] * 4
+    return np.array(ts, np.int64), np.array(size), np.array(side, int), list(truth)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a path out of range is refused by name at the end
-def gen_price_path(
-    merged: Tape,
-    model: PriceModel,
-    seed: int | np.random.SeedSequence = 0,
-    *,
-    end_ts: int | None = None,
-) -> PricePath:
-    """Log-mid random walk sampled at every lit print.
-
-    Each print steps by sigma_per_trade plus drift accrued since the previous
-    sample; an injected print adds the impact step in its own direction. The
-    path opens at 0 and closes with a drift-only sample at ``end_ts``
-    (defaults to the last event). A mid out of the float range raises.
-    """
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = _rng(seq)
-    lit_rows = np.flatnonzero(merged.is_lit)
-    n = lit_rows.size
-    ts = merged.ts[lit_rows]
-    z = rng.normal(size=n)
-    prev = np.concatenate(([0], ts[:-1])) if n else np.empty(0, dtype=np.int64)
-    dt_s = (ts - prev) / _NS
-    steps = model.sigma_per_trade * 1e-4 * z + model.competing_drift * 1e-4 * dt_s
+def _price_path(scenario: Scenario, rng: np.random.Generator, ts: np.ndarray, side: np.ndarray,
+                injected: np.ndarray) -> PricePath:
+    """The log-mid random walk over the lit prints at ``ts``, in tape order."""
+    model, end_ts = scenario.price, int(round(scenario.duration * _NS))
+    z = rng.normal(size=ts.size)
+    steps = model.sigma_per_trade * 1e-4 * z + model.competing_drift * 1e-4 * (np.diff(ts, prepend=0) / _NS)
     if model.leak_impact:
-        injected = np.array([t is not None and "injected_by" in t for t in merged.truth[lit_rows].tolist()], bool)
-        sign = merged.side[lit_rows].astype(np.float64)
-        impact = np.where(injected, model.leak_impact * 1e-4 * sign, 0.0)
-        steps = steps + impact
-    log_mid = math.log(model.start_mid) + np.cumsum(steps)
-
-    # One sample per distinct timestamp: the last print at a timestamp wins.
-    out_ts = np.concatenate(([0], ts)).astype(np.int64)
-    out_val = np.concatenate(([math.log(model.start_mid)], log_mid))
-    keep = np.append(out_ts[1:] != out_ts[:-1], True)
+        steps = steps + np.where(injected, model.leak_impact * 1e-4 * side.astype(np.float64), 0.0)
+    start = math.log(model.start_mid)
+    out_ts = np.concatenate(([0], ts))
+    out_val = np.concatenate(([start], start + np.cumsum(steps)))
+    keep = np.append(out_ts[1:] != out_ts[:-1], True)  # the last print at a timestamp wins
     out_ts, out_val = out_ts[keep], out_val[keep]
-    last = end_ts if end_ts is not None else (int(ts[-1]) if n else 0)
-    if last > out_ts[-1]:
-        drift_tail = model.competing_drift * 1e-4 * (last - int(out_ts[-1])) / _NS
-        out_ts = np.append(out_ts, last)
-        out_val = np.append(out_val, float(out_val[-1]) + drift_tail)
+    if end_ts > out_ts[-1]:
+        drift_tail = model.competing_drift * 1e-4 * (end_ts - int(out_ts[-1])) / _NS
+        out_ts, out_val = np.append(out_ts, end_ts), np.append(out_val, float(out_val[-1]) + drift_tail)
     mid = np.exp(out_val)
     if not np.all(np.isfinite(mid) & (mid > 0.0)):
         keys = "price.sigma_per_trade, price.competing_drift, price.leak_impact and price.start_mid"
@@ -488,28 +353,67 @@ def gen_price_path(
     return PricePath(out_ts, out_val)
 
 
-def reprice(tape: Tape, path: PricePath) -> Tape:
-    """Set every event's price and mid from the path (LOCF at event time)."""
-    with np.errstate(over="ignore"):  # an inf mid fails tape.cache_columns' checks
-        mids = np.exp(path.log_mid_at(tape.ts))
-    return replace(tape, price=mids, mid=mids)
-
-
 def simulate_scenario(scenario: Scenario) -> tuple[Tape, PricePath]:
-    """Generate the full merged, repriced tape and its price path."""
-    streams = _streams(scenario)
-    lit = gen_lit_tape(scenario)
-    dark = gen_dark_fills(scenario)
-    merged = inject_leakage(lit, dark, scenario, streams["inject"])
-    end_ts = int(round(scenario.duration * _NS))
-    path = gen_price_path(merged, scenario.price, streams["price"], end_ts=end_ts)
+    """The scenario's tape, with every price and mid taken from its price
+    path, and the path.
+
+    All randomness flows from ``scenario.seed``: its SeedSequence spawns one
+    stream each for the lit prints, the fills, the injections and the price
+    path, and the fill and injection streams spawn one child per venue.
+
+    * Lit prints: exponential inter-arrivals at each ``lit_schedule``
+      segment's mean (a segment boundary restarts the wait, which is exact for
+      a Poisson stream), then lognormal sizes and i.i.d. sides.
+    * Fills: per venue, Poisson times at ``dark_fill_rate`` within its
+      ``active`` window, lognormal sizes, and sides i.i.d. per fill or per
+      parent order of ``fills_per_order`` fills. A fill's truth holds its
+      per-venue fill key, its order key and its leaked, sweep and latent flags.
+    * Pathologies: fill by fill, in time order across venues (stable in
+      scenario venue order), each from its venue's stream: with
+      ``latent_prob`` the fill is re-timed to 1 ms after the nearest
+      preceding lit print; with the (size-dependent) leak probability a lit
+      print is injected after the leak latency, the venue's mean when
+      ``leak_latency_kind`` is fixed and otherwise exponential truncated at a
+      tenth of the local mean lit duration; with ``sweep_prob`` one is
+      injected 1 ms after the fill on its opposite side. An injected print has
+      the lit size law and the truth ``{"injected_by": fill key, "cause":
+      "leak" | "sweep"}``; a leak print takes the fill's side. A fill's
+      draws come in this order: the latent test (when ``latent_prob`` > 0),
+      the leak test, a leak print's latency (when exponential) and size,
+      the sweep test (when ``sweep_prob`` > 0) and a sweep print's size.
+    * Price path: a log-mid random walk that steps at every lit print by
+      ``sigma_per_trade`` plus the drift since the previous print, plus
+      ``leak_impact`` in an injected print's direction. It opens at 0 at
+      ``start_mid``, keeps the last print at each timestamp and closes with a
+      drift-only sample at the duration. A mid out of the float range raises.
+
+    The rows are lit prints, then injected prints, then fills, stably sorted
+    by timestamp, lit before dark at equal timestamps.
+    """
+    lit_seq, dark_seq, inject_seq, price_seq = np.random.SeedSequence(scenario.seed).spawn(4)
+    lit = _lit_prints(scenario, _rng(lit_seq))
+    fills = _fills(scenario, dark_seq.spawn(len(scenario.venues)))
+    injected = _inject(scenario, lit[0], fills, inject_seq.spawn(len(scenario.venues)))
+    n_lit, n_injected = lit[0].size, injected[0].size
+    ts, size, side = (np.concatenate((lit[i], injected[i], fills[i])) for i in range(3))
+    kind = np.repeat([0, 1, 2], [n_lit, n_injected, fills[0].size])  # lit, injected, fill
+    order = np.lexsort((kind == 2, ts))
+    ts, size, side, kind = ts[order], size[order], side[order], kind[order]
+    is_lit = kind < 2
+    path = _price_path(scenario, _rng(price_seq), ts[is_lit], side[is_lit], kind[is_lit] == 1)
+    mid = np.exp(path.log_mid_at(ts))
+    truth = np.full(ts.size, None, object)
+    truth[n_lit:] = injected[3] + fills[4]
     meta = {
         "scenario": scenario.name,
         "seed": scenario.seed,
         "symbol": scenario.symbol,
         "config": format_scenario(scenario).splitlines(),
     }
-    return replace(reprice(merged, path), meta=meta), path
+    tape = Tape(scenario.symbol, ts=ts, is_lit=is_lit, price=mid, size=size, side=side,
+                venue=np.concatenate((np.full(n_lit + n_injected, -1), fills[3]))[order],
+                venues=tuple(v.venue for v in scenario.venues), mid=mid, truth=truth[order], meta=meta)
+    return tape, path
 
 
 def preset(name: str, seed: int = 0, **overrides: Any) -> Scenario:

@@ -1,4 +1,4 @@
-"""Unified event tape: columnar data model, validating parse, merging.
+"""Unified event tape: columnar data model, validating parse, serialization.
 
 A tape is one symbol's strictly ordered stream of lit-market prints and
 dark-venue fills. Timestamps are integer nanoseconds so duration arithmetic
@@ -63,7 +63,6 @@ __all__ = [
     "COLUMNS",
     "parse_tape",
     "serialize_tape",
-    "merge_streams",
     "file_digest",
     "write_columns",
     "read_columns",
@@ -157,8 +156,8 @@ class Tape:
 
     Columns left as None default to absent values; ``truth`` takes one dict
     or None per row. ``Tape(symbol)`` is an empty tape. Rows are kept in the
-    order given: ``parse_tape`` and ``merge_streams`` sort, the constructor
-    does not. Treat the columns as read-only; derived tapes share them.
+    order given: ``parse_tape`` sorts, the constructor does not. Treat the
+    columns as read-only; derived tapes share them.
     """
 
     symbol: str
@@ -327,6 +326,7 @@ def _check_columns(tape: Tape) -> None:
     bad = [(name, col[~((col > 0) & np.isfinite(col))]) for name, col in
            (("price", tape.price), ("size", tape.size), ("mid", mid))]
     bad = [(name, float(col[0])) for name, col in bad if col.size]
+    bad_truth = [t for t in tape.truth.tolist() if t is not None and not isinstance(t, dict)]
     if not all(isinstance(v, str) for v in tape.venues):
         why = "venue names must be strings"
     elif np.any((venue < -1) | (venue >= len(tape.venues))):  # before names_empty[venue]
@@ -340,6 +340,8 @@ def _check_columns(tape: Tape) -> None:
         why = f"{name} must be {'finite' if value > 0 else '> 0'}, got {value}"
     elif np.any(~tape.is_lit & (names_empty[venue] | (side == 0))):
         why = "dark fill missing venue or side"
+    elif bad_truth:
+        why = f"truth must be a dict or None, got {bad_truth[0]!r}"
     else:
         return
     raise ValueError(f"tape fails parse_tape's checks: {why}")
@@ -463,31 +465,6 @@ def serialize_tape(tape: Tape) -> Iterator[str]:
         ]
 
 
-def merge_streams(*parts: Tape) -> Tape:
-    """Rows of ``parts`` end to end, then a stable sort, lit-first at equal timestamps.
-
-    Venue tables and ``meta`` merge in part order. The parts must
-    share one symbol; an empty symbol matches any.
-    """
-    symbols = list(dict.fromkeys(p.symbol for p in parts if p.symbol))
-    if len(symbols) > 1:
-        raise ValueError("symbol mismatch: " + " vs ".join(f"'{s}'" for s in symbols))
-    names: dict[str, int] = {}
-    columns: dict[str, list[np.ndarray]] = {name: [] for name in COLUMNS}
-    meta: dict[str, Any] = {}
-    for part in parts:
-        codes = np.array([names.setdefault(v, len(names)) for v in part.venues] + [-1], dtype=np.int32)
-        for name, column in columns.items():
-            column.append(codes[part.venue] if name == "venue" else getattr(part, name))
-        meta.update(part.meta)
-    return Tape(
-        symbol=symbols[0] if symbols else "",
-        venues=tuple(names),
-        meta=meta,
-        **{name: np.concatenate(column) if parts else None for name, column in columns.items()},
-    ).sorted()
-
-
 CACHE_SUFFIX = ".cols"
 _CACHE_VERSION = 1
 
@@ -569,8 +546,7 @@ def read_tape_cache(file, digest: str) -> Tape:
     if not (
         isinstance(symbol, str) and isinstance(venues, list) and isinstance(meta, dict)
         and isinstance(truth, list)
-        and all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int and p[0] in rows
-                and isinstance(p[1], dict) for p in truth)
+        and all(isinstance(p, list) and len(p) == 2 and type(p[0]) is int and p[0] in rows for p in truth)
     ):
         raise ValueError("malformed tape header")
     column = np.full(len(rows), None, object)  # filled in place: np.asarray of a list checks every item

@@ -163,12 +163,16 @@ def test_each_public_name_has_one_home():
     reexported = set()
     for file in sorted(package.glob("[!_]*.py")):  # every module but __init__
         module = importlib.import_module(f"darkscope.{file.stem}")
+        tree = ast.parse(file.read_text())
         imported = {
             alias.asname or alias.name
-            for node in ast.parse(file.read_text()).body
+            for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.level
             for alias in node.names
         }
+        # a relative import the module never uses is there only to be imported from it
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        reexported |= {(file.stem, name) for name in imported - used}
         for name in getattr(module, "__all__", ()):
             home = getattr(getattr(module, name), "__module__", module.__name__)
             if name in imported or (home.startswith("darkscope.") and home != module.__name__):

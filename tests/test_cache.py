@@ -241,6 +241,7 @@ CORRUPTIONS = {
     ),
     "wrong version": lambda sim: replace_bytes(sim / "tape.jsonl.cols", b'{"version": 1', b'{"version": 2'),
     "truth row out of range": change_tape_cache(lambda h, a: h["truth"].append([len(a[0]), {}])),
+    "truth object not a dict": change_tape_cache(lambda h, a: h["truth"][0].__setitem__(1, "x")),
     "venues not strings": change_tape_cache(lambda h, a: h.update(venues=[7])),
     "price float32": change_tape_cache(set_column(2, lambda c: c.astype(np.float32))),
     "ts one short": change_tape_cache(set_column(0, lambda c: c[:-1])),
@@ -295,3 +296,12 @@ def test_simulate_writes_no_cache_for_a_tape_the_parser_refuses(tmp_path, capsys
         tp = replace(good, price=np.where(np.arange(len(good)) == 3, price, good.price))
         with pytest.raises(ValueError, match=f"^tape fails parse_tape's checks: {re.escape(error)}$"):
             cache_columns(tp)
+
+
+def test_cache_columns_refuses_a_truth_that_is_not_a_dict():
+    # parse_tape refuses the line this row serializes to, so no cache may hold it
+    tp = Tape("S", ts=[1], is_lit=[True], price=[1.0], size=[1.0], truth=["x"])
+    with pytest.raises(tape.TapeFormatError, match="^line 1: truth must be an object, got 'x'$"):
+        tape.parse_tape(serialize_tape(tp))
+    with pytest.raises(ValueError, match="^tape fails parse_tape's checks: truth must be a dict or None, got 'x'$"):
+        cache_columns(tp)

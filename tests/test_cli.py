@@ -90,7 +90,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "text, error",
         [
-            # each was a traceback from inject_leakage: the leak print's ns overflow int64
+            # each was a traceback from the simulator's leak injection: the leak print's ns overflow int64
             ("duration=200\nvenue.D.leak_prob=1\nvenue.D.leak_latency_kind=fixed\nvenue.D.leak_latency_mean=1e10\n",
              "scenario line 4: venue.D.leak_latency_mean=1e10: "
              "leak_latency_mean must be <= MAX_LEAK_LATENCY_S = 1e+08, got 10000000000.0"),

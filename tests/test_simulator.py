@@ -15,17 +15,12 @@ from darkscope.simulator import (
     VenueProfile,
     fleet,
     format_scenario,
-    gen_dark_fills,
-    gen_lit_tape,
-    gen_price_path,
-    inject_leakage,
     parse_scenario,
     preset,
-    reprice,
     simulate_scenario,
 )
 from darkscope.slippage import SlippageConfig, fill_slippages
-from darkscope.tape import Side, merge_streams, serialize_tape
+from darkscope.tape import Side, serialize_tape
 
 S = 1_000_000_000
 
@@ -37,39 +32,52 @@ def scenario_for(duration=10_000.0, rate=0.1, venue=None, seed=1, **kw):
     )
 
 
+def simulate(**kw):
+    """simulate_scenario's tape for scenario_for(**kw)."""
+    return simulate_scenario(scenario_for(**kw))[0]
+
+
+def fills_of(tape):
+    return tape.rows(np.flatnonzero(~tape.is_lit))
+
+
+def injected_of(tape):
+    return [e for e in tape if e.truth and "injected_by" in e.truth]
+
+
 class TestGenLitTape:
+    # lit prints alone: no fills, so nothing is injected
     def test_count_within_poisson_band(self):
-        tape = gen_lit_tape(scenario_for(duration=10_000.0))
+        tape = simulate(duration=10_000.0, rate=0.0)
         n = len(tape)
         assert abs(n - 10_000) <= 300  # 3 sigma
 
     def test_zero_duration_empty(self):
-        assert len(gen_lit_tape(scenario_for(duration=0.0))) == 0
+        assert len(simulate(duration=0.0, rate=0.0)) == 0
 
     def test_same_seed_identical(self):
-        a = gen_lit_tape(scenario_for(seed=9))
-        b = gen_lit_tape(scenario_for(seed=9))
+        a = simulate(seed=9, rate=0.0)
+        b = simulate(seed=9, rate=0.0)
         assert a.events == b.events
 
     def test_piecewise_schedule_rates(self):
-        sc = scenario_for(duration=20_000.0, lit_schedule=((0.0, 1.0), (10_000.0, 0.5)))
-        tape = gen_lit_tape(sc)
+        tape = simulate(duration=20_000.0, rate=0.0, lit_schedule=((0.0, 1.0), (10_000.0, 0.5)))
         first = sum(1 for e in tape if e.ts < 10_000 * S)
         second = len(tape) - first
         assert abs(first - 10_000) <= 300
         assert abs(second - 20_000) <= 450
 
     def test_interarrivals_exponential_ks(self):
-        tape = gen_lit_tape(scenario_for(duration=11_000.0, seed=3))
-        ts = np.array([e.ts for e in tape]) / S
+        tape = simulate(duration=11_000.0, seed=3, rate=0.0)
+        ts = tape.ts / S
         durations = np.diff(ts)[:10_000]
         d = scipy.stats.kstest(durations, "expon", args=(0, 1.0)).statistic
         assert d < 1.628 / math.sqrt(durations.size)
 
     def test_waiting_paradox(self):
         # wait from a random inspection time to the next print is Exp(lambda)
-        tape = gen_lit_tape(scenario_for(duration=11_000.0, seed=4))
-        ts = np.array([e.ts for e in tape]) / S
+        tape = simulate(duration=11_000.0, seed=4, rate=0.0)
+        ts = tape.ts / S
         rng = np.random.default_rng(5)
         probes = rng.uniform(10.0, 10_500.0, size=10_000)
         idx = np.searchsorted(ts, probes, side="right")
@@ -80,60 +88,55 @@ class TestGenLitTape:
 
 class TestGenDarkFills:
     def test_rate_zero_no_fills(self):
-        assert len(gen_dark_fills(scenario_for(rate=0.0))) == 0
+        assert not np.any(~simulate(rate=0.0).is_lit)
 
     def test_count_within_poisson_band(self):
-        tape = gen_dark_fills(scenario_for(duration=10_000.0, rate=0.1))
-        assert abs(len(tape) - 1_000) <= 95  # 3 sigma
+        tape = simulate(duration=10_000.0, rate=0.1)
+        assert abs(np.count_nonzero(~tape.is_lit) - 1_000) <= 95  # 3 sigma
 
     def test_lognormal_sizes(self):
         venue = VenueProfile("DARK1", size_log_mu=8.0, size_log_sigma=0.7)
-        tape = gen_dark_fills(scenario_for(duration=20_000.0, rate=0.1, venue=venue))
-        logs = np.log([e.size for e in tape])
+        tape = simulate(duration=20_000.0, rate=0.1, venue=venue)
+        logs = np.log(tape.size[~tape.is_lit])
         stderr = 0.7 / math.sqrt(len(logs))
         assert abs(logs.mean() - 8.0) <= 3 * stderr
 
     def test_sides_iid_per_fill_by_default(self):
-        tape = gen_dark_fills(scenario_for(duration=20_000.0, rate=0.1))
-        buys = sum(1 for e in tape if e.side is Side.BUY)
-        n = len(tape)
+        fills = fills_of(simulate(duration=20_000.0, rate=0.1))
+        buys = sum(1 for e in fills if e.side is Side.BUY)
+        n = len(fills)
         assert abs(buys - n / 2) <= 3 * math.sqrt(n / 4)
 
     def test_orders_share_one_side(self):
-        sc = scenario_for(duration=10_000.0, rate=0.1, fills_per_order=15)
-        tape = gen_dark_fills(sc)
         by_order: dict[str, set] = {}
-        for e in tape:
+        for e in fills_of(simulate(duration=10_000.0, rate=0.1, fills_per_order=15)):
             by_order.setdefault(e.truth["order"], set()).add(e.side)
         assert len(by_order) > 5
         assert all(len(sides) == 1 for sides in by_order.values())
 
     def test_active_window_respected(self):
         venue = VenueProfile("DARK1", active=(2_000.0, 3_000.0))
-        tape = gen_dark_fills(scenario_for(duration=10_000.0, rate=0.1, venue=venue))
-        assert all(2_000 * S <= e.ts < 3_000 * S for e in tape)
+        fills = fills_of(simulate(duration=10_000.0, rate=0.1, venue=venue))
+        assert all(2_000 * S <= e.ts < 3_000 * S for e in fills)
 
     def test_fill_keys_unique(self):
-        tape = gen_dark_fills(scenario_for(duration=5_000.0, rate=0.1))
-        keys = [e.truth["fill"] for e in tape]
+        keys = [e.truth["fill"] for e in fills_of(simulate(duration=5_000.0, rate=0.1))]
         assert len(keys) == len(set(keys))
 
 
 class TestInjectLeakage:
     def test_all_zero_probs_is_plain_merge(self):
-        sc = scenario_for(duration=2_000.0, rate=0.1)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=7)
-        assert merged.events == merge_streams(lit, dark).events
+        # the fills add no lit print and leave the lit prints, so the price path, as they were
+        merged = simulate(duration=2_000.0, rate=0.1)
+        assert merged.rows(np.flatnonzero(merged.is_lit)) == list(simulate(duration=2_000.0, rate=0.0))
+        assert not any(e.truth[flag] for e in fills_of(merged) for flag in ("leaked", "sweep", "latent"))
 
     def test_q1_fixed_latency_prints_exactly_d_later(self):
         d = 0.017
         venue = VenueProfile("DARK1", leak_prob=1.0, leak_latency_mean=d, leak_latency_kind="fixed")
-        sc = scenario_for(duration=2_000.0, rate=0.05, venue=venue)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=7)
-        injected = {e.truth["injected_by"]: e for e in merged if e.truth and "injected_by" in (e.truth or {})}
-        fills = [e for e in merged if e.is_dark()]
+        merged = simulate(duration=2_000.0, rate=0.05, venue=venue)
+        injected = {e.truth["injected_by"]: e for e in injected_of(merged)}
+        fills = fills_of(merged)
         assert len(injected) == len(fills) > 0
         for fill in fills:
             print_ev = injected[fill.truth["fill"]]
@@ -142,41 +145,33 @@ class TestInjectLeakage:
 
     def test_injection_count_binomial(self):
         venue = VenueProfile("DARK1", leak_prob=0.5)
-        sc = scenario_for(duration=20_000.0, rate=0.1, venue=venue, seed=13)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=13)
-        n_fills = len(dark)
-        n_injected = len(merged) - len(lit) - n_fills
+        merged = simulate(duration=20_000.0, rate=0.1, venue=venue, seed=13)
+        n_fills = np.count_nonzero(~merged.is_lit)
+        n_injected = len(injected_of(merged))
         assert abs(n_injected - 0.5 * n_fills) <= 3 * math.sqrt(n_fills * 0.25)
 
     def test_injected_prints_reference_causing_fill(self):
         venue = VenueProfile("DARK1", leak_prob=0.4, sweep_prob=0.3)
-        sc = scenario_for(duration=5_000.0, rate=0.1, venue=venue, seed=21)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=21)
-        fill_keys = {e.truth["fill"] for e in merged if e.is_dark()}
-        flagged = {e.truth["fill"] for e in merged if e.is_dark() and (e.truth["leaked"] or e.truth["sweep"])}
-        injected_refs = [e.truth["injected_by"] for e in merged if e.is_lit() and e.truth]
+        merged = simulate(duration=5_000.0, rate=0.1, venue=venue, seed=21)
+        fill_keys = {e.truth["fill"] for e in fills_of(merged)}
+        flagged = {e.truth["fill"] for e in fills_of(merged) if e.truth["leaked"] or e.truth["sweep"]}
+        injected_refs = [e.truth["injected_by"] for e in injected_of(merged)]
         assert injected_refs and set(injected_refs) <= fill_keys
         assert set(injected_refs) == flagged
 
     def test_latent_fills_sit_one_ms_after_a_lit_print(self):
         venue = VenueProfile("DARK1", latent_prob=1.0)
-        sc = scenario_for(duration=2_000.0, rate=0.05, venue=venue, seed=2)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=2)
-        lit_ts = {e.ts for e in merged if e.is_lit()}
-        retimed = [e for e in merged if e.is_dark() and e.truth["latent"]]
+        merged = simulate(duration=2_000.0, rate=0.05, venue=venue, seed=2)
+        lit_ts = set(merged.ts[merged.is_lit].tolist())
+        retimed = [e for e in fills_of(merged) if e.truth["latent"]]
         assert retimed
         assert all((e.ts - 1_000_000) in lit_ts for e in retimed)
 
     def test_sweep_prints_at_one_ms_opposite_side(self):
         venue = VenueProfile("DARK1", sweep_prob=1.0)
-        sc = scenario_for(duration=1_000.0, rate=0.05, venue=venue, seed=3)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=3)
-        injected = {e.truth["injected_by"]: e for e in merged if e.is_lit() and e.truth}
-        for fill in (e for e in merged if e.is_dark()):
+        merged = simulate(duration=1_000.0, rate=0.05, venue=venue, seed=3)
+        injected = {e.truth["injected_by"]: e for e in injected_of(merged)}
+        for fill in fills_of(merged):
             sweep = injected[fill.truth["fill"]]
             assert sweep.ts - fill.ts == 1_000_000
             assert sweep.side.sign == -fill.side.sign != 0
@@ -184,10 +179,7 @@ class TestInjectLeakage:
 
 class TestGenPricePath:
     def test_flat_when_everything_zero(self):
-        sc = scenario_for(duration=1_000.0, price=PriceModel(sigma_per_trade=0.0))
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=1)
-        path = gen_price_path(merged, sc.price, seed=1)
+        _, path = simulate_scenario(scenario_for(duration=1_000.0, price=PriceModel(sigma_per_trade=0.0)))
         assert np.allclose(path.log_mid, math.log(100.0))
 
     def test_impact_realized_as_mean_slippage(self):
@@ -226,13 +218,11 @@ class TestGenPricePath:
 
     def test_deterministic_given_seed(self):
         sc = scenario_for(duration=2_000.0, seed=8)
-        lit, dark = gen_lit_tape(sc), gen_dark_fills(sc)
-        merged = inject_leakage(lit, dark, sc, seed=8)
-        a = gen_price_path(merged, sc.price, seed=8)
-        b = gen_price_path(merged, sc.price, seed=8)
+        _, a = simulate_scenario(sc)
+        _, b = simulate_scenario(sc)
         assert np.array_equal(a.ts, b.ts) and np.array_equal(a.log_mid, b.log_mid)
 
-    def test_reprice_sets_mids_from_path(self):
+    def test_prices_and_mids_come_from_the_path(self):
         sc = scenario_for(duration=500.0, seed=8)
         tape, path = simulate_scenario(sc)
         for e in tape.events[:50]:

@@ -10,7 +10,6 @@ from darkscope.tape import (
     Tape,
     TapeEvent,
     TapeFormatError,
-    merge_streams,
     parse_tape,
     serialize_tape,
 )
@@ -184,58 +183,25 @@ class TestSerialize:
         assert back.events[0].size == 1e-15
 
 
-class TestMerge:
+class TestSorted:
     def test_interleaves_by_ts(self):
-        a = tape_from_events("SYM", (lit(1), lit(3)))
-        b = tape_from_events("SYM", (dark(2),))
-        merged = merge_streams(a, b)
-        assert [(e.ts, e.kind) for e in merged] == [
+        tape = tape_from_events("SYM", (lit(1), lit(3), dark(2))).sorted()
+        assert [(e.ts, e.kind) for e in tape] == [
             (1, EventKind.LIT),
             (2, EventKind.DARK),
             (3, EventKind.LIT),
         ]
 
     def test_tie_break_lit_first(self):
-        merged = merge_streams(tape_from_events("SYM", (lit(5),)), tape_from_events("SYM", (dark(5),)))
-        assert [e.kind for e in merged] == [EventKind.LIT, EventKind.DARK]
+        tape = tape_from_events("SYM", (dark(5), lit(5))).sorted()
+        assert [e.kind for e in tape] == [EventKind.LIT, EventKind.DARK]
 
-    def test_merge_with_empty_is_identity(self):
-        a = tape_from_events("SYM", (lit(1), dark(2), lit(3)))
-        merged = merge_streams(a, Tape("SYM"))
-        assert merged.events == a.events
-
-    def test_symbol_mismatch(self):
-        with pytest.raises(ValueError, match="symbol mismatch"):
-            merge_streams(tape_from_events("A", (lit(1, symbol="A"),)), tape_from_events("B", (dark(1, symbol="B"),)))
-
-    def test_preserves_event_multiset_and_count(self):
-        a = tape_from_events("SYM", (lit(1), lit(2), lit(2)))
-        b = tape_from_events("SYM", (dark(1), dark(4)))
-        merged = merge_streams(a, b)
-        assert len(merged) == len(a) + len(b)
-        assert sorted(e.ts for e in merged) == [1, 1, 2, 2, 4]
-
-    def test_associative_up_to_tie_break(self):
-        a = tape_from_events("SYM", (lit(1), lit(5)))
-        b = tape_from_events("SYM", (dark(2),))
-        c = tape_from_events("SYM", (dark(5), dark(9)))
-        left = merge_streams(merge_streams(a, b), c)
-        right = merge_streams(a, merge_streams(Tape("SYM"), merge_streams(b, c)))
-        assert left.events == right.events
-
-    def test_three_parts_equal_two_nested_merges(self):
-        a = tape_from_events("SYM", (lit(1), dark(4, venue="V2", truth={"fill": "V2:f0"})),
-                             meta={"scenario": "a", "seed": 1})
-        b = tape_from_events("SYM", (dark(2), lit(4, truth={"injected_by": "V1:f0"})),
-                             meta={"seed": 2})
-        c = tape_from_events("SYM", (dark(4, venue="V3"), dark(0, truth={"fill": "V1:f1"})),
-                             meta={"part": "c"})
-        flat = merge_streams(a, b, c)
-        nested = merge_streams(merge_streams(a, b), c)
-        assert flat.events == nested.events
-        assert flat.venues == nested.venues == ("V2", "V1", "V3")
-        assert flat.truth.tolist() == nested.truth.tolist()
-        assert flat.meta == nested.meta == {"scenario": "a", "seed": 2, "part": "c"}
+    def test_keeps_every_row_stably(self):
+        # rows of one ts and kind keep their given order
+        events = (dark(4, price=1.0), lit(2, price=2.0), dark(4, price=3.0), lit(4, price=4.0), lit(2, price=5.0))
+        tape = tape_from_events("SYM", events).sorted()
+        assert len(tape) == len(events)
+        assert tape.price.tolist() == [2.0, 5.0, 4.0, 1.0, 3.0]
 
 
 class TestFromEvents:
