@@ -3,13 +3,13 @@
 Commands:
   simulate   generate a synthetic tape + price path from a preset or scenario file
   score      score a tape's dark fills and emit surprise + evidence lines
-  backtest   replay policy-on vs policy-off and emit actions + cohort report
+  backtest   replay policy-on vs policy-off on the tape alone; emit actions + cohort report
   power      print the minimum-fills detectability bound and an empirical crossing
   report     emit slippage-by-pvalue and signalling-by-min-size plot tables
 
 simulate also writes tape.jsonl.cols and path.jsonl.cols, column caches (see
-``darkscope.tape``) that score, backtest and report read in place of the
-text when the cache holds that text; the results are the same.
+``darkscope.tape``) that the commands read in place of the text when the
+cache holds that text; the results are the same.
 
 All randomness flows from --seed; identical inputs and seeds produce
 byte-identical outputs. Every file is read and written as UTF-8, whatever the
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     back = sub.add_parser("backtest", help="policy-on vs policy-off replay")
     back.add_argument("--input", type=Path, required=True, help="tape file")
-    back.add_argument("--path", type=Path, required=True, help="price path file")
+    back.add_argument("--path", type=Path, help="accepted and not read: arrival slippage comes from the tape")
     back.add_argument("--output", type=Path, required=True, help="output directory")
     back.add_argument("--window-n", type=int, default=options.DEFAULT_WINDOW_SIZE, help=_WINDOW_HELP)
     back.add_argument("--kmax", type=int, default=options.DEFAULT_KMAX, help=_KMAX_HELP)
@@ -282,7 +282,6 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     from . import policy
 
     tp = _read_tape(args.input)
-    path = _read_path(args.path)
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
     cfg = policy.PolicyConfig(
@@ -291,7 +290,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         k_max=args.kmax,
         horizon_mult=args.horizon_mult,
     )
-    report = policy.replay(tp, path, cfg)
+    report = policy.replay(tp, None, cfg)
     _write_lines(out / "actions.jsonl", (json.dumps(policy.action_to_obj(a)) for a in report.actions))
     _tsv(
         out / "cohorts.tsv",
@@ -355,14 +354,14 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     from . import slippage, surprise
 
-    tp = _read_tape(args.input)
-    path = _read_path(args.path)
-    out: Path = args.output
-    out.mkdir(parents=True, exist_ok=True)
     try:
         thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"bad --thresholds list: {args.thresholds!r}") from None
+    tp = _read_tape(args.input)
+    path = _read_path(args.path)
+    out: Path = args.output
+    out.mkdir(parents=True, exist_ok=True)
 
     scores = surprise.score_columns(tp, args.window_n, args.horizon_mult)
     cfg = slippage.SlippageConfig(tau=args.tau)

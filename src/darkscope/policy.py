@@ -6,8 +6,8 @@ the ladder is spent. The replay compares per-order arrival slippage between
 two arms over one scoring of the tape: accepting every fill, and filtering
 the fills the policy rejects, whose p-values then never reach the evidence.
 Rejected fills are dropped, not re-routed, so liquidity-access gains are
-deliberately not measured; the lit stream and price path stay fixed either
-way. The evidence is folded by ``evidence.fisher_fold``, as in ``score``.
+deliberately not measured; the lit stream stays fixed either way. The
+evidence is folded by ``evidence.fisher_fold``, as in ``score``.
 """
 
 from __future__ import annotations
@@ -15,15 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .evidence import FisherResult, fisher_fold
 from .options import DEFAULT_ALPHA, DEFAULT_HORIZON_MULT, DEFAULT_KMAX, DEFAULT_WINDOW_SIZE, check_alpha, check_count
-from .slippage import PricePath, arrival_slippage
 from .surprise import score_columns
-from .tape import SIDE_OF_SIGN, Side, Tape
+from .tape import BP, SIDE_OF_SIGN, Side, Tape
+
+if TYPE_CHECKING:  # for annotations only: replay reads no price path
+    from .slippage import PricePath
 
 __all__ = [
     "ActionKind",
@@ -31,6 +33,7 @@ __all__ = [
     "PolicyAction",
     "OrderOutcome",
     "BacktestReport",
+    "arrival_slippage",
     "replay",
 ]
 
@@ -159,7 +162,33 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, stderr
 
 
-def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
+def arrival_slippage(tape: Tape, rows: Sequence[int] | np.ndarray) -> float:
+    """Order-level arrival slippage in bp over one order's fills, the tape rows ``rows``.
+
+    Signed difference between the size-weighted average fill price and the
+    order's first-fill mid (the arrival proxy: a dark order's first fill is
+    effectively at mid). Positive = adverse for the order's side.
+    """
+    if len(rows) == 0:
+        raise ValueError("order has no fills")
+    first = rows[0]
+    sign = int(tape.side[first])
+    if sign == 0:
+        raise ValueError("order side must be buy or sell")
+    arrival = float(tape.price[first] if np.isnan(tape.mid[first]) else tape.mid[first])
+    weights, prices = tape.size[rows], tape.price[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vwap = float(np.average(prices, weights=weights))
+        if not 0.0 < vwap < math.inf:  # a weighted sum over- or underflowed: scale the weights
+            weights = weights / weights.max()
+            vwap = float(np.average(prices, weights=weights))
+        if not 0.0 < vwap < math.inf:  # the price sum did too: scale the prices
+            top = prices.max()
+            vwap = float(np.average(prices / top, weights=weights)) * float(top)
+    return sign * (math.log(vwap) - math.log(arrival)) * BP
+
+
+def replay(tape: Tape, path: PricePath | None, cfg: PolicyConfig) -> BacktestReport:
     """Two-arm backtest: accept-everything vs. policy-filtered.
 
     The fills are scored once by ``score_columns``: the lit window never
@@ -169,7 +198,7 @@ def replay(tape: Tape, path: PricePath, cfg: PolicyConfig) -> BacktestReport:
     and a trigger acts from the venue's next fill on. A fill's order is its
     ground-truth ``order`` when present, else the fill stands alone as
     ``venue:f@ts``; orders keep first-seen order. Arrival slippage per order
-    uses the accepted fills only. ``path`` is not read.
+    uses the accepted fills' own prices and mids only: ``path`` is not read.
 
     A venue's state depends only on its trigger count, so a fold of the
     fills accepted under the known triggers is exact up to each venue's

@@ -26,7 +26,7 @@ import numpy as np
 from .options import DEFAULT_ALPHA, DEFAULT_BUCKETS, DEFAULT_TAU, check_alpha, check_count
 # Re-exported only because bench/layers.py calls them through slippage (ROADMAP item 11).
 from .power import empirical_crossing, min_fills_bound
-from .tape import BLOCK_ROWS, Tape, TapeEvent, read_columns
+from .tape import BLOCK_ROWS, BP, TapeEvent, read_columns
 
 if TYPE_CHECKING:  # for annotations only: simulate never loads the scorer
     from .surprise import SurpriseRecord
@@ -45,11 +45,8 @@ __all__ = [
     "bucket_report",
     "threshold_rows",
     "size_threshold_report",
-    "arrival_slippage",
     "read_path_cache",
 ]
-
-BP = 1e4  # basis points per unit log return
 
 
 class CensoredFillError(ValueError):
@@ -111,6 +108,8 @@ class SlippageConfig:
             raise ValueError(f"tau must be finite, got {self.tau}")
         if not self.tau * 1e9 < 2.0**63:
             raise ValueError(f"tau must be below {2.0**63 * 1e-9:g} s, so that its ns fit in int64, got {self.tau}")
+        if self.tau_ns < 1:  # a horizon of 0 ns measures no move
+            raise ValueError(f"tau must round to at least 1 ns, got {self.tau}")
 
     @property
     def tau_ns(self) -> int:
@@ -347,29 +346,3 @@ def threshold_row_to_obj(row: ThresholdRow) -> dict:
     if row.share is not None:
         obj["share"] = row.share
     return obj
-
-
-def arrival_slippage(tape: Tape, rows: Sequence[int] | np.ndarray) -> float:
-    """Order-level arrival slippage in bp over one order's fills, the tape rows ``rows``.
-
-    Signed difference between the size-weighted average fill price and the
-    order's first-fill mid (the arrival proxy: a dark order's first fill is
-    effectively at mid). Positive = adverse for the order's side.
-    """
-    if len(rows) == 0:
-        raise ValueError("order has no fills")
-    first = rows[0]
-    sign = int(tape.side[first])
-    if sign == 0:
-        raise ValueError("order side must be buy or sell")
-    arrival = float(tape.price[first] if np.isnan(tape.mid[first]) else tape.mid[first])
-    weights, prices = tape.size[rows], tape.price[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vwap = float(np.average(prices, weights=weights))
-        if not 0.0 < vwap < math.inf:  # a weighted sum over- or underflowed: scale the weights
-            weights = weights / weights.max()
-            vwap = float(np.average(prices, weights=weights))
-        if not 0.0 < vwap < math.inf:  # the price sum did too: scale the prices
-            top = prices.max()
-            vwap = float(np.average(prices / top, weights=weights)) * float(top)
-    return sign * (math.log(vwap) - math.log(arrival)) * BP

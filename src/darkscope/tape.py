@@ -36,10 +36,10 @@ digest of the text file's bytes) and, for a tape, ``symbol``, ``venues``,
 Then each column follows by ``np.save``: a tape's in ``COLUMNS`` order but
 truth, which as an object column ``np.save`` would pickle, and a price path's
 ts and log_mid.
-The writer takes the digest of the bytes as it writes them; a reader hashes
-the file again and trusts the cache only when that digest matches, every
-column has its dtype and one length, and the columns pass parse_tape's
-domain checks; otherwise it parses the text.
+The writer hashes the text file by ``file_digest`` once it is written,
+reading it back; a reader hashes the file again and trusts the cache only
+when that digest matches, every column has its dtype and one length, and
+the columns pass parse_tape's domain checks; otherwise it parses the text.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ __all__ = [
 
 # Duration floor, in nanoseconds: equal-timestamp events yield this instead of 0.
 DURATION_FLOOR_NS = 1
+BP = 1e4  # basis points per unit log return
 
 _INT64_MAX = 2**63 - 1
 

@@ -26,10 +26,11 @@ import numpy as np
 
 from darkscope.evidence import POOLED_VENUE, EvidenceLedger, LedgerEntry, ledger_update
 from darkscope.options import DEFAULT_HORIZON_MULT
-from darkscope.policy import ActionKind, BacktestReport, OrderOutcome, PolicyAction, PolicyConfig
-from darkscope.slippage import BP, BucketRow, CensoredFillError, PricePath, SlippageConfig, arrival_slippage
+from darkscope.policy import ActionKind, BacktestReport, OrderOutcome, PolicyAction, PolicyConfig, arrival_slippage
+from darkscope.slippage import BucketRow, CensoredFillError, PricePath, SlippageConfig
 from darkscope.surprise import MIN_DURATION_S, MIN_PVALUE, SurpriseRecord, score_columns
 from darkscope.tape import (
+    BP,
     DURATION_FLOOR_NS,
     SIDE_JSON,
     SIDE_OF_SIGN,

@@ -124,11 +124,22 @@ _LIBRARIES = ("numpy", "numpy.ma", "json", "logging")
                    "darkscope.slippage", "darkscope.tape", "numpy.ma", "json", "logging")),
         ("help", ("darkscope.simulator", "darkscope.policy", "darkscope.evidence", "darkscope.slippage",
                   "darkscope.surprise", "darkscope.tape", "json", "logging")),
+        ("score", ("darkscope.simulator", "darkscope.policy", "darkscope.slippage", "darkscope.power", "logging")),
+        # arrival slippage comes from the tape: backtest reads no path, so loads no slippage
+        ("backtest", ("darkscope.simulator", "darkscope.slippage", "darkscope.power", "logging")),
+        ("report", ("darkscope.simulator", "darkscope.policy", "darkscope.evidence", "logging")),
     ],
 )
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, command, unloaded):
+    sim = tmp_path / "sim"
+    if command in ("score", "backtest", "report"):
+        assert cli.main(["simulate", "--preset", "leaky", "--seed", "1", "--output", str(sim)]) == 0
+    inputs = ["--input", str(sim / "tape.jsonl"), "--output", str(tmp_path / command)]
     argv = {
-        "simulate": ["simulate", "--preset", "leaky", "--seed", "1", "--output", str(tmp_path / "sim")],
+        "simulate": ["simulate", "--preset", "leaky", "--seed", "1", "--output", str(sim)],
+        "score": ["score", *inputs],
+        "backtest": ["backtest", *inputs, "--path", str(sim / "path.jsonl")],
+        "report": ["report", *inputs, "--path", str(sim / "path.jsonl")],
         "power": ["power", "--mu", "0.5", "--sigma", "12", "--seeds", "5", "--seed", "1"],
         "help": ["--help"],
     }[command]

@@ -270,6 +270,23 @@ class TestScore:
         assert last == expected
 
 
+# Path lines that fail parsing, by id, each with what its error says.
+BAD_PATH_LINES = {
+    "array": ("[1, 2]", "expected a JSON object, got list"),
+    "kind": ('{"kind": "lit", "ts": 5, "log_mid": 4.6}', "expected kind 'mid', got 'lit'"),
+    "no-ts": ('{"kind": "mid", "log_mid": 4.6}', "ts must be an integer, got None"),
+    "float-ts": ('{"kind": "mid", "ts": 1.5, "log_mid": 4.6}', "ts must be an integer, got 1.5"),
+    "bool-ts": ('{"kind": "mid", "ts": true, "log_mid": 4.6}', "ts must be an integer, got True"),
+    "null-log-mid": ('{"kind": "mid", "ts": 5, "log_mid": null}', "log_mid must be a number, got None"),
+    "string-log-mid": ('{"kind": "mid", "ts": 5, "log_mid": "4.6"}', "log_mid must be a number, got '4.6'"),
+    "huge-log-mid": ('{"kind": "mid", "ts": 5, "log_mid": 1' + "0" * 400 + "}", "log_mid must be finite, got inf"),
+    "bad-json": ("nope", r"invalid JSON \(Expecting value\)"),
+    "deep-json": ("[" * 100_000 + "]" * 100_000, r"invalid JSON \(maximum recursion depth exceeded"),
+}
+FIRST_MID = '{"kind": "mid", "ts": 0, "log_mid": 4.6}\n'
+TS_PAST_INT64 = '{"kind": "mid", "ts": 9223372036854775808, "log_mid": 4.6}'
+
+
 class TestBacktest:
     def test_artifacts(self, tmp_path, simulated):
         out = tmp_path / "bt"
@@ -296,6 +313,21 @@ class TestBacktest:
             ])
         for name in ("actions.jsonl", "cohorts.tsv", "summary.tsv"):
             assert read(a / name) == read(b / name)
+
+    @pytest.mark.parametrize("path", ["missing", "none", *BAD_PATH_LINES, "ts-outside-int64"])
+    def test_reads_only_its_tape(self, tmp_path, simulated, capsys, path):
+        # arrival slippage comes from the tape: what --path names, if anything, changes no byte
+        def backtest(out, *path_argv):
+            assert run(["backtest", "--input", simulated / "tape.jsonl", *path_argv, "--output", out]) == 0
+            return capsys.readouterr(), {f.name: read(f) for f in sorted(out.glob("*"))}
+
+        want = backtest(tmp_path / "want", "--path", simulated / "path.jsonl")
+        file = tmp_path / "path.jsonl"  # missing unless a bad line goes into it
+        lines = {**{name: line for name, (line, _) in BAD_PATH_LINES.items()}, "ts-outside-int64": TS_PAST_INT64}
+        if path in lines:
+            file.write_text(FIRST_MID + lines[path] + "\n")
+        assert backtest(tmp_path / "got", *([] if path == "none" else ["--path", file])) == want
+        assert len(want[1]) == 3
 
     def test_no_order_ids_warns_about_nan_ratio(self, tmp_path, simulated, capsys):
         objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
@@ -410,13 +442,19 @@ class TestReport:
         report_lines = (out / "report.jsonl").read_text().splitlines()
         assert all(json.loads(x)["kind"] == "report" for x in report_lines)
 
-    def test_bad_thresholds_usage_error(self, tmp_path, simulated):
-        code = run([
-            "report", "--input", simulated / "tape.jsonl",
-            "--path", simulated / "path.jsonl", "--output", tmp_path / "r",
-            "--thresholds", "abc,def",
-        ])
-        assert code == 2
+    def test_bad_thresholds_usage_error(self, tmp_path, simulated, capsys):
+        # parsed before any file is read or made: a missing --input exited 1, and
+        # real inputs left an empty output directory
+        for sim in (tmp_path / "absent", simulated):
+            out = tmp_path / "r"
+            code = run([
+                "report", "--input", sim / "tape.jsonl",
+                "--path", sim / "path.jsonl", "--output", out,
+                "--thresholds", "abc,def",
+            ])
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == ["error: bad --thresholds list: 'abc,def'"]
+            assert not out.exists()
 
     def test_deterministic(self, tmp_path, simulated):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -589,39 +627,21 @@ class TestExitCodes:
             assert run([*input_argv(kind, bad, simulated), "--output", Path(tmp) / "out"]) == 1
         assert err.getvalue().splitlines() == [f"error: {INPUTS[kind][1]}line {min(i, j)}: {why}"]
 
-    @pytest.mark.parametrize("command", ["backtest", "report"])
+    # report is the one command that reads a path; backtest accepts --path unread
+    @pytest.mark.parametrize("command", ["report"])
     def test_path_ts_outside_int64_exits_1_with_line(self, tmp_path, simulated, capsys, command):
         path = tmp_path / "path.jsonl"
-        path.write_text(
-            '{"kind": "mid", "ts": 0, "log_mid": 4.6}\n'
-            '{"kind": "mid", "ts": 9223372036854775808, "log_mid": 4.6}\n'
-        )
+        path.write_text(FIRST_MID + TS_PAST_INT64 + "\n")
         argv = [command, "--input", simulated / "tape.jsonl", "--path", path,
                 "--output", tmp_path / "out"]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("error: path line 2: ")
 
-    @pytest.mark.parametrize("command", ["backtest", "report"])
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("[1, 2]", "expected a JSON object, got list"),
-            ('{"kind": "lit", "ts": 5, "log_mid": 4.6}', "expected kind 'mid', got 'lit'"),
-            ('{"kind": "mid", "log_mid": 4.6}', "ts must be an integer, got None"),
-            ('{"kind": "mid", "ts": 1.5, "log_mid": 4.6}', "ts must be an integer, got 1.5"),
-            ('{"kind": "mid", "ts": true, "log_mid": 4.6}', "ts must be an integer, got True"),
-            ('{"kind": "mid", "ts": 5, "log_mid": null}', "log_mid must be a number, got None"),
-            ('{"kind": "mid", "ts": 5, "log_mid": "4.6"}', "log_mid must be a number, got '4.6'"),
-            ('{"kind": "mid", "ts": 5, "log_mid": 1' + "0" * 400 + "}", "log_mid must be finite, got inf"),
-            ("nope", r"invalid JSON \(Expecting value\)"),
-            ("[" * 100_000 + "]" * 100_000, r"invalid JSON \(maximum recursion depth exceeded"),
-        ],
-        ids=["array", "kind", "no-ts", "float-ts", "bool-ts", "null-log-mid", "string-log-mid",
-             "huge-log-mid", "bad-json", "deep-json"],
-    )
+    @pytest.mark.parametrize("command", ["report"])
+    @pytest.mark.parametrize("line, message", list(BAD_PATH_LINES.values()), ids=list(BAD_PATH_LINES))
     def test_bad_json_path_line_exits_1_with_line(self, tmp_path, simulated, capsys, command, line, message):
         path = tmp_path / "path.jsonl"
-        path.write_text('{"kind": "mid", "ts": 0, "log_mid": 4.6}\n' + line + "\n")
+        path.write_text(FIRST_MID + line + "\n")
         argv = [command, "--input", simulated / "tape.jsonl", "--path", path, "--output", tmp_path / "out"]
         assert run(argv) == 1
         (err,) = capsys.readouterr().err.splitlines()
@@ -664,6 +684,14 @@ class TestExitCodes:
                 "--output", tmp_path / "out", "--tau", "inf"]
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: tau must be finite, got inf"]
+
+    @pytest.mark.parametrize("tau", ["1e-10", "4e-10"])
+    def test_tau_below_1_ns_exits_1(self, tmp_path, simulated, capsys, tau):
+        # the horizon rounded to 0 ns, and every bucket reported a mean of 0.0
+        argv = ["report", "--input", simulated / "tape.jsonl", "--path", simulated / "path.jsonl",
+                "--output", tmp_path / "out", "--tau", tau]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: tau must round to at least 1 ns, got {float(tau)}"]
 
     @pytest.mark.parametrize("tau", ["1e300", "9.3e9"])
     def test_tau_beyond_int64_ns_exits_1(self, tmp_path, simulated, capsys, tau):

@@ -9,19 +9,18 @@ from hypothesis.extra.numpy import arrays
 
 from darkscope.options import MAX_BUCKETS
 from darkscope.power import MAX_CROSSING_FILLS, empirical_crossing, min_fills_bound, seed_median
+from darkscope.policy import arrival_slippage
 from darkscope.slippage import (
-    BP,
     CensoredFillError,
     PricePath,
     SlippageConfig,
-    arrival_slippage,
     bucket_report,
     path_from_lines,
     size_threshold_report,
     slippages,
 )
 from darkscope.surprise import SurpriseRecord
-from darkscope.tape import EventKind, Side, TapeEvent
+from darkscope.tape import BP, EventKind, Side, TapeEvent
 from oracle import path_to_lines, post_fill_slippage, tape_from_events
 
 S = 1_000_000_000
@@ -62,6 +61,15 @@ class TestSlippageConfig:
 
     def test_largest_tau_fits_int64(self):
         assert SlippageConfig(tau=9.2e9).tau_ns == 9_200_000_000_000_000_000
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-10, 4e-10])
+    def test_tau_below_1_ns_rejected(self, tau):
+        # it rounded to a horizon of 0 ns, over which no fill's mid can move
+        with pytest.raises(ValueError, match=f"^tau must round to at least 1 ns, got {tau}$"):
+            SlippageConfig(tau=tau)
+
+    def test_smallest_tau_is_1_ns(self):
+        assert SlippageConfig(tau=6e-10).tau_ns == SlippageConfig(tau=1e-9).tau_ns == 1
 
 
 class TestPricePath:
