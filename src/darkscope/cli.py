@@ -26,21 +26,37 @@ script call ``run()``: ``main()`` (what the tests call), then a flush of
 stdout and stderr and ``os._exit``, which skips the interpreter's teardown
 of numpy and every other module; no atexit handler runs after ``main()``,
 and none is needed, since each log line goes to stderr as it is written.
-``run()`` leaves by ``sys.exit`` instead when a flush raises (a closed stdout
-pipe still exits 120 with the interpreter's ``Exception ignored`` line), when
-it is not called from the top-level code of the process's ``__main__`` (as
-under ``python -m cProfile -m darkscope.cli``), or when a trace or profile
-hook is set (coverage, a debugger). An uncaught exception propagates as from
+A run that will leave that way turns the cyclic garbage collector off
+before ``main()``: each command is one short pass, and what a collection
+would free goes with the process. ``run()`` leaves by ``sys.exit`` instead,
+with the collector on, when a flush raises (a closed stdout pipe still
+exits 120 with the interpreter's ``Exception ignored`` line), when it is not
+called from the top-level code of the process's ``__main__`` (as under
+``python -m cProfile -m darkscope.cli``), or when a trace or profile hook is
+set (coverage, a debugger). An uncaught exception propagates as from
 ``main()``.
+
+``simulate`` forks once, after the tape is made and checked and its output
+directory exists. The child formats the second half of the rows while the
+parent writes the first; once that is on disk, the child appends its half,
+hashes the file and writes tape.jsonl.cols, while the parent writes
+path.jsonl, its cache and scenario.txt. The child never prints and leaves
+by ``os._exit``; the parent reports its OSError or ValueError as its own
+(one ``error:`` line, exit 1) and waits for it on every path. A parent that
+fails before its half is written leaves the child writing nothing. Where
+``os.fork`` is missing, the second half is written after the first, inline.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import math
 import os
 import sys
 import time
+import warnings
 from itertools import islice
 from pathlib import Path
 
@@ -137,24 +153,83 @@ class UsageError(Exception):
     pass
 
 
-def _write_lines(path: Path, lines) -> None:
+def _write_lines(path: Path, lines, mode: str = "wb") -> None:
     """Write ``lines`` to ``path`` as UTF-8, each newline-terminated,
-    ``tape.BLOCK_ROWS`` lines at a time."""
+    ``tape.BLOCK_ROWS`` lines at a time; ``mode`` "ab" appends them."""
     from .tape import BLOCK_ROWS
 
     lines = iter(lines)
-    with open(path, "wb") as fh:
+    with open(path, mode) as fh:
         while block := list(islice(lines, BLOCK_ROWS)):
             fh.write(("\n".join(block) + "\n").encode())
 
 
-def _write_cached(path: Path, lines, columns) -> None:
-    """Write ``lines`` to ``path`` by _write_lines and ``columns`` as its
-    column cache, keyed by the digest the readers check."""
+def _write_cached(path: Path, lines, columns, mode: str = "wb") -> None:
+    """Write ``lines`` to ``path`` by _write_lines and ``columns`` as the
+    whole file's column cache, keyed by the digest the readers check."""
     from . import tape
 
-    _write_lines(path, lines)
+    _write_lines(path, lines, mode)
     tape.write_columns(path.with_name(path.name + tape.CACHE_SUFFIX), tape.file_digest(path), *columns)
+
+
+# What Python >= 3.12 warns when a process that runs a second thread forks.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks in the child\.$"
+
+
+@contextlib.contextmanager
+def _forked(prepare, finish):
+    """Yield ``release`` while a forked child runs ``prepare()``, and
+    ``finish`` of its result once the block has called ``release()``; never
+    if the block ends without that call. The block's end waits for the
+    child on every path, then raises its OSError or ValueError again if the
+    block itself succeeded. Where ``os.fork`` is missing, ``release()`` runs
+    ``finish(prepare())`` inline."""
+    if not hasattr(os, "fork"):
+        yield lambda: finish(prepare())
+        return
+    go_read, go = os.pipe()
+    error, error_write = os.pipe()
+    with warnings.catch_warnings():
+        # numpy's import started OpenBLAS's worker thread. The child calls no
+        # BLAS routine (it slices columns, formats, writes and hashes), so it
+        # takes no lock that thread could hold, and the warning does not apply.
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child imports nothing, never prints and flushes no inherited buffer
+        gc.disable()  # so no finalizer of the parent's garbage runs here either
+        code = 2  # an error that is neither OSError nor ValueError
+        try:
+            os.close(go)
+            os.close(error)
+            result = prepare()
+            if os.read(go_read, 1):
+                finish(result)
+            code = 0
+        except (OSError, ValueError) as exc:
+            text = str(exc).encode(errors="surrogateescape")  # a file name may not be UTF-8
+            os.write(error_write, (b"O" if isinstance(exc, OSError) else b"V") + text)
+            code = 1
+        finally:
+            os._exit(code)
+    os.close(go_read)
+    os.close(error_write)
+
+    def release():
+        with contextlib.suppress(BrokenPipeError):  # the child has ended; the block's end says why
+            os.write(go, b"1")
+
+    try:
+        yield release
+    finally:
+        os.close(go)  # a child not released reads end of file, and writes nothing
+        with os.fdopen(error, "rb") as fh:
+            message = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 1:
+        raise (OSError if message[:1] == b"O" else ValueError)(message[1:].decode(errors="surrogateescape"))
+    if code:
+        raise RuntimeError(f"the forked writer exited with status {code}")
 
 
 def _parse(path: Path, parse, prefix: str):
@@ -218,6 +293,7 @@ def _tsv(path: Path, header: list[str], rows) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     import dataclasses
+    import hashlib  # noqa: F401 (numpy.random loads it too; the child's file_digest must import nothing)
 
     from . import simulator, slippage, tape
 
@@ -231,13 +307,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     columns = tape.cache_columns(tp)  # raises on a tape that parse_tape would refuse
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
-    _write_cached(out / "tape.jsonl", tape.serialize_tape(tp), columns)
-    _write_cached(out / "path.jsonl", slippage.path_lines(path), ({}, [path.ts, path.log_mid]))
-    _write_lines(out / "scenario.txt", simulator.format_scenario(scenario).splitlines())
+    tape_file = out / "tape.jsonl"
+    # At least 1, so that the meta line, which goes with the range from row
+    # 0, is the parent's even on an empty tape.
+    half = len(tp) // 2 or 1
+    # the child formats rows half on, then appends them and writes the cache
+    # once rows 0 to half are on disk
+    with _forked(lambda: list(tape.serialize_tape(tp, half)),
+                 lambda lines: _write_cached(tape_file, lines, columns, "ab")) as release:
+        _write_lines(tape_file, tape.serialize_tape(tp, 0, half))
+        release()
+        _write_cached(out / "path.jsonl", slippage.path_lines(path), ({}, [path.ts, path.log_mid]))
+        _write_lines(out / "scenario.txt", simulator.format_scenario(scenario).splitlines())
     n_lit = int(tp.is_lit.sum())
     _log("INFO", f"simulated {scenario.name}: {n_lit} lit prints, {len(tp) - n_lit} dark fills")
     print(f"wrote {out / 'tape.jsonl'} ({len(tp)} events) and {out / 'path.jsonl'}")
     return 0
+
+
+def _check_scoring(args: argparse.Namespace) -> None:
+    """Raise the ValueError that surprise.score_columns raises on --window-n
+    or --horizon-mult; the commands check every option before reading a
+    file, so that a bad one leaves no output directory behind."""
+    options.check_count("window capacity", args.window_n, "MAX_WINDOW")
+    options.check_horizon_mult(args.horizon_mult)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -245,6 +338,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     from . import evidence, surprise
 
+    _check_scoring(args)
+    options.check_count("k_max", args.kmax, "MAX_KMAX")  # as evidence.fold_columns checks it
     tp = _read_tape(args.input)
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
@@ -281,15 +376,16 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 
     from . import policy
 
-    tp = _read_tape(args.input)
-    out: Path = args.output
-    out.mkdir(parents=True, exist_ok=True)
     cfg = policy.PolicyConfig(
         alpha=args.alpha,
         window_size=args.window_n,
         k_max=args.kmax,
         horizon_mult=args.horizon_mult,
     )
+    _check_scoring(args)
+    tp = _read_tape(args.input)
+    out: Path = args.output
+    out.mkdir(parents=True, exist_ok=True)
     report = policy.replay(tp, None, cfg)
     _write_lines(out / "actions.jsonl", (json.dumps(policy.action_to_obj(a)) for a in report.actions))
     _tsv(
@@ -354,17 +450,27 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     from . import slippage, surprise
 
+    bad = f"bad --thresholds list: {args.thresholds!r}"
     try:
         thresholds = [float(x) for x in args.thresholds.split(",") if x.strip()]
     except ValueError:
-        raise UsageError(f"bad --thresholds list: {args.thresholds!r}") from None
+        raise UsageError(bad) from None
+    if not thresholds:
+        raise UsageError(f"{bad} holds no threshold")
+    if len(set(thresholds)) < len(thresholds):
+        raise UsageError(f"{bad} repeats a threshold")
+    # in the order the steps below check them
+    _check_scoring(args)
+    cfg = slippage.SlippageConfig(tau=args.tau)
+    options.check_count("buckets", args.buckets, "MAX_BUCKETS")
+    options.check_alpha(args.alpha)
+    slippage.check_thresholds(thresholds)
     tp = _read_tape(args.input)
     path = _read_path(args.path)
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
 
     scores = surprise.score_columns(tp, args.window_n, args.horizon_mult)
-    cfg = slippage.SlippageConfig(tau=args.tau)
     row = scores.row
     slip, covered = slippage.fill_slippages(tp.ts[row], tp.side[row], tp.mid[row], path, cfg)
     keep = scores.fwd & covered
@@ -433,13 +539,16 @@ def _top_level(frame) -> bool:
 
 def run() -> None:
     """Run ``main()`` and end the process; the module docstring says how."""
+    fast_exit = _top_level(sys._getframe(1)) and not (sys.gettrace() or sys.getprofile())
+    if fast_exit:
+        gc.disable()
     code = main()
-    if _top_level(sys._getframe(1)) and not (sys.gettrace() or sys.getprofile()):
+    if fast_exit:
         try:
             sys.stdout.flush()
             sys.stderr.flush()
         except Exception:  # the interpreter reports it at exit, as without run()
-            pass
+            gc.enable()
         else:
             os._exit(code)
     sys.exit(code)

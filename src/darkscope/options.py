@@ -45,6 +45,12 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def check_horizon_mult(horizon_mult: float) -> None:
+    """Raise ValueError unless ``horizon_mult`` is finite and > 0."""
+    if not 0.0 < horizon_mult < float("inf"):
+        raise ValueError(f"horizon_mult must be finite and > 0, got {horizon_mult}")
+
+
 # The canonical scenarios as simulator.parse_scenario text over the Scenario
 # defaults: a 1 s lit stream, 0.05 fills/s on the one venue DARK1, 3 bp per
 # trade, ~10 ms leak latency, no pathology. simulator.preset names and seeds them.

@@ -43,6 +43,7 @@ __all__ = [
     "empirical_crossing",
     "bucket_rows",
     "bucket_report",
+    "check_thresholds",
     "threshold_rows",
     "size_threshold_report",
     "read_path_cache",
@@ -213,6 +214,13 @@ class ThresholdRow:
     n: int
 
 
+def check_thresholds(thresholds: Sequence[float]) -> None:
+    """Raise ValueError on the first threshold that is not finite."""
+    for threshold in thresholds:
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 def threshold_rows(
     p_fwd: np.ndarray, fwd: np.ndarray, size: np.ndarray, thresholds: Sequence[float], alpha: float = DEFAULT_ALPHA
 ) -> list[ThresholdRow]:
@@ -223,9 +231,7 @@ def threshold_rows(
     with a scored forward duration; empty cohorts report an absent share.
     """
     check_alpha(alpha)
-    for threshold in thresholds:
-        if not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold}")
+    check_thresholds(thresholds)
     sizes, flagged = size[fwd], p_fwd[fwd] < alpha
     rows: list[ThresholdRow] = []
     for threshold in thresholds:

@@ -37,9 +37,12 @@ Then each column follows by ``np.save``: a tape's in ``COLUMNS`` order but
 truth, which as an object column ``np.save`` would pickle, and a price path's
 ts and log_mid.
 The writer hashes the text file by ``file_digest`` once it is written,
-reading it back; a reader hashes the file again and trusts the cache only
-when that digest matches, every column has its dtype and one length, and
-the columns pass parse_tape's domain checks; otherwise it parses the text.
+reading it back. ``darkscope simulate`` writes a tape in two processes
+(see ``darkscope.cli``): the forked one, which appends the second half of
+the rows, hashes the whole file and writes its cache. A reader hashes the
+file again and trusts the cache only when that digest matches, every
+column has its dtype and one length, and the columns pass parse_tape's
+domain checks; otherwise it parses the text.
 """
 
 from __future__ import annotations
@@ -423,24 +426,25 @@ SIDE_JSON = {code: f'"{text}"' for text, code in _SIDE_CODE.items()}
 _OWN_TEXT = ("", ', "own": false', ', "own": true')
 
 
-def serialize_tape(tape: Tape) -> Iterator[str]:
-    """Yield tape lines (no trailing newline), which parse_tape reads back.
+def serialize_tape(tape: Tape, start: int = 0, stop: int | None = None) -> Iterator[str]:
+    """Yield the lines (no trailing newline) of rows ``start`` to ``stop``
+    (default: the last), which parse_tape reads back; the lines of
+    consecutive ranges, concatenated, are those of the whole range.
 
     Each line is ``json.dumps`` of the row's flat object (kind, ts, symbol,
     price, size and side, then venue, mid, own and truth where present),
-    after the meta line if the tape has meta. The rows are formatted
-    ``BLOCK_ROWS`` at a time from slices of the columns, with every string
-    JSON-encoded once. A row's mid reuses its price's text when the two are
-    bit-identical, as on every simulated row.
+    after the meta line if the tape has meta and the range starts at row 0.
+    The rows are formatted ``BLOCK_ROWS`` at a time from slices of the
+    columns, with every string JSON-encoded once. A row's mid reuses its
+    price's text when the two are bit-identical, as on every simulated row.
     """
-    if tape.meta:
+    if tape.meta and start == 0:
         yield json.dumps({"kind": "meta", **tape.meta}, sort_keys=True)
     symbol = json.dumps(tape.symbol)
     venues = [f', "venue": {json.dumps(v)}' for v in tape.venues] + [""]
-    n = len(tape)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        s = slice(start, stop)
+    n = len(tape) if stop is None else min(stop, len(tape))
+    for lo in range(start, n, BLOCK_ROWS):
+        s = slice(lo, min(lo + BLOCK_ROWS, n))
         price, mid = tape.price[s], tape.mid[s]
         prices = json_floats(price)
         mids = [', "mid": ' + p for p in prices]

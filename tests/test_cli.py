@@ -456,6 +456,19 @@ class TestReport:
             assert capsys.readouterr().err.splitlines() == ["error: bad --thresholds list: 'abc,def'"]
             assert not out.exists()
 
+    @pytest.mark.parametrize("thresholds, why", [("", "holds no threshold"), (",", "holds no threshold"),
+                                                 ("1,1", "repeats a threshold"), ("0,5,0.0", "repeats a threshold")])
+    def test_an_empty_or_repeating_thresholds_list_is_a_usage_error(self, tmp_path, simulated, capsys,
+                                                                     thresholds, why):
+        # each ran: an empty list wrote a header-only table and warned about the
+        # fills, a repeated threshold wrote its row twice
+        out = tmp_path / "r"
+        code = run(["report", "--input", simulated / "tape.jsonl", "--path", simulated / "path.jsonl",
+                    "--output", out, "--thresholds", thresholds])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: bad --thresholds list: {thresholds!r} {why}"]
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path, simulated):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -546,6 +559,33 @@ def input_argv(kind, file, simulated):
 class TestExitCodes:
     def test_unknown_command_usage_error(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("score", "--window-n", "0", "window capacity must be >= 1, got 0"),
+            ("score", "--kmax", "0", "k_max must be >= 1, got 0"),
+            ("score", "--horizon-mult", "nan", "horizon_mult must be finite and > 0, got nan"),
+            ("backtest", "--alpha", "2", "alpha must be in (0, 1), got 2.0"),
+            ("backtest", "--window-n", "0", "window capacity must be >= 1, got 0"),
+            ("backtest", "--kmax", "0", "k_max must be >= 1, got 0"),
+            ("report", "--alpha", "2", "alpha must be in (0, 1), got 2.0"),
+            ("report", "--buckets", "0", "buckets must be >= 1, got 0"),
+            ("report", "--thresholds", "nan", "threshold must be finite, got nan"),
+            ("report", "--tau", "0", "tau must be > 0, got 0.0"),
+            ("report", "--window-n", "0", "window capacity must be >= 1, got 0"),
+        ],
+    )
+    def test_a_bad_option_value_makes_no_output_directory(self, tmp_path, simulated, capsys,
+                                                          command, option, value, message):
+        # each read the whole tape and made --output before the check failed
+        out = tmp_path / "out"
+        argv = [command, "--input", simulated / "tape.jsonl", "--output", out, option, value]
+        if command != "score":
+            argv += ["--path", simulated / "path.jsonl"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_no_command_usage_error(self):
         assert run([]) == 2

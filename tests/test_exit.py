@@ -7,9 +7,11 @@ stdout pipe still ends as the interpreter ends it (exit 120, ``Exception
 ignored``, no traceback), and a profiler running the module still gets to
 print its report. The files a command reads and writes are UTF-8 under an
 ASCII locale too, and DARKSCOPE_LOG takes the level names of ``logging``.
+The garbage collector is off only in a run that leaves by ``os._exit``.
 """
 
 import contextlib
+import gc
 import io
 import os
 import re
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from darkscope import cli
 from darkscope.cli import _log, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -168,3 +171,28 @@ def test_a_profiler_running_the_module_prints_its_report(tmp_path):
     proc = command(POWER, tmp_path, program=("-m", "cProfile", "-m", "darkscope.cli"))
     assert proc.returncode == 0, proc.stderr
     assert b"function calls" in proc.stdout
+
+
+class Exited(Exception):
+    pass
+
+
+@pytest.mark.parametrize("top_level", [True, False], ids=["os._exit", "sys.exit"])
+def test_the_collector_is_off_only_on_the_os_exit_path(monkeypatch, top_level):
+    seen = []
+
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(cli, "_top_level", lambda frame: top_level)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)  # as without coverage or a profiler
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    monkeypatch.setattr(os, "_exit", exit_)
+    try:
+        with pytest.raises(Exited if top_level else SystemExit):
+            cli.run()
+    finally:
+        enabled = gc.isenabled()
+        gc.enable()
+    assert seen == [not top_level] and enabled is not top_level
