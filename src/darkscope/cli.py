@@ -21,6 +21,10 @@ message is written as ``LEVEL:darkscope.cli:message``, the layout of
 ``logging.basicConfig``, though ``logging`` is never loaded.
 Exit codes: 0 success, 1 data error, 2 usage error.
 
+``score``, ``backtest`` and ``report`` compute every result before they make
+--output and write to it, so a command that fails leaves nothing behind; an
+OSError in the middle of a write can still leave partial files.
+
 How a command ends: ``python -m darkscope.cli`` and the ``darkscope``
 script call ``run()``: ``main()`` (what the tests call), then a flush of
 stdout and stderr and ``os._exit``, which skips the interpreter's teardown
@@ -54,6 +58,7 @@ import contextlib
 import gc
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -71,6 +76,9 @@ _DATA_ERROR = 1
 # loads no numpy.
 _WINDOW_HELP = f"lit durations in the scoring window, 1 to {options.MAX_WINDOW}"
 _KMAX_HELP = f"p-values each venue's Fisher ledger combines, 1 to {options.MAX_KMAX}"
+# What no TSV cell may hold: a tab, a line break (where str.splitlines breaks
+# one) or a lone surrogate (which UTF-8 cannot encode).
+_NOT_A_CELL = re.compile("[\t\n\r\v\f\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,11 +288,7 @@ def _read_path(path: Path):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # a float's str is its repr
 
 
 def _tsv(path: Path, header: list[str], rows) -> None:
@@ -325,24 +329,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_scoring(args: argparse.Namespace) -> None:
-    """Raise the ValueError that surprise.score_columns raises on --window-n
-    or --horizon-mult; the commands check every option before reading a
-    file, so that a bad one leaves no output directory behind."""
-    options.check_count("window capacity", args.window_n, "MAX_WINDOW")
-    options.check_horizon_mult(args.horizon_mult)
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import evidence, surprise
 
-    _check_scoring(args)
-    options.check_count("k_max", args.kmax, "MAX_KMAX")  # as evidence.fold_columns checks it
     tp = _read_tape(args.input)
-    out: Path = args.output
-    out.mkdir(parents=True, exist_ok=True)
     scores = surprise.score_columns(tp, args.window_n, args.horizon_mult)
 
     # Per scored fill: its surprise line, then its signalling (p_fwd) and
@@ -362,6 +354,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         lines += evidence.serialize_updates(updates, name)
     # a stable sort by fill keeps block order, then update order, per fill
     order = np.argsort(np.concatenate(rows), kind="stable")
+    out: Path = args.output
+    out.mkdir(parents=True, exist_ok=True)
     _write_lines(out / "scored.jsonl", map(lines.__getitem__, order.tolist()))
     print(
         f"wrote {out / 'scored.jsonl'}: {len(scores)} fills scored, "
@@ -382,11 +376,12 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         k_max=args.kmax,
         horizon_mult=args.horizon_mult,
     )
-    _check_scoring(args)
     tp = _read_tape(args.input)
+    report = policy.replay(tp, None, cfg)
+    if bad := next((n for o in report.orders for n in (o.venue, o.order) if _NOT_A_CELL.search(n)), None):
+        raise ValueError(f"cohorts.tsv cannot hold the name {bad!r}: a tab, line break or lone surrogate")
     out: Path = args.output
     out.mkdir(parents=True, exist_ok=True)
-    report = policy.replay(tp, None, cfg)
     _write_lines(out / "actions.jsonl", (json.dumps(policy.action_to_obj(a)) for a in report.actions))
     _tsv(
         out / "cohorts.tsv",
@@ -459,24 +454,17 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise UsageError(f"{bad} holds no threshold")
     if len(set(thresholds)) < len(thresholds):
         raise UsageError(f"{bad} repeats a threshold")
-    # in the order the steps below check them
-    _check_scoring(args)
     cfg = slippage.SlippageConfig(tau=args.tau)
-    options.check_count("buckets", args.buckets, "MAX_BUCKETS")
-    options.check_alpha(args.alpha)
-    slippage.check_thresholds(thresholds)
     tp = _read_tape(args.input)
     path = _read_path(args.path)
-    out: Path = args.output
-    out.mkdir(parents=True, exist_ok=True)
-
     scores = surprise.score_columns(tp, args.window_n, args.horizon_mult)
     row = scores.row
     slip, covered = slippage.fill_slippages(tp.ts[row], tp.side[row], tp.mid[row], path, cfg)
     keep = scores.fwd & covered
     buckets = slippage.bucket_rows(scores.p_fwd[keep], slip[keep], args.buckets)
     shares = slippage.threshold_rows(scores.p_fwd, scores.fwd, tp.size[row], thresholds, args.alpha)
-
+    out: Path = args.output
+    out.mkdir(parents=True, exist_ok=True)
     _tsv(
         out / "slippage_by_pvalue.tsv",
         ["p_lo", "p_hi", "mean_bp", "stderr_bp", "n"],

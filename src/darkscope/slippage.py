@@ -43,7 +43,6 @@ __all__ = [
     "empirical_crossing",
     "bucket_rows",
     "bucket_report",
-    "check_thresholds",
     "threshold_rows",
     "size_threshold_report",
     "read_path_cache",
@@ -214,13 +213,6 @@ class ThresholdRow:
     n: int
 
 
-def check_thresholds(thresholds: Sequence[float]) -> None:
-    """Raise ValueError on the first threshold that is not finite."""
-    for threshold in thresholds:
-        if not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold}")
-
-
 def threshold_rows(
     p_fwd: np.ndarray, fwd: np.ndarray, size: np.ndarray, thresholds: Sequence[float], alpha: float = DEFAULT_ALPHA
 ) -> list[ThresholdRow]:
@@ -231,7 +223,9 @@ def threshold_rows(
     with a scored forward duration; empty cohorts report an absent share.
     """
     check_alpha(alpha)
-    check_thresholds(thresholds)
+    for threshold in thresholds:
+        if not math.isfinite(threshold):
+            raise ValueError(f"threshold must be finite, got {threshold}")
     sizes, flagged = size[fwd], p_fwd[fwd] < alpha
     rows: list[ThresholdRow] = []
     for threshold in thresholds:

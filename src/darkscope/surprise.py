@@ -44,7 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .options import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, check_count, check_horizon_mult
+from .options import DEFAULT_HORIZON_MULT, DEFAULT_WINDOW_SIZE, check_count
 from .tape import (
     DURATION_FLOOR_NS,
     SIDE_JSON,
@@ -187,7 +187,8 @@ def score_columns(
     ``horizon_mult`` that is not finite and > 0, and decreasing lit timestamps.
     """
     check_count("window capacity", window_size, "MAX_WINDOW")
-    check_horizon_mult(horizon_mult)
+    if not 0.0 < horizon_mult < math.inf:
+        raise ValueError(f"horizon_mult must be finite and > 0, got {horizon_mult}")
     lit_pos = np.flatnonzero(tape.is_lit)
     lit_ts = tape.ts[lit_pos]
     gaps = np.diff(lit_ts)

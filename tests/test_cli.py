@@ -405,6 +405,41 @@ class TestBacktest:
         rows = [x.split("\t") for x in (out / "cohorts.tsv").read_text().splitlines()[1:]]
         assert rows and all(float(row[5]) == 0.0 for row in rows)
 
+    @pytest.mark.parametrize("field, name", [
+        ("venue", "DARK\t1"), ("venue", "DARK\r1"), ("venue", "DARK\u20281"), ("venue", "DARK\ud800"),
+        ("order", "o\t1"), ("order", "o\n1"), ("order", "o\x1c1"), ("order", "o\udfff"),
+    ])
+    def test_a_name_no_tsv_cell_can_hold_exits_1_before_writing(self, tmp_path, simulated, capsys, field, name):
+        # a tab wrote an 8-cell row under the 7-column header and exited 0; a
+        # lone surrogate failed to encode after actions.jsonl was written
+        objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
+        for obj in objs:
+            if obj["kind"] == "dark":
+                obj["venue" if field == "venue" else "truth"] = name if field == "venue" else {"order": name}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        out = tmp_path / "bt"
+        assert run(["backtest", "--input", bad, "--output", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cohorts.tsv cannot hold the name {name!r}: a tab, line break or lone surrogate"
+        ]
+        assert not out.exists()
+
+    def test_a_name_of_any_other_characters_is_written_as_it_is(self, tmp_path, simulated):
+        objs = [json.loads(x) for x in (simulated / "tape.jsonl").read_text().splitlines()]
+        for obj in objs:
+            if obj["kind"] == "dark":
+                obj["venue"] = "D\u00c4RK \U0001f600|;"  # a surrogate pair in the JSON text
+        text = "".join(json.dumps(obj) + "\n" for obj in objs)
+        assert "\\ud83d\\ude00" in text
+        tape = tmp_path / "tape.jsonl"
+        tape.write_text(text)
+        out = tmp_path / "bt"
+        assert run(["backtest", "--input", tape, "--output", out]) == 0
+        rows = [x.split("\t") for x in (out / "cohorts.tsv").read_text(encoding="utf-8").splitlines()]
+        assert len(rows) > 1 and all(len(row) == 7 for row in rows)
+        assert {row[0] for row in rows[1:]} == {"D\u00c4RK \U0001f600|;"}
+
 
 class TestPower:
     def test_prints_bound_and_crossing(self, capsys):
@@ -585,6 +620,17 @@ class TestExitCodes:
             argv += ["--path", simulated / "path.jsonl"]
         assert run(argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_backtest_on_too_few_dark_fills_makes_no_output_directory(self, tmp_path, simulated, capsys):
+        # it exited 1 with this line and left an empty --output behind
+        lines = (simulated / "tape.jsonl").read_text().splitlines(keepends=True)
+        dark = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "dark"]
+        two = tmp_path / "two.jsonl"
+        two.write_text("".join(line for i, line in enumerate(lines) if i not in dark[2:]))
+        out = tmp_path / "out"
+        assert run(["backtest", "--input", two, "--output", out]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: insufficient fills: tape has 2 dark fills, need >= 3"]
         assert not out.exists()
 
     def test_no_command_usage_error(self):

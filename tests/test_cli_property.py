@@ -4,14 +4,15 @@ Each command exits 0, 1 or 2, prints an ``error:`` line exactly when it exits
 non-zero, raises nothing and writes no ``nan``/``inf``, except a ``nan`` in a
 ``summary.tsv`` column that a stderr ``warning: <column> nan:`` line names.
 As the tapes are valid, a command may fail only for want of data:
-``backtest`` on fewer than three dark fills, ``report`` when no fill has two
-lit prints ahead of it. With the column caches ``simulate`` would write
+``backtest`` on fewer than three dark fills. A command's ``--output`` exists
+exactly when it exits 0. With the column caches ``simulate`` would write
 beside the tape and path, each command gives the same exit code, stderr and
 output bytes as without them. Shifted so that the last timestamp is
 2**63 - 1, the same tapes exit 0 or 1, with exactly one ``error:`` line on
 exit 1. Extreme values of the float options exit 0 or 1, with exactly one
-``error:`` line on exit 1; so do the integer options at, around and far
-beyond their bounds, exiting 1 outside them.
+``error:`` line on exit 1 and an ``--output`` only on exit 0; so do the
+integer options at, around and far beyond their bounds, exiting 1 outside
+them.
 """
 
 import contextlib
@@ -96,6 +97,7 @@ def test_cli_contract_on_extreme_tapes(evs, path, window_n):
             assert code in (0, 1, 2), (command, code, err)
             assert (code != 0) == too_little[command], (command, code, err)
             assert any(x.startswith("error:") for x in lines) == (code != 0), (command, err)
+            assert (Path(tmp) / "plain" / command).exists() == (code == 0), (command, code, err)
             assert_nan_only_where_warned(command, files, err)
         assert outcomes(Path(tmp) / "cached", tape, path, window_n, cached=True) == without
 
@@ -191,6 +193,7 @@ def test_extreme_float_options_exit_cleanly(option, value, evs, path):
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert code in (0, 1), (command, code, err)
             assert len(errors) == code, (command, err)
+            assert (tmp / command).exists() == (code == 0), (command, code, err)
 
 
 # The commands that take each integer option, its bound, and the power
@@ -242,5 +245,7 @@ def test_extreme_int_options_exit_cleanly(option, value, evs, path):
             errors = [line for line in err.splitlines() if line.startswith("error:")]
             assert code in (0, 1), (command, code, err)
             assert len(errors) == code, (command, err)
+            if command != "power":
+                assert (tmp / command).exists() == (code == 0), (command, code, err)
             if not 1 <= value <= cap:
                 assert code == 1, (command, err)
